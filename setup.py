@@ -1,8 +1,17 @@
+import re
+from pathlib import Path
+
 from setuptools import find_packages, setup
+
+# the version lives in one place: the package's __version__
+VERSION = re.search(
+    r'^__version__ = "([^"]+)"$',
+    (Path(__file__).parent / "src" / "repro" / "__init__.py").read_text(),
+    re.MULTILINE).group(1)
 
 setup(
     name="repro-gals",
-    version="2.8.0",
+    version=VERSION,
     description=(
         "Reproduction of 'Power and Performance Evaluation of Globally "
         "Asynchronous Locally Synchronous Processors' "

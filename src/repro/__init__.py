@@ -44,7 +44,7 @@ from .workloads import (DEFAULT_BENCHMARKS, PROFILES, available_workloads,
                         build_workload, get_kernel, get_profile, kernel_trace,
                         make_trace, make_workload)
 
-__version__ = "2.7.0"
+__version__ = "2.8.0"
 
 __all__ = [
     "ClockPlan",

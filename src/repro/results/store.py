@@ -1,8 +1,8 @@
 """Content-addressed, on-disk store of scenario results.
 
-The store memoizes :func:`~repro.core.scenario.run_scenario`: an entry is a
-full :class:`~repro.core.scenario.ScenarioResult` serialized as JSON, filed
-under a key that is the SHA-256 of
+The store memoizes :func:`~repro.core.scenario.run_scenario`: an entry holds
+one :class:`~repro.core.scenario.ScenarioResult`, filed under a key that is
+the SHA-256 of
 
 * the scenario's **canonical JSON** -- every field that influences the
   simulation (topology, workload, policy, seeds, overrides, ...); ``name``
@@ -16,6 +16,20 @@ changed override, seed, topology or source file misses cleanly.  Entries are
 written atomically (temp file + ``os.replace``), so concurrent writers -- for
 example several sweep processes sharing ``REPRO_CACHE_DIR`` -- can only race
 to produce the same bytes.
+
+An entry file has three parts, each starting on a new line:
+
+1. a one-line JSON **header** (format, key, fingerprint, created,
+   ``wall_seconds``, scenario, checksum) -- all that ``entries`` and ``gc``
+   read;
+2. the result as **compact JSON** in insertion order, which :meth:`get`
+   decodes, so dict-valued fields reload in their original order;
+3. the result's **canonical rendering**, exactly as
+   :meth:`~repro.core.scenario.ScenarioResult.to_json` nests it, which the
+   results service splices into its replies without decoding.
+
+The header's checksum is the SHA-256 of every byte after the header line and
+is verified on every read, so a served reply is made only of verified bytes.
 
 The store root comes from the ``REPRO_CACHE_DIR`` environment variable and
 defaults to ``~/.cache/repro``.
@@ -34,12 +48,13 @@ import time
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
+from typing import (Any, Callable, Dict, Iterator, List, Optional, Tuple,
+                    TypeVar, Union)
 
 from ..core.domains import get_topology
 from ..core.dvfs import get_policy
 from ..core.scenario import (Scenario, ScenarioResult, _result_from_dict,
-                             _result_to_dict)
+                             _result_to_dict, render_section)
 from ..exec.faults import inject
 from .fingerprint import code_fingerprint
 
@@ -55,8 +70,10 @@ DEFAULT_CLAIM_TTL = 60.0
 
 #: Bump when the on-disk entry layout changes; part of every cache key, so a
 #: format change invalidates old stores instead of misreading them.
-#: (2: entries carry a SHA-256 payload checksum verified on every read.)
-STORE_FORMAT = 2
+#: (2: entries carry a SHA-256 payload checksum verified on every read;
+#: 3: header line + compact result + canonical rendering, checksummed as
+#: raw bytes.)
+STORE_FORMAT = 3
 
 #: Scenario fields that do not influence the simulation.
 _METADATA_FIELDS = ("name", "description")
@@ -94,15 +111,47 @@ def default_claim_ttl() -> float:
     return DEFAULT_CLAIM_TTL
 
 
-def payload_checksum(result_payload: Any) -> str:
-    """SHA-256 of a result payload's canonical JSON (the integrity field).
+def encode_entry(header: Dict[str, Any], result_payload: Dict[str, Any]
+                 ) -> bytes:
+    """The bytes of one entry: header line, compact result, rendering.
 
-    Computed over a canonical re-serialisation (sorted keys, no whitespace)
-    so the checksum survives the entry's pretty-printed storage form; floats
-    round-trip exactly through :mod:`json`, so verification is exact.
+    ``header`` gains the ``checksum`` field: the SHA-256 of every byte after
+    the header line.
     """
-    text = json.dumps(result_payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode()).hexdigest()
+    # not sort_keys: the compact form keeps insertion order, so dict-valued
+    # result fields (domain_cycles, ...) reload in their original order and
+    # a cached run is indistinguishable from a fresh one
+    body = (json.dumps(result_payload, separators=(",", ":")) + "\n"
+            + render_section(result_payload)).encode()
+    header = dict(header, checksum=hashlib.sha256(body).hexdigest())
+    return json.dumps(header, separators=(",", ":")).encode() + b"\n" + body
+
+
+def decode_entry(data: bytes, key: str) -> Tuple[Dict[str, Any], bytes, bytes]:
+    """Verify one entry's bytes: ``(header, compact result, rendering)``.
+
+    Raises ValueError when the entry is torn, bit-rotted, written in another
+    format or filed under another key.
+    """
+    head, _, body = data.partition(b"\n")
+    header = json.loads(head)
+    if not isinstance(header, dict) or header.get("format") != STORE_FORMAT:
+        raise ValueError(f"not a format-{STORE_FORMAT} entry")
+    if header.get("key") != key:
+        raise ValueError("entry filed under another key")
+    if header.get("checksum") != hashlib.sha256(body).hexdigest():
+        raise ValueError("entry checksum mismatch")
+    compact, _, rendering = body.partition(b"\n")
+    return header, compact, rendering
+
+
+def read_header(path: Path) -> Dict[str, Any]:
+    """An entry's header line alone (no verification; raises on junk)."""
+    with path.open("rb") as handle:
+        header = json.loads(handle.readline())
+    if not isinstance(header, dict):
+        raise ValueError("entry header is not a JSON object")
+    return header
 
 
 def default_cache_dir() -> Path:
@@ -236,6 +285,9 @@ class QuarantinedFile:
     reason: str
 
 
+_Loaded = TypeVar("_Loaded")
+
+
 # ---------------------------------------------------------------------- store
 class ResultsStore:
     """Content-addressed store memoizing scenario runs on disk."""
@@ -281,14 +333,34 @@ class ResultsStore:
                          ) -> Optional[Tuple[ScenarioResult, float]]:
         """Like :meth:`get`, plus the original compute wall time recorded
         when the entry was stored (what a hit saves)."""
-        path = self.entry_path(self.key_for(scenario))
+        def decode(header: Dict[str, Any], compact: bytes, rendering: bytes
+                   ) -> Tuple[ScenarioResult, float]:
+            """Rebuild the result from the entry's compact JSON."""
+            result =_result_from_dict(json.loads(compact))
+            return (ScenarioResult(scenario=scenario, result=result),
+                    float(header.get("wall_seconds", 0.0)))
+        return self._load(self.key_for(scenario), decode)
+
+    def get_rendering(self, key: str) -> Optional[str]:
+        """The stored result's canonical rendering, or None on a miss.
+
+        This is the ``"result"`` section of
+        :meth:`~repro.core.scenario.ScenarioResult.to_json`, verified
+        against the entry checksum but never decoded;
+        :func:`~repro.core.scenario.scenario_result_json` completes it into
+        a reply for any scenario with this key.
+        """
+        return self._load(key, lambda header, compact, rendering:
+                          rendering.decode())
+
+    def _load(self, key: str,
+              decode: Callable[[Dict[str, Any], bytes, bytes], _Loaded]
+              ) -> Optional[_Loaded]:
+        """Read, verify and ``decode`` one entry; None (a miss) otherwise."""
+        path = self.entry_path(key)
         try:
             inject("store.get")
-            payload = json.loads(path.read_text())
-            if payload.get("checksum") != payload_checksum(payload["result"]):
-                raise ValueError("entry checksum mismatch")
-            result = _result_from_dict(payload["result"])
-            seconds = float(payload.get("wall_seconds", 0.0))
+            loaded = decode(*decode_entry(path.read_bytes(), key))
         except FileNotFoundError:
             self.misses += 1
             return None
@@ -302,7 +374,7 @@ class ResultsStore:
             self.misses += 1
             return None
         self.hits += 1
-        return ScenarioResult(scenario=scenario, result=result), seconds
+        return loaded
 
     def contains(self, scenario: Scenario) -> bool:
         """True when a result for ``scenario`` is already stored."""
@@ -312,8 +384,8 @@ class ResultsStore:
             wall_seconds: float = 0.0) -> str:
         """Store one result; returns its key.  Writes are atomic.
 
-        The entry embeds a SHA-256 checksum of its result payload, verified
-        on every :meth:`get` -- a torn or bit-rotted entry is quarantined
+        The entry's checksum covers every byte after its header line and is
+        verified on every read -- a torn or bit-rotted entry is quarantined
         and treated as a miss instead of being served.
         """
         fault = inject("store.put")
@@ -321,29 +393,22 @@ class ResultsStore:
         key = self.key_for(scenario)
         path = self.entry_path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        result_payload = _result_to_dict(outcome.result)
-        payload = {
+        data = encode_entry({
             "format": STORE_FORMAT,
             "key": key,
             "fingerprint": self.fingerprint,
             "created": time.strftime("%Y-%m-%dT%H:%M:%S"),
             "wall_seconds": wall_seconds,
-            "checksum": payload_checksum(result_payload),
             "scenario": scenario.to_dict(),
-            "result": result_payload,
-        }
+        }, _result_to_dict(outcome.result))
         # the temp name must be unique per *writer*, not just per process
         # (or per host: stores can be shared over NFS) -- see temp_path_for
         temporary = temp_path_for(path)
-        # not sort_keys: JSON objects keep insertion order, so dict-valued
-        # result fields (domain_cycles, ...) reload in their original order
-        # and a cached run is indistinguishable from a fresh one
-        text = json.dumps(payload, indent=1)
         if fault is not None and fault.action == "torn":
             # injected torn write: publish only the first half of the bytes,
             # as a writer that lost power mid-write would have
-            text = text[:len(text) // 2]
-        temporary.write_text(text)
+            data = data[:len(data) // 2]
+        temporary.write_bytes(data)
         os.replace(temporary, path)
         return key
 
@@ -521,20 +586,17 @@ class ResultsStore:
     def verify(self) -> VerifyStats:
         """Scan every stored entry; quarantine torn/bit-rotted ones.
 
-        An entry passes when it parses as JSON and its embedded checksum
-        matches a recomputation over the result payload.  Entries from
-        other code fingerprints are still *verified* (their bytes must be
-        sound) but are ``gc``'s business, not corruption.
+        An entry passes when its header parses and its checksum matches the
+        SHA-256 of the bytes after the header line.  Entries from other
+        code fingerprints are still *verified* (their bytes must be sound)
+        but are ``gc``'s business, not corruption.
         """
         stats = VerifyStats()
         for path in list(self._entry_files()):
             stats.checked += 1
             try:
-                payload = json.loads(path.read_text())
-                if (payload.get("checksum")
-                        != payload_checksum(payload["result"])):
-                    raise ValueError("entry checksum mismatch")
-            except (OSError, ValueError, KeyError, TypeError) as exc:
+                decode_entry(path.read_bytes(), path.stem)
+            except (OSError, ValueError) as exc:
                 self.quarantine_file(path, kind="entries",
                                      reason=f"{type(exc).__name__}: {exc}")
                 stats.quarantined += 1
@@ -549,11 +611,11 @@ class ResultsStore:
         return self.results_dir.glob("*/*.json")
 
     def entries(self) -> List[CacheEntry]:
-        """Metadata of every stored entry, newest first."""
+        """Metadata of every stored entry, newest first (headers only)."""
         found = []
         for path in self._entry_files():
             try:
-                payload = json.loads(path.read_text())
+                payload = read_header(path)
                 scenario = payload["scenario"]
                 found.append(CacheEntry(
                     key=payload["key"],
@@ -574,14 +636,17 @@ class ResultsStore:
 
     # ------------------------------------------------------------ maintenance
     def gc(self) -> GcStats:
-        """Drop entries from other simulator versions (and unreadable files)."""
+        """Drop entries from other simulator versions or store formats (and
+        unreadable files); reads only each entry's header line."""
         stats = GcStats()
         for path in list(self._entry_files()):
             try:
-                fingerprint = json.loads(path.read_text()).get("fingerprint")
+                header = read_header(path)
+                current = (header.get("format") == STORE_FORMAT
+                           and header.get("fingerprint") == self.fingerprint)
             except (OSError, ValueError):
-                fingerprint = None
-            if fingerprint == self.fingerprint:
+                current = False
+            if current:
                 stats.kept += 1
                 continue
             stats.bytes_freed += path.stat().st_size

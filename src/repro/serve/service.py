@@ -46,7 +46,8 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 from urllib.parse import parse_qs, urlsplit
 
 from ..core.experiments import design_space_scenarios
-from ..core.scenario import DEFAULT_INSTRUCTIONS, Scenario, get_scenario
+from ..core.scenario import (DEFAULT_INSTRUCTIONS, Scenario, get_scenario,
+                             scenario_result_json)
 from ..exec import ExecutionConfig
 from ..results import resume_sweep, run_cached
 from ..results.store import ResultsStore, resolve_store
@@ -108,10 +109,14 @@ class _Handler(BaseHTTPRequestHandler):
     service: "ResultsService"
     # the service answers tiny JSON bodies; keep-alive just ties up threads
     protocol_version = "HTTP/1.0"
+    # headers and body go out in separate writes: don't hold the second
+    # back waiting for the client's ACK of the first
+    disable_nagle_algorithm = True
 
     def log_message(self, format: str, *args: Any) -> None:
         """Route access logging through the service (quiet by default)."""
-        self.service.log(f"{self.address_string()} - {format % args}")
+        if self.service.verbose:
+            self.service.log(f"{self.address_string()} - {format % args}")
 
     def do_GET(self) -> None:  # noqa: N802 - http.server contract
         """Dispatch GET /health, /scenario and /compare."""
@@ -190,6 +195,14 @@ class _Handler(BaseHTTPRequestHandler):
                         status, key, retry_after)
 
 
+class _Server(ThreadingHTTPServer):
+    """The service's threaded HTTP server."""
+
+    # listen backlog: the stdlib default of 5 makes a burst of concurrent
+    # clients wait out SYN retransmits (a ~1 s stall) instead of queueing
+    request_queue_size = 128
+
+
 class ResultsService:
     """HTTP facade over one results store + one execution config.
 
@@ -230,14 +243,14 @@ class ResultsService:
         self._lock = threading.Lock()
         self._wake = threading.Event()
         self._stop = threading.Event()
-        self._server: Optional[ThreadingHTTPServer] = None
+        self._server: Optional[_Server] = None
         self._threads: List[threading.Thread] = []
 
     # ------------------------------------------------------------- lifecycle
     def start(self) -> "ResultsService":
         """Bind the listening socket and start the server + drain threads."""
         handler = type("BoundHandler", (_Handler,), {"service": self})
-        self._server = ThreadingHTTPServer((self.host, self.port), handler)
+        self._server = _Server((self.host, self.port), handler)
         self.port = self._server.server_address[1]
         self._stop.clear()
         self._threads = [
@@ -318,16 +331,20 @@ class ResultsService:
     def lookup(self, scenario: Scenario) -> Tuple[str, str, str]:
         """Probe one scenario: ``(status, key, body)``.
 
-        ``status`` is ``"hit"`` (body = the stored result's canonical JSON),
-        ``"failed"`` (body = the recorded error), ``"saturated"`` (the miss
-        queue is full -- mapped to 429 + ``Retry-After``; nothing was
-        queued) or ``"pending"`` (the scenario was queued for the drain
-        thread; body empty).
+        ``status`` is ``"hit"`` (body = ``ScenarioResult.to_json()`` for
+        the scenario as requested), ``"failed"`` (body = the recorded
+        error), ``"saturated"`` (the miss queue is full -- mapped to 429 +
+        ``Retry-After``; nothing was queued) or ``"pending"`` (the scenario
+        was queued for the drain thread; body empty).
+
+        A hit hashes the key once, verifies the raw entry and splices its
+        stored rendering around the requested scenario: the result is
+        never decoded or re-encoded.
         """
         key = self.store.key_for(scenario)
-        hit = self.store.get_with_seconds(scenario)
-        if hit is not None:
-            return "hit", key, hit[0].to_json()
+        rendering = self.store.get_rendering(key)
+        if rendering is not None:
+            return "hit", key, scenario_result_json(rendering, scenario)
         with self._lock:
             if key in self._failures:
                 return "failed", key, self._failures.pop(key)

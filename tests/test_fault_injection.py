@@ -19,13 +19,13 @@ from dataclasses import replace
 import pytest
 
 from repro.cli import main as cli_main
-from repro.core.scenario import get_scenario
+from repro.core.scenario import get_scenario, run_scenario
 from repro.exec import faults, worker
 from repro.exec.backends import _worker_environment, is_infrastructure_error
 from repro.exec.faults import (FAULT_PLAN_ENV_VAR, FAULT_ROLE_ENV_VAR,
                                FaultPlan, FaultRule, inject)
 from repro.results import ResultsStore, resume_sweep, run_cached
-from repro.results.store import CLAIM_TTL_ENV_VAR, payload_checksum
+from repro.results.store import CLAIM_TTL_ENV_VAR
 from repro.serve import ResultsService, request_json, scenario_query_url
 from repro.workloads.registry import (WORKLOAD_SYNTHETIC, WORKLOADS,
                                       WorkloadEntry)
@@ -136,9 +136,12 @@ def test_store_verify_checksums_every_entry(store, scenario):
     other = replace(scenario, seed=1234)
     run_cached(other, store=store)
     victim = store.entry_path(store.key_for(other))
-    payload = json.loads(victim.read_text())
-    payload["result"]["total_cycles"] = 1  # silent bit-flip
-    victim.write_text(json.dumps(payload))
+    data = bytearray(victim.read_bytes())
+    # silent bit-flip: one digit of the stored result rendering, so the
+    # entry still parses and only the checksum can tell
+    digit = data.index(b'"elapsed_ns": ') + len(b'"elapsed_ns": ')
+    data[digit] = ord("1") if data[digit] != ord("1") else ord("2")
+    victim.write_bytes(bytes(data))
     stats = store.verify()
     assert (stats.checked, stats.ok, stats.quarantined) == (2, 1, 1)
     assert store.get(other) is None  # quarantined, not served
@@ -146,11 +149,34 @@ def test_store_verify_checksums_every_entry(store, scenario):
     assert store.quarantined() == []
 
 
-def test_checksum_is_canonical_and_stable():
-    payload = {"b": 2, "a": [1.5, "x"]}
-    assert payload_checksum(payload) == payload_checksum(
-        json.loads(json.dumps(payload)))
-    assert payload_checksum(payload) != payload_checksum({"b": 2, "a": 1})
+def test_entry_checksum_is_stable_and_covers_every_byte(tmp_path, scenario,
+                                                        monkeypatch):
+    """Identical puts give identical bytes; flipping any byte after the
+    header line, or the checksum itself, quarantines the entry."""
+    monkeypatch.setattr(time, "strftime",
+                        lambda fmt, *args: "2026-01-01T00:00:00")
+    outcome = run_scenario(scenario)
+    first = ResultsStore(root=tmp_path / "a")
+    second = ResultsStore(root=tmp_path / "b")
+    key = first.put(outcome, wall_seconds=1.0)
+    assert second.put(outcome, wall_seconds=1.0) == key
+    path = first.entry_path(key)
+    pristine = path.read_bytes()
+    assert second.entry_path(key).read_bytes() == pristine
+
+    header_end = pristine.index(b"\n")
+    checksum = pristine.index(b'"checksum":"') + len('"checksum":"')
+    positions = [checksum, header_end, len(pristine) - 1]
+    positions += range(header_end + 1, len(pristine), 89)
+    for position in positions:
+        flipped = bytearray(pristine)
+        flipped[position] ^= 0x01
+        path.write_bytes(bytes(flipped))
+        assert first.get(scenario) is None, position
+        assert not path.exists()
+    assert [item.kind for item in first.quarantined()] == ["entries"]
+    path.write_bytes(pristine)
+    assert first.get(scenario).to_json() == outcome.to_json()
 
 
 # ------------------------------------------------------------- leased claims

@@ -187,13 +187,35 @@ def test_entries_gc_clear(tmp_path, scenario):
     assert store.entries() == []
 
 
+def test_gc_and_entries_read_only_the_header_line(store, scenario):
+    key = store.put(run_scenario(scenario))
+    path = store.entry_path(key)
+    header_line = path.read_bytes().split(b"\n", 1)[0]
+    path.write_bytes(header_line + b"\n{torn")   # body gone, header intact
+    assert [entry.key for entry in store.entries()] == [key]
+    assert store.gc().kept == 1
+    # another store format and an unparsable file are both dropped
+    older = json.loads(header_line)
+    older["format"] = 2
+    other = store.entry_path("ab" * 32)
+    other.parent.mkdir(parents=True, exist_ok=True)
+    other.write_text(json.dumps(older) + "\n")
+    junk = store.entry_path("cd" * 32)
+    junk.parent.mkdir(parents=True, exist_ok=True)
+    junk.write_text("{not json")
+    stats = store.gc()
+    assert (stats.removed, stats.kept) == (2, 1)
+    assert not other.exists() and not junk.exists() and path.exists()
+
+
 def test_corrupt_entry_is_a_miss_and_recomputed(store, scenario):
     run_scenario(scenario, store=store)
     path = store.entry_path(store.key_for(scenario))
     path.write_text("{not json")
     outcome = run_scenario(scenario, store=store)   # recomputes, rewrites
     assert outcome.result == run_scenario(scenario).result
-    assert json.loads(path.read_text())["key"] == store.key_for(scenario)
+    header = json.loads(path.read_bytes().split(b"\n", 1)[0])
+    assert header["key"] == store.key_for(scenario)
 
 
 def test_default_cache_dir_honours_environment(monkeypatch, tmp_path):
@@ -296,8 +318,9 @@ def test_racing_puts_on_same_key_produce_identical_bytes(tmp_path, scenario,
     loaded = reader.get(scenario)
     assert loaded is not None
     assert loaded.to_json() == outcome.to_json()
-    payload = json.loads(reader.entry_path(keys[0]).read_text())
-    assert payload["key"] == keys[0]
+    header = json.loads(reader.entry_path(keys[0]).read_bytes()
+                        .split(b"\n", 1)[0])
+    assert header["key"] == keys[0]
 
 
 def test_reads_never_tear_under_a_concurrent_writer(tmp_path, scenario):
@@ -309,14 +332,19 @@ def test_reads_never_tear_under_a_concurrent_writer(tmp_path, scenario):
     writer = ResultsStore(root=tmp_path / "cache")
     reader = ResultsStore(root=tmp_path / "cache")
     stop = threading.Event()
+    published = threading.Event()
 
     def keep_writing():
         while not stop.is_set():
             writer.put(outcome, wall_seconds=0.5)
+            published.set()
 
     thread = threading.Thread(target=keep_writing)
     thread.start()
     try:
+        # poll only once the first entry is published: otherwise a fast
+        # reader can finish all its misses before the writer ever runs
+        assert published.wait(timeout=60)
         hits = 0
         for _ in range(200):
             loaded = reader.get(scenario)

@@ -5,6 +5,7 @@ seed values, JSON round-tripping of scenarios and results, determinism, and
 the parallel sweep.
 """
 
+import json
 from dataclasses import replace
 
 import pytest
@@ -95,6 +96,13 @@ def test_scenario_result_json_round_trip():
     assert reloaded.scenario == outcome.scenario
     assert reloaded.result == outcome.result
     assert reloaded.result.total_energy_nj == outcome.result.total_energy_nj
+
+
+@pytest.mark.parametrize("indent", [None, 0, 2, 4])
+def test_scenario_result_json_matches_json_dumps(indent):
+    outcome = run_scenario("gals5-perl-fp3", num_instructions=SMALL)
+    assert outcome.to_json(indent) == json.dumps(
+        outcome.to_dict(), indent=indent, sort_keys=True)
 
 
 # ------------------------------------------------------------------ semantics

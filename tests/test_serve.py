@@ -9,12 +9,14 @@ subcommand.
 """
 
 import json
+import threading
 from dataclasses import replace
 
 import pytest
 
 from repro.cli import main as cli_main
-from repro.core.scenario import get_scenario
+from repro.core.scenario import (ScenarioResult, available_scenarios,
+                                 get_scenario, run_scenario)
 from repro.results import ResultsStore, run_cached
 from repro.serve import (ResultsService, query_compare, query_health,
                          query_scenario, request_json)
@@ -82,6 +84,27 @@ def test_hit_without_recompute(service, scenario):
     assert service.store.hits > before
 
 
+def test_burst_of_concurrent_hits_all_served(service, scenario):
+    """32 clients at once: the listen backlog queues them all, and every
+    reply is a 200 with the same bytes."""
+    assert service._server.request_queue_size == 128
+    expected = run_cached(scenario, store=service.store).outcome.to_json()
+    barrier = threading.Barrier(32)
+    replies = []
+
+    def hit():
+        barrier.wait()
+        replies.append(query_scenario(service.url, scenario))
+
+    threads = [threading.Thread(target=hit) for _ in range(32)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert [reply.code for reply in replies] == [200] * 32
+    assert {reply.body for reply in replies} == {expected}
+
+
 def test_query_by_name_with_field_overrides(service, scenario):
     url = (f"{service.url}/scenario?name=base"
            f"&num_instructions={SMALL}")
@@ -123,6 +146,73 @@ def test_failed_computation_reports_500_once(service, monkeypatch):
     # the failure was consumed: the next query re-queues from scratch
     assert query_scenario(service.url, bad).code == 202
     service.drain_once()  # settle the re-queued job before teardown
+
+
+# -------------------------------------------------------------------- hit path
+#: Every registered scenario, plus a controller run (non-empty dvfs_trace),
+#: a phased-workload run and a cluster2 run outside the registry.
+HIT_PATH_SCENARIOS = [*available_scenarios(), "controller", "phased",
+                      "cluster2"]
+
+
+def _hit_path_scenario(name):
+    if name == "controller":
+        return replace(get_scenario("gals5"), name="controller",
+                       controller="occupancy", num_instructions=SMALL)
+    if name == "phased":
+        return replace(get_scenario("gals5"), name="phased",
+                       workload="phased:membound-osc", num_instructions=SMALL)
+    if name == "cluster2":
+        return replace(get_scenario("base"), name="cluster2",
+                       topology="cluster2", workload="gcc",
+                       num_instructions=SMALL)
+    return replace(get_scenario(name), num_instructions=SMALL)
+
+
+@pytest.fixture
+def offline_service(tmp_path):
+    """A service that is never started: lookup() is called in-process."""
+    return ResultsService(store=ResultsStore(root=tmp_path / "cache"),
+                          execution="serial", port=0)
+
+
+@pytest.mark.parametrize("name", HIT_PATH_SCENARIOS)
+def test_hit_body_is_the_canonical_rendering(offline_service, name):
+    scenario = _hit_path_scenario(name)
+    outcome = run_scenario(scenario)
+    if name == "controller":
+        assert outcome.result.dvfs_trace
+    offline_service.store.put(outcome)
+    status, _, body = offline_service.lookup(scenario)
+    assert status == "hit"
+    canonical = json.dumps(outcome.to_dict(), indent=2, sort_keys=True)
+    assert body == outcome.to_json() == canonical
+
+
+def test_hit_body_carries_the_requested_scenario(offline_service, scenario):
+    outcome = run_scenario(replace(scenario, name="stored-as",
+                                   description="stored description"))
+    offline_service.store.put(outcome)
+    asked = replace(scenario, name="asked-as", description="asked for")
+    status, _, body = offline_service.lookup(asked)
+    assert status == "hit"
+    assert body == ScenarioResult(asked, outcome.result).to_json()
+    assert json.loads(body)["scenario"]["name"] == "asked-as"
+    assert json.loads(body)["scenario"]["description"] == "asked for"
+
+
+def test_hit_hashes_the_key_once(offline_service, scenario, monkeypatch):
+    offline_service.store.put(run_scenario(scenario))
+    calls = []
+    key_for = ResultsStore.key_for
+
+    def counting_key_for(store, probed):
+        calls.append(probed)
+        return key_for(store, probed)
+
+    monkeypatch.setattr(ResultsStore, "key_for", counting_key_for)
+    assert offline_service.lookup(scenario)[0] == "hit"
+    assert len(calls) == 1
 
 
 # -------------------------------------------------------------------- /compare
