@@ -28,9 +28,8 @@ def _gcc_energy_with_idle_fraction(idle_fraction):
     return result
 
 
-def test_ablation_idle_power_fraction(benchmark):
-    nominal = benchmark.pedantic(_gcc_energy_with_idle_fraction, args=(0.10,),
-                                 rounds=1, iterations=1)
+def test_ablation_idle_power_fraction():
+    nominal = _gcc_energy_with_idle_fraction(0.10)
     perfect_gating = _gcc_energy_with_idle_fraction(0.0)
     poor_gating = _gcc_energy_with_idle_fraction(0.25)
 
@@ -49,11 +48,10 @@ def test_ablation_idle_power_fraction(benchmark):
     assert perfect_gating.relative_energy <= nominal.relative_energy + 0.01
 
 
-def test_ablation_voltage_scaling_exponent(benchmark):
+def test_ablation_voltage_scaling_exponent():
     """Equation 1: alpha = 2 (0.35 um) vs 1.6 (0.13 um) vs 1.2 (deep submicron)."""
-    voltages = benchmark(
-        lambda: {alpha: voltage_for_slowdown(
-            1.5, TechnologyParameters(alpha=alpha)) for alpha in (1.2, 1.6, 2.0)})
+    voltages = {alpha: voltage_for_slowdown(1.5, TechnologyParameters(alpha=alpha))
+                for alpha in (1.2, 1.6, 2.0)}
     print("\n=== Ablation: Vdd needed for a 1.5x slowdown vs alpha ===")
     for alpha, vdd in sorted(voltages.items()):
         print(f"alpha {alpha:.1f}: Vdd {vdd:.3f} V "

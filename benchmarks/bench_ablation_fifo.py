@@ -24,9 +24,8 @@ def _relative_performance(fifo_sync, forwarding_sync):
     return row.relative_performance
 
 
-def test_ablation_fifo_latency(benchmark):
-    low_latency = benchmark.pedantic(
-        _relative_performance, args=(0, 0.5), rounds=1, iterations=1)
+def test_ablation_fifo_latency():
+    low_latency = _relative_performance(0, 0.5)
     default = _relative_performance(1, 1.0)
     conservative = _relative_performance(2, 2.0)
 
@@ -40,13 +39,13 @@ def test_ablation_fifo_latency(benchmark):
     assert (1 - conservative) > 1.5 * (1 - default)
 
 
-def test_ablation_pausible_clocking(benchmark):
+def test_ablation_pausible_clocking():
     """The stretchable-clock alternative: with a transaction on essentially
     every cycle, the effective frequency is set by the communication rate
     (Section 3.2's argument for rejecting it in a processor pipeline)."""
     model = PausibleClockModel(nominal_period=1.0, stretch_per_transaction=0.75)
 
-    slowdown_at_full_rate = benchmark(model.slowdown, 1.0)
+    slowdown_at_full_rate = model.slowdown(1.0)
     print("\n=== Ablation: pausible (stretchable) clocking ===")
     for rate in (0.0, 0.25, 0.5, 1.0):
         print(f"transactions/cycle {rate:.2f}: effective slowdown "

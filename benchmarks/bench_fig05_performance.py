@@ -2,14 +2,11 @@
 
 Paper result: the GALS processor is 10 % slower on average (range roughly
 5-15 %); fpppp, with its exceptionally low branch density, takes the smallest
-hit.  The benchmark times one representative base-vs-GALS pair; the reproduced
-figure uses the session-cached full suite.
+hit.  The reproduced figure uses the session-cached full suite.
 """
 
 from repro.analysis import bar_chart, performance_table
-from repro.core.experiments import average_performance_drop, run_pair
-
-from conftest import TIMED_INSTRUCTIONS
+from repro.core.experiments import average_performance_drop
 
 import pytest
 
@@ -17,11 +14,7 @@ import pytest
 pytestmark = pytest.mark.slow
 
 
-def test_fig05_relative_performance(benchmark, suite_rows):
-    benchmark.pedantic(
-        run_pair, args=("perl",), kwargs={"num_instructions": TIMED_INSTRUCTIONS},
-        rounds=1, iterations=1)
-
+def test_fig05_relative_performance(suite_rows):
     print("\n=== Figure 5: GALS performance relative to base ===")
     print(performance_table(suite_rows))
     print()

@@ -8,9 +8,7 @@ as a visibility latency rather than an explicit queue); see EXPERIMENTS.md.
 """
 
 from repro.analysis import slip_table
-from repro.core.experiments import average_slip_increase, run_pair
-
-from conftest import TIMED_INSTRUCTIONS
+from repro.core.experiments import average_slip_increase
 
 import pytest
 
@@ -18,11 +16,7 @@ import pytest
 pytestmark = pytest.mark.slow
 
 
-def test_fig06_average_slip(benchmark, suite_rows):
-    benchmark.pedantic(
-        run_pair, args=("gcc",), kwargs={"num_instructions": TIMED_INSTRUCTIONS},
-        rounds=1, iterations=1)
-
+def test_fig06_average_slip(suite_rows):
     print("\n=== Figure 6: average slip (fetch-to-commit latency, ns) ===")
     print(slip_table(suite_rows))
 

@@ -7,9 +7,6 @@ fraction of the total slip.
 """
 
 from repro.analysis import slip_breakdown_table
-from repro.core.experiments import run_pair
-
-from conftest import TIMED_INSTRUCTIONS
 
 import pytest
 
@@ -17,11 +14,7 @@ import pytest
 pytestmark = pytest.mark.slow
 
 
-def test_fig07_slip_breakdown(benchmark, suite_rows):
-    benchmark.pedantic(
-        run_pair, args=("ijpeg",), kwargs={"num_instructions": TIMED_INSTRUCTIONS},
-        rounds=1, iterations=1)
-
+def test_fig07_slip_breakdown(suite_rows):
     print("\n=== Figure 7: share of GALS slip spent in FIFOs vs pipeline ===")
     print(slip_breakdown_table(suite_rows))
 

@@ -7,10 +7,7 @@ long-latency (FP) instructions.
 """
 
 from repro.analysis import misspeculation_table
-from repro.core.experiments import run_pair
 from repro.workloads.profiles import get_profile
-
-from conftest import TIMED_INSTRUCTIONS
 
 import pytest
 
@@ -18,11 +15,7 @@ import pytest
 pytestmark = pytest.mark.slow
 
 
-def test_fig08_misspeculated_instructions(benchmark, suite_rows):
-    benchmark.pedantic(
-        run_pair, args=("compress",), kwargs={"num_instructions": TIMED_INSTRUCTIONS},
-        rounds=1, iterations=1)
-
+def test_fig08_misspeculated_instructions(suite_rows):
     print("\n=== Figure 8: mis-speculated instructions (fraction of fetches) ===")
     print(misspeculation_table(suite_rows))
 

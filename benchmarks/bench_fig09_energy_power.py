@@ -8,10 +8,7 @@ low-power technique.
 """
 
 from repro.analysis import energy_power_table
-from repro.core.experiments import (average_energy_increase, average_power_saving,
-                                    run_pair)
-
-from conftest import TIMED_INSTRUCTIONS
+from repro.core.experiments import average_energy_increase, average_power_saving
 
 import pytest
 
@@ -19,11 +16,7 @@ import pytest
 pytestmark = pytest.mark.slow
 
 
-def test_fig09_energy_and_power(benchmark, suite_rows):
-    benchmark.pedantic(
-        run_pair, args=("li",), kwargs={"num_instructions": TIMED_INSTRUCTIONS},
-        rounds=1, iterations=1)
-
+def test_fig09_energy_and_power(suite_rows):
     print("\n=== Figure 9: GALS energy / power normalised to base ===")
     print(energy_power_table(suite_rows))
 

@@ -6,10 +6,7 @@ time, fuller queues, more speculation) plus the FIFOs themselves.
 """
 
 from repro.analysis import breakdown_table
-from repro.core.experiments import run_pair
 from repro.power.blocks import BREAKDOWN_CATEGORIES
-
-from conftest import TIMED_INSTRUCTIONS
 
 import pytest
 
@@ -17,11 +14,7 @@ import pytest
 pytestmark = pytest.mark.slow
 
 
-def test_fig10_energy_breakdown(benchmark, suite_rows):
-    benchmark.pedantic(
-        run_pair, args=("mpeg2",), kwargs={"num_instructions": TIMED_INSTRUCTIONS},
-        rounds=1, iterations=1)
-
+def test_fig10_energy_breakdown(suite_rows):
     perl = next(row for row in suite_rows if row.benchmark == "perl")
     base_energy = perl.base_result.energy
     gals_energy = perl.gals_result.energy

@@ -8,10 +8,6 @@ only ~9 % performance while cutting power by ~18 % and energy by ~11 %.
 """
 
 from repro.analysis import dvfs_table
-from repro.core.dvfs import GENERIC_SLOWDOWN
-from repro.core.experiments import selective_slowdown
-
-from conftest import TIMED_INSTRUCTIONS
 
 import pytest
 
@@ -19,12 +15,7 @@ import pytest
 pytestmark = pytest.mark.slow
 
 
-def test_fig11_generic_and_perl_slowdown(benchmark, figure11_results):
-    benchmark.pedantic(
-        selective_slowdown, args=("perl", GENERIC_SLOWDOWN),
-        kwargs={"num_instructions": TIMED_INSTRUCTIONS},
-        rounds=1, iterations=1)
-
+def test_fig11_generic_and_perl_slowdown(figure11_results):
     print("\n=== Figure 11: generic slowdown (fetch -10%, mem -10%, FP -50%) "
           "plus the perl FP/3 case ===")
     print(dvfs_table(figure11_results, include_ideal=False))

@@ -9,10 +9,6 @@ depends on the application -- is the point being reproduced.
 """
 
 from repro.analysis import dvfs_table
-from repro.core.dvfs import IJPEG_SWEEP
-from repro.core.experiments import selective_slowdown
-
-from conftest import TIMED_INSTRUCTIONS
 
 import pytest
 
@@ -20,12 +16,7 @@ import pytest
 pytestmark = pytest.mark.slow
 
 
-def test_fig12_ijpeg_memory_sweep(benchmark, figure12_results):
-    benchmark.pedantic(
-        selective_slowdown, args=("ijpeg", IJPEG_SWEEP[0]),
-        kwargs={"num_instructions": TIMED_INSTRUCTIONS},
-        rounds=1, iterations=1)
-
+def test_fig12_ijpeg_memory_sweep(figure12_results):
     print("\n=== Figure 12: ijpeg, memory clock slowdown sweep "
           "(gals-00 / 10 / 20 / 50) ===")
     print(dvfs_table(figure12_results))

@@ -9,10 +9,6 @@ application-driven multi-domain DVFS.
 """
 
 from repro.analysis import dvfs_table
-from repro.core.dvfs import GCC_GALS_2
-from repro.core.experiments import selective_slowdown
-
-from conftest import TIMED_INSTRUCTIONS
 
 import pytest
 
@@ -20,12 +16,7 @@ import pytest
 pytestmark = pytest.mark.slow
 
 
-def test_fig13_gcc_fp_slowdown(benchmark, figure13_results):
-    benchmark.pedantic(
-        selective_slowdown, args=("gcc", GCC_GALS_2),
-        kwargs={"num_instructions": TIMED_INSTRUCTIONS},
-        rounds=1, iterations=1)
-
+def test_fig13_gcc_fp_slowdown(figure13_results):
     print("\n=== Figure 13: gcc, FP clock -50% (gals-1) and /3 (gals-2), "
           "fetch -10% ===")
     print(dvfs_table(figure13_results))

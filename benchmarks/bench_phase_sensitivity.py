@@ -12,12 +12,9 @@ import pytest
 pytestmark = pytest.mark.slow
 
 
-def test_phase_sensitivity(benchmark):
-    report = benchmark.pedantic(
-        phase_sensitivity,
-        kwargs={"benchmark": "perl", "phase_seeds": (0, 1, 2, 3),
-                "num_instructions": 800},
-        rounds=1, iterations=1)
+def test_phase_sensitivity():
+    report = phase_sensitivity(benchmark="perl", phase_seeds=(0, 1, 2, 3),
+                               num_instructions=800)
 
     print("\n=== Clock-phase sensitivity (perl, equal frequencies) ===")
     for key, value in report.items():

@@ -14,8 +14,8 @@ import pytest
 pytestmark = pytest.mark.slow
 
 
-def test_table1_clock_skew_trends(benchmark):
-    table = benchmark(clock_skew_table)
+def test_table1_clock_skew_trends():
+    table = clock_skew_table()
     print("\n=== Table 1: Trends in global clock skew ===")
     print(table)
     projection = projected_skew_fraction(0.13)

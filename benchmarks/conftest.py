@@ -2,9 +2,7 @@
 
 Figures 5-10 all read from the same set of base-vs-GALS runs and Figures 11-13
 from the same DVFS runs, so those are computed once per benchmark session and
-shared.  Individual benchmark functions still *time* a representative
-simulation so `pytest benchmarks/ --benchmark-only` reports meaningful
-simulator performance numbers.
+shared.  Timing is not measured here: ``perfbench/`` is the benchmark.
 """
 
 import pytest
@@ -19,9 +17,6 @@ from repro.workloads.profiles import DVFS_CASE_STUDY_BENCHMARKS
 #: behaviour of the synthetic workloads, short enough to keep the whole
 #: harness in the minutes range on a laptop.
 FIGURE_INSTRUCTIONS = 1500
-
-#: Shorter length used for the timed portion of each benchmark.
-TIMED_INSTRUCTIONS = 600
 
 #: Benchmarks shown in Figures 5-10 (mirrors the paper's Spec95 + Mediabench mix).
 FIGURE_BENCHMARKS = (

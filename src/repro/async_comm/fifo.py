@@ -25,9 +25,9 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Callable, Deque, Iterable, List, Optional, Tuple
 
-from ..kernel.reference import sync_visible_at
 from ..sim.channel import Channel
 from ..sim.clock import Clock
+from ..sim.hotcore import sync_visible_at
 from .synchronizer import Synchronizer
 
 
@@ -249,15 +249,14 @@ class MixedClockFifo(Channel):
         return visible
 
     def synchronizer_visible_at(self, time: float, side: str = "data") -> float:
-        """Kernel-reference visibility time of a flag raised at ``time``.
+        """Reference visibility time of a flag raised at ``time``.
 
         ``side="data"`` maps through the consumer (empty-flag) synchronizer,
         ``side="space"`` through the producer (full-flag) one.  Read-only --
         no same-cycle cache is touched -- and computed by the shared
-        :func:`repro.kernel.reference.sync_visible_at` helper, which the
-        inlined fast-path arithmetic in ``push``/``_space_visible_at`` (and
-        the compiled backend's C translation) must match bit for bit; the
-        backend differential tests pin all three against each other.
+        :func:`repro.sim.hotcore.sync_visible_at` helper, which the inlined
+        fast-path arithmetic in ``push``/``_space_visible_at`` must match bit
+        for bit; ``tests/test_async_fifo.py`` pins the two against each other.
         """
         if side == "data":
             return sync_visible_at(time, self._data_phase, self._data_period,

@@ -13,8 +13,6 @@ The CLI exposes the declarative Scenario subsystem:
   a comparison table;
 * ``repro cache ls|gc|clear`` -- inspect and maintain the persistent results
   store (:mod:`repro.results`, rooted at ``REPRO_CACHE_DIR``);
-* ``repro bench history``    -- render the per-commit benchmark trajectory
-  recorded in ``BENCH_sim_core.json`` (:mod:`repro.analysis.bench_history`);
 * ``repro report ...``       -- render the paper's figure tables
   (:mod:`repro.analysis.report`) from fresh runs, and ``repro report
   compare`` -- cross-topology design-space tables from cached results;
@@ -119,12 +117,6 @@ def _scenario_with_overrides(args: argparse.Namespace) -> Scenario:
             **_parse_assignments(args.controller_arg, "--controller-arg")}
     if args.controller_epoch is not None:
         changes["controller_epoch"] = args.controller_epoch
-    if getattr(args, "backend", None) is not None:
-        # merge into whatever --config overrides produced (the backend never
-        # changes results or cache keys, only the engine implementation)
-        merged = dict(changes.get("config", scenario.config))
-        merged["backend"] = args.backend
-        changes["config"] = merged
     return replace(scenario, **changes) if changes else scenario
 
 
@@ -191,11 +183,6 @@ def _add_override_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--controller-epoch", type=float,
                         dest="controller_epoch", metavar="NS",
                         help="control epoch in ns (default 50)")
-    parser.add_argument("--backend", choices=("auto", "pure", "compiled"),
-                        help="engine kernel backend (bit-identical results; "
-                             "'compiled' needs tools/build_kernel.py and "
-                             "degrades gracefully to pure Python; default: "
-                             "auto -- the REPRO_BACKEND environment variable)")
 
 
 # ------------------------------------------------------------------ commands
@@ -230,25 +217,11 @@ def _cmd_list(args: argparse.Namespace) -> int:
                         f"{scenario.description}")
         sections.append("scenarios:\n" + "\n".join(rows))
     if what in ("backends", "all"):
-        from .kernel import BACKEND_ENV_VAR, available_backends, resolve_backend
-        available = available_backends()
-        default = resolve_backend()
-        rows = []
-        for name, blurb in (
-                ("pure", "pure-Python reference kernel (always available)"),
-                ("compiled", "ahead-of-time compiled kernel "
-                             "(tools/build_kernel.py)")):
-            status = "available" if name in available else "not built"
-            marker = "  <- default" if name == default else ""
-            rows.append(f"  {name:<12} [{status:<9}] {blurb}{marker}")
-        sections.append("engine kernel backends (bit-identical results; "
-                        f"'auto' follows ${BACKEND_ENV_VAR}):\n"
-                        + "\n".join(rows))
-        job_rows = [f"  {name:<12} {info.description}"
-                    for name, info in JOB_BACKENDS.items()]
+        rows = [f"  {name:<12} {info.description}"
+                for name, info in JOB_BACKENDS.items()]
         sections.append("job backends (sweep execution fabrics; select with "
                         "--job-backend or ExecutionConfig):\n"
-                        + "\n".join(job_rows))
+                        + "\n".join(rows))
     print("\n\n".join(sections))
     return 0
 
@@ -411,28 +384,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                       sort_keys=True)
         if not args.quiet:
             print(f"results written to {args.json}")
-    return 0
-
-
-# ----------------------------------------------------------------- benchmarks
-def _cmd_bench_history(args: argparse.Namespace) -> int:
-    """Render the benchmark trajectory recorded in BENCH_sim_core.json."""
-    from pathlib import Path
-
-    from .analysis.bench_history import (find_bench_file, history_table,
-                                         load_history)
-
-    try:
-        path = Path(args.bench_file) if args.bench_file else find_bench_file()
-        history = load_history(path)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(f"benchmark history: {path} ({len(history)} record"
-          f"{'' if len(history) == 1 else 's'})")
-    print()
-    print(history_table(history, threshold=args.threshold,
-                        normalise=args.normalise))
     return 0
 
 
@@ -723,28 +674,6 @@ def build_parser() -> argparse.ArgumentParser:
                               help="with 'quarantine': delete the "
                                    "quarantined files after inspection")
     cache_parser.set_defaults(handler=_cmd_cache)
-
-    bench_parser = sub.add_parser(
-        "bench", help="benchmark-trajectory utilities (BENCH_sim_core.json)")
-    bench_sub = bench_parser.add_subparsers(dest="family", required=True)
-    history_parser = bench_sub.add_parser(
-        "history", help="per-commit benchmark trajectory with regression "
-                        "flags (cohorts by CPython minor + kernel backend)")
-    history_parser.add_argument("--bench-file", metavar="PATH",
-                                dest="bench_file",
-                                help="record file (default: BENCH_sim_core"
-                                     ".json, searched upward from the "
-                                     "current directory)")
-    history_parser.add_argument("--threshold", type=float, default=0.25,
-                                metavar="FRACTION",
-                                help="flag drops beyond this fraction vs the "
-                                     "previous same-cohort record "
-                                     "(default: 0.25)")
-    history_parser.add_argument("--normalise", action="store_true",
-                                help="show ratios to each record's live "
-                                     "seed-engine throughput (comparable "
-                                     "across hosts) instead of raw rates")
-    history_parser.set_defaults(handler=_cmd_bench_history)
 
     report_parser = sub.add_parser(
         "report", help="render the paper's figure tables from fresh runs")

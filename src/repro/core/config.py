@@ -58,13 +58,6 @@ class ProcessorConfig:
     #: kept selectable for the differential wakeup-equivalence tests.  Both
     #: produce bit-identical simulation results.
     wakeup_scheme: str = "event"
-    #: engine hot-core kernel backend: "auto" (follow the ``REPRO_BACKEND``
-    #: environment variable, pure-Python reference otherwise), "pure", or
-    #: "compiled" (the ahead-of-time compiled kernel built by
-    #: ``tools/build_kernel.py``; degrades gracefully to "pure" when no
-    #: compiled artifact is importable).  Backends are bit-identical, so the
-    #: choice never changes simulation results or results-store cache keys.
-    backend: str = "auto"
 
     # -- branch prediction
     predictor_kind: str = "bimodal"
@@ -120,9 +113,6 @@ class ProcessorConfig:
         if self.wakeup_scheme not in ("event", "scan"):
             raise ValueError(f"unknown wakeup_scheme {self.wakeup_scheme!r}; "
                              "known: ('event', 'scan')")
-        if self.backend not in ("auto", "pure", "compiled"):
-            raise ValueError(f"unknown backend {self.backend!r}; "
-                             "known: ('auto', 'pure', 'compiled')")
         self.memory.validate()
 
     # ------------------------------------------------------------- utilities

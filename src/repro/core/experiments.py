@@ -27,7 +27,6 @@ backwards compatibility.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence
 
@@ -40,7 +39,7 @@ from .domains import (ClockPlan, available_topologies, get_topology,
 from .dvfs import SlowdownPolicy
 from .metrics import (ComparisonRow, SimulationResult, arithmetic_mean, compare)
 from .scenario import (DEFAULT_INSTRUCTIONS, JOBS_ENV_VAR, Scenario,
-                       ScenarioResult, _UNSET, _call_star, _run_jobs,
+                       ScenarioResult, _call_star, _run_jobs,
                        default_jobs, execute_run, sweep_scenarios)
 
 
@@ -251,20 +250,14 @@ def run_design_space(topologies: Optional[Sequence[str]] = None,
                      jobs: Optional[int] = None,
                      store=True,
                      execution=None,
-                     cache=_UNSET,
                      **scenario_fields) -> List[ScenarioResult]:
     """Run (or load from the results store) the whole design-space grid.
 
     Feeds ``repro report compare``: with the default ``store=True`` the grid
     is resumable and a repeated invocation renders purely from cached
     :class:`ScenarioResult` records.  ``execution`` selects the job backend
-    (see :func:`~repro.core.scenario.sweep_scenarios`); ``cache=`` is the
-    deprecated alias of ``store=``.
+    (see :func:`~repro.core.scenario.sweep_scenarios`).
     """
-    if cache is not _UNSET:
-        warnings.warn("the cache= parameter is deprecated; use store=",
-                      DeprecationWarning, stacklevel=2)
-        store = cache
     grid = design_space_scenarios(topologies, workloads, policies, controllers,
                                   num_instructions, seed, **scenario_fields)
     return sweep_scenarios(grid, jobs=jobs, store=store, execution=execution)

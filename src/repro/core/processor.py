@@ -25,8 +25,8 @@ import dataclasses
 import gc
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
+from ..async_comm.fifo import MixedClockFifo
 from ..isa.trace import ListTraceSource
-from ..kernel import get_kernel
 from ..memory.hierarchy import MemoryHierarchy
 from ..power.accounting import PowerAccountant
 from ..power.activity import ActivityCounters
@@ -246,16 +246,9 @@ class Processor:
         self.kind = topology.kind
         self.name = name or f"{self.kind}-{trace.name}"
 
-        #: engine hot-core kernel backend resolved from the config ("auto"
-        #: honours REPRO_BACKEND; "compiled" degrades gracefully to "pure"
-        #: when no artifact is importable).  Bit-identical by contract, so
-        #: the backend never changes results or results-store cache keys.
-        self.kernel = get_kernel(config.backend)
-        self.backend = self.kernel.name
         #: injectable for A/B testing scheduler implementations (the
         #: wheel-vs-generic equivalence test and the perf benchmarks)
-        self.engine = (engine if engine is not None
-                       else SimulationEngine(kernel=self.kernel))
+        self.engine = engine if engine is not None else SimulationEngine()
         #: forwarding latencies are pure functions of the clock plan, which
         #: only changes through retime_domain (the online DVFS path); that
         #: method clears this cache -- and the per-unit copies in
@@ -502,7 +495,6 @@ class Processor:
                 branch_unit=self.branch_unit if instance == "int" else None,
                 recovery_callback=self._recover if instance == "int" else None,
                 memory=self.memory if kind == "mem" else None,
-                kernel=self.kernel,
             )
 
     def _register_components(self) -> None:
@@ -545,9 +537,7 @@ class Processor:
             return SyncQueue(name, capacity)
         if sync_cycles is None:
             sync_cycles = self.config.fifo_sync_cycles
-        # the kernel backend picks the FIFO class: the compiled backend maps
-        # synchronizer edges in C (bit-identical arithmetic)
-        return self.kernel.fifo_class(
+        return MixedClockFifo(
             name, max(capacity, self.config.fifo_capacity),
             producer_clock=producer.clock,
             consumer_clock=consumer.clock,

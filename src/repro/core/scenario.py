@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 import os
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field, replace
@@ -474,24 +473,8 @@ def resolve_scenarios(scenarios: Sequence[Union[Scenario, str]],
     return resolved
 
 
-#: Local "argument not passed" sentinel (this module cannot import
-#: :mod:`repro.exec` -- the exec backends import *us*).
-_UNSET: Any = object()
-
-
-def _fold_cache_alias(store: Any, cache: Any) -> Any:
-    """Fold the deprecated ``cache=`` spelling into ``store=`` (warning)."""
-    if cache is not _UNSET:
-        warnings.warn("the cache= parameter is deprecated; use store=",
-                      DeprecationWarning, stacklevel=3)
-        if store is None or store is _UNSET:
-            store = cache
-    return store
-
-
 def run_scenario(scenario: Union[Scenario, str],
-                 store: Any = None, cache: Any = _UNSET,
-                 **overrides) -> ScenarioResult:
+                 store: Any = None, **overrides) -> ScenarioResult:
     """Run one scenario (by object or registered name) end to end.
 
     Keyword overrides are applied with :func:`dataclasses.replace`, e.g.
@@ -503,9 +486,7 @@ def run_scenario(scenario: Union[Scenario, str],
     store root, or a :class:`~repro.results.ResultsStore`.  A cached result
     is bit-identical to a fresh one; the key covers every
     simulation-relevant scenario field plus the code fingerprint.
-    ``cache=`` is the deprecated alias of ``store=``.
     """
-    store = _fold_cache_alias(store, cache)
     if store is not None and store is not False:
         from ..results import run_cached
         return run_cached(scenario, store=store, **overrides).outcome
@@ -525,7 +506,6 @@ def sweep_scenarios(scenarios: Sequence[Union[Scenario, str]],
                     jobs: Optional[int] = None,
                     store: Any = None,
                     execution: Any = None,
-                    cache: Any = _UNSET,
                     **overrides) -> List[ScenarioResult]:
     """Run many scenarios, fanned out over the experiment process pool.
 
@@ -538,9 +518,8 @@ def sweep_scenarios(scenarios: Sequence[Union[Scenario, str]],
     immediately -- a repeated sweep is served entirely from cache.
     ``execution`` (an :class:`~repro.exec.ExecutionConfig` or a job-backend
     name) routes the sweep through :func:`~repro.results.resume_sweep` on
-    the selected backend; ``cache=`` is the deprecated alias of ``store=``.
+    the selected backend.
     """
-    store = _fold_cache_alias(store, cache)
     if execution is not None or (store is not None and store is not False):
         from ..results import resume_sweep
         keywords: dict = {"jobs": jobs, "execution": execution}

@@ -1,8 +1,8 @@
 """Unified execution configuration for scenario sweeps.
 
 :class:`ExecutionConfig` is the single spelling of every execution knob the
-sweep entry points used to take piecemeal (``store=`` vs ``cache=``,
-``jobs=``, implicit pool behaviour): which :mod:`job backend
+sweep entry points used to take piecemeal (``store=``, ``jobs=``, implicit
+pool behaviour): which :mod:`job backend
 <repro.exec.backends>` runs the missing scenarios, how many workers it may
 use, which results store serves hits and receives freshly computed results,
 and whether workers are warm-started.  Every sweep entry point
@@ -10,13 +10,12 @@ and whether workers are warm-started.  Every sweep entry point
 :func:`~repro.results.runner.resume_sweep`,
 :func:`~repro.core.scenario.sweep_scenarios`,
 :func:`~repro.core.experiments.run_design_space`) threads one of these
-through; the old per-function spellings remain as thin deprecated aliases
-merged by :func:`resolve_execution`.
+through; explicit ``store=``/``jobs=`` keywords are merged into it by
+:func:`resolve_execution`.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any, Optional, Union
 
@@ -76,29 +75,19 @@ class ExecutionConfig:
 def resolve_execution(execution: Union[ExecutionConfig, str, None] = None,
                       store: Any = UNSET,
                       jobs: Optional[int] = None,
-                      cache: Any = UNSET,
                       default_store: Any = True) -> ExecutionConfig:
-    """Merge the modern and legacy execution knobs into one config.
+    """Merge an execution config and explicit keyword overrides into one.
 
     ``execution`` may be a full :class:`ExecutionConfig`, a bare backend name
     (shorthand for ``ExecutionConfig(backend=name)``), or ``None`` for the
     defaults.  Explicitly passed ``store=``/``jobs=`` keywords override the
     corresponding ``execution`` fields, so callers can say
-    ``resume_sweep(..., execution="subprocess", jobs=4)``.  The deprecated
-    ``cache=`` spelling is accepted as an alias for ``store=`` and raises a
-    :class:`DeprecationWarning`.
+    ``resume_sweep(..., execution="subprocess", jobs=4)``.
     """
     if isinstance(execution, str):
         execution = ExecutionConfig(backend=execution, store=default_store)
     elif execution is None:
         execution = ExecutionConfig(store=default_store)
-    if cache is not UNSET:
-        warnings.warn(
-            "the cache= parameter is deprecated; use store= (or "
-            "ExecutionConfig(store=...)) instead", DeprecationWarning,
-            stacklevel=3)
-        if store is UNSET:
-            store = cache
     if store is not UNSET:
         execution = replace(execution, store=store)
     if jobs is not None:

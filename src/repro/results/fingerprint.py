@@ -19,11 +19,8 @@ from typing import Dict, Optional, Tuple
 #: Sub-packages of :mod:`repro` whose source participates in the fingerprint.
 #: These are exactly the modules a simulation result can depend on; ``cli``,
 #: ``analysis`` and ``results`` are presentation/caching layers and excluded.
-#: ``kernel`` is included through its *pure-Python reference source* only
-#: (the glob below is ``*.py``): the compiled artifact is bit-identical to
-#: the reference by contract, so a build must not change the fingerprint.
 SIMULATION_PACKAGES: Tuple[str, ...] = (
-    "async_comm", "core", "isa", "kernel", "memory", "power", "sim", "uarch",
+    "async_comm", "core", "isa", "memory", "power", "sim", "uarch",
     "workloads",
 )
 

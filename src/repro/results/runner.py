@@ -12,9 +12,8 @@ stopped, and a repeated sweep is served entirely from cache.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import Any, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from ..core.scenario import (Scenario, ScenarioResult, resolve_scenarios,
                              workload_specs)
@@ -46,29 +45,14 @@ class SweepRun:
         return "cached" if self.cached else "computed"
 
 
-def _normalise_store(store: Any, cache: Any) -> Any:
-    """Fold the deprecated ``cache=`` spelling into ``store=`` (warning)."""
-    if cache is not UNSET:
-        warnings.warn("the cache= parameter is deprecated; use store=",
-                      DeprecationWarning, stacklevel=3)
-        if store is UNSET:
-            store = cache
-    return store
-
-
 def run_cached(scenario: Union[Scenario, str],
-               store: Union[bool, str, ResultsStore, None] = UNSET,
-               cache: Any = UNSET,
+               store: Union[bool, str, ResultsStore, None] = True,
                **overrides) -> SweepRun:
     """Run one scenario through the store (compute-and-store on a miss).
 
     ``store`` accepts everything :func:`~repro.results.store.resolve_store`
-    does and defaults to the default store; ``cache=`` is the deprecated
-    alias.
+    does and defaults to the default store.
     """
-    store = _normalise_store(store, cache)
-    if store is UNSET:
-        store = True
     (scenario,) = resolve_scenarios([scenario], overrides)
     resolved_store = resolve_store(store)
     if resolved_store is not None:
@@ -88,7 +72,6 @@ def resume_sweep(scenarios: Sequence[Union[Scenario, str]],
                  store: Union[bool, str, ResultsStore, None] = UNSET,
                  jobs: Optional[int] = None,
                  execution: Union[ExecutionConfig, str, None] = None,
-                 cache: Any = UNSET,
                  **overrides) -> List[SweepRun]:
     """Sweep many scenarios, loading hits from the store, computing misses.
 
@@ -101,10 +84,10 @@ def resume_sweep(scenarios: Sequence[Union[Scenario, str]],
     ``execution`` selects the job backend (an :class:`ExecutionConfig` or a
     bare backend name: ``"serial"``, ``"local"``, ``"subprocess"``);
     explicit ``store=``/``jobs=`` keywords override the corresponding
-    config fields.  ``cache=`` is the deprecated alias of ``store=``.
+    config fields.
     """
     resolved = resolve_scenarios(scenarios, overrides)
-    config = resolve_execution(execution, store=store, jobs=jobs, cache=cache,
+    config = resolve_execution(execution, store=store, jobs=jobs,
                                default_store=True)
     resolved_store = config.resolve_store()
 

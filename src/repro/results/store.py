@@ -45,7 +45,6 @@ import re
 import socket
 import threading
 import time
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import (Any, Callable, Dict, Iterator, List, Optional, Tuple,
@@ -177,13 +176,6 @@ def canonical_scenario_dict(scenario: Scenario) -> Dict[str, Any]:
     payload = scenario.to_dict()
     for fieldname in _METADATA_FIELDS:
         payload.pop(fieldname, None)
-    # The kernel backend is bit-identical by contract (the differential
-    # suite pins it), so a backend override must not change the key: a
-    # result computed with the compiled kernel serves pure-Python runs of
-    # the same scenario and vice versa.
-    config = payload.get("config")
-    if isinstance(config, dict):
-        config.pop("backend", None)
     try:
         topology = get_topology(scenario.topology)
         payload["topology_definition"] = {
@@ -667,23 +659,14 @@ class ResultsStore:
                 f"fingerprint={self.fingerprint!r})")
 
 
-#: Sentinel distinguishing "not passed" from an explicit ``None``.
-_UNSET: Any = object()
-
-
-def resolve_store(store: Union[bool, str, Path, ResultsStore, None] = None,
-                  cache: Any = _UNSET) -> Optional[ResultsStore]:
+def resolve_store(store: Union[bool, str, Path, ResultsStore, None] = None
+                  ) -> Optional[ResultsStore]:
     """Normalise a ``store=`` argument into a store (or None when disabled).
 
     ``True`` means the default store, a string/path names a store root, an
     existing :class:`ResultsStore` passes through, ``None``/``False`` disable
-    caching.  ``cache=`` is the deprecated spelling of the same argument and
-    raises a :class:`DeprecationWarning`.
+    caching.
     """
-    if cache is not _UNSET:
-        warnings.warn("resolve_store(cache=...) is deprecated; pass store=",
-                      DeprecationWarning, stacklevel=2)
-        store = cache
     if store is None or store is False:
         return None
     if store is True:

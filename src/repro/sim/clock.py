@@ -17,10 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Protocol
 
-from ..kernel.reference import (MultiEdgeTick, ProbedMultiEdgeTick,
-                                ProbedSingleEdgeTick, SingleEdgeTick)
 from .engine import SimulationEngine
 from .event import SimulationError
+from .hotcore import (MultiEdgeTick, ProbedMultiEdgeTick, ProbedSingleEdgeTick,
+                      SingleEdgeTick)
 
 
 class ClockedComponent(Protocol):
@@ -235,8 +235,8 @@ class ClockDomain:
         The edge tick is specialised at bind time: a domain with a single
         component whose class provides ``make_fused_edge`` (the execution
         clusters) supplies its own fully fused closure; every other domain
-        gets one of the kernel package's explicit edge-tick state objects
-        (:mod:`repro.kernel.reference`) -- single-callback domains a direct
+        gets one of the explicit edge-tick state objects of
+        :mod:`repro.sim.hotcore` -- single-callback domains a direct
         call instead of a callback loop, multi-callback (and empty) domains
         the in-place-mutable callback list so post-bind registration
         continues to work.  The deferred power accounting probe is fused into

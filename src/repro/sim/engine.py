@@ -25,15 +25,11 @@ heap (one-shots, aperiodic events) into it only when the heap is non-empty.
 Advancing a clock is then one ``min()`` over the wheel plus a float add,
 instead of a heap pop, an ``Event`` allocation and a heap push per edge.
 
-The wheel segment loop itself lives in the :mod:`repro.kernel` package
-(``run_wheel``): the default is the pure-Python reference, and an optional
-ahead-of-time compiled backend can be selected per engine (``kernel=``) or
-through ``REPRO_BACKEND`` / ``ProcessorConfig.backend``.  Both backends are
-bit-identical by contract.  The run-loop state the kernel touches per event
-is held in single-element list cells (``_stop``, ``_events``, ``_current``,
-``_wheel_state``) so a compiled loop needs no Python attribute writes on the
-per-event path; ``_now`` stays a plain attribute because the pipeline's edge
-closures read ``engine._now`` directly.
+The wheel segment loop itself lives in :mod:`repro.sim.hotcore`
+(``run_wheel``).  The run-loop state it touches per event is held in
+single-element list cells (``_stop``, ``_events``, ``_current``,
+``_wheel_state``); ``_now`` stays a plain attribute because the pipeline's
+edge closures read ``engine._now`` directly.
 
 Edge times are produced by the same repeated ``time += period`` float
 addition the generic heap path uses, so the two paths are bit-identical:
@@ -50,6 +46,7 @@ from typing import Any, Callable, Iterable, List, Optional
 from .event import (CHAIN_CALLBACK, CHAIN_CANCELLED, CHAIN_HANDLE, CHAIN_NAME,
                     CHAIN_PARAM, CHAIN_PERIOD, CHAIN_PRIORITY, CHAIN_SEQ,
                     CHAIN_TIME, Event, SimulationError, _SEQUENCE)
+from .hotcore import run_wheel
 
 #: Compact the heap once at least this many cancelled events are rotting in it
 #: (and they make up the majority of the queue).
@@ -65,13 +62,9 @@ class SimulationEngine:
     ``use_wheel=False`` disables the clock-wheel fast path and schedules
     periodic events through the generic heap (the seed engine's behaviour);
     both paths are deterministic and produce identical simulations.
-
-    ``kernel`` selects the hot-core implementation running the wheel segments
-    (a :class:`repro.kernel.Kernel`); None resolves the default backend
-    (``REPRO_BACKEND`` honoured, pure-Python reference otherwise).
     """
 
-    def __init__(self, use_wheel: bool = True, kernel=None) -> None:
+    def __init__(self, use_wheel: bool = True) -> None:
         #: generic heap of (time, priority, seq, event) tuples
         self._queue: List[tuple] = []
         #: clock wheel: one chain record per periodic event (see event.py)
@@ -80,7 +73,7 @@ class SimulationEngine:
         self._now: float = 0.0
         self._running: bool = False
         self._cancelled_pending: int = 0
-        # Run-loop state shared with the kernel as single-element list cells:
+        # Run-loop state shared with run_wheel as single-element list cells:
         # events processed, stop request, chain currently firing, and the
         # wheel membership version (bumped on every wheel change; lets the
         # run loop detect mid-run schedule/cancel of periodic chains even
@@ -89,14 +82,9 @@ class SimulationEngine:
         self._stop: List[bool] = [False]
         self._current: List[Optional[list]] = [None]
         self._wheel_state: List[int] = [0]
-        #: the global event sequence counter (shared with the kernel loop,
+        #: the global event sequence counter (shared with run_wheel,
         #: which draws fresh seqs for rescheduled chain occurrences)
         self._sequence = _SEQUENCE
-        if kernel is None:
-            from ..kernel import get_kernel
-            kernel = get_kernel()
-        self._kernel = kernel
-        self._run_wheel = kernel.run_wheel
 
     # ------------------------------------------------------------------ time
     @property
@@ -108,11 +96,6 @@ class SimulationEngine:
     def events_processed(self) -> int:
         """Number of events executed so far."""
         return self._events[0]
-
-    @property
-    def kernel_backend(self) -> str:
-        """Name of the kernel backend running this engine's wheel segments."""
-        return self._kernel.name
 
     @property
     def pending_events(self) -> int:
@@ -371,8 +354,8 @@ class SimulationEngine:
         Returns the simulation time at which the run stopped.
 
         Wheel segments (periodic events only, no pending one-shots) are
-        delegated to the selected kernel backend's ``run_wheel``; the generic
-        heap path interleaves through :meth:`step` exactly as before.
+        delegated to :func:`~repro.sim.hotcore.run_wheel`; the generic heap
+        path interleaves through :meth:`step` exactly as before.
         """
         self._running = True
         stop = self._stop
@@ -380,7 +363,6 @@ class SimulationEngine:
         processed = 0
         queue = self._queue
         wheel = self._wheel
-        run_wheel = self._run_wheel
         # Hoisted sentinels: "no limit" becomes +inf so the per-event checks
         # are single float comparisons with no None tests.
         horizon = float("inf") if until is None else until

@@ -1,33 +1,22 @@
-"""Pure-Python reference implementation of the engine hot-core kernel.
+"""The engine hot core: wheel run loop, edge ticks, FIFO sync, wakeups.
 
-This module is the single source of truth for the simulation hot core: the
-clock-wheel run loop (extracted from :meth:`SimulationEngine.run`), the
-specialised clock-edge ticks (extracted from :meth:`ClockDomain.bind`), the
-mixed-clock FIFO synchronizer edge mapping, and the event-wakeup waiter walk
-(extracted from the execution unit's inlined writeback).  It is written in a
-deliberately compile-friendly subset of Python -- explicit state objects with
-``__slots__`` instead of closures, flat locals, typed attribute access, no
-dynamic dispatch -- so the very same file can be ahead-of-time compiled (via
-mypyc or Cython, see ``tools/build_kernel.py``) into the optional
-``repro.kernel._ckernel`` extension; a hand-written C translation of this
-module ships alongside as the fallback when neither compiler is installed.
+This module holds the per-event code of the simulator: the clock-wheel run
+loop (extracted from :meth:`SimulationEngine.run`), the specialised
+clock-edge ticks (extracted from :meth:`ClockDomain.bind`), the mixed-clock
+FIFO synchronizer edge mapping, and the event-wakeup waiter walk (extracted
+from the execution unit's inlined writeback).  It keeps explicit state
+objects with ``__slots__`` instead of closures, flat locals and no dynamic
+dispatch.
 
 Behavioural contract: every function here is **bit-identical** to the inline
-code it replaced, and the compiled backend is bit-identical to this module
-(the differential suite in ``tests/test_kernel_backends.py`` pins both).
+code it replaced (the golden regression suite pins the results).
 
 The module intentionally imports nothing from the rest of the package: it is
-a leaf, importable from ``sim.clock`` / ``async_comm.fifo`` without cycles,
-and self-contained for standalone compilation.  Chain records are the
-9-element lists documented in :mod:`repro.sim.event` (indices used literally
-here for speed: 0=time, 1=priority, 2=seq, 3=callback, 4=param, 5=period,
-8=cancelled).
+a leaf, importable from ``sim.clock`` / ``async_comm.fifo`` without cycles.
+Chain records are the 9-element lists documented in :mod:`repro.sim.event`
+(indices used literally here for speed: 0=time, 1=priority, 2=seq,
+3=callback, 4=param, 5=period, 8=cancelled).
 """
-
-#: Kernel ABI version.  A compiled ``_ckernel`` artifact is only used when it
-#: exports the same number, so a stale build from an older checkout degrades
-#: gracefully to this reference instead of silently diverging.
-KERNEL_API_VERSION = 1
 
 
 # --------------------------------------------------------------- run loop
@@ -49,9 +38,8 @@ def run_wheel(engine, horizon, until, stop_condition, max_events, processed):
 
     Engine state is exchanged through the mutable cells the engine exposes for
     exactly this purpose (``_stop``, ``_events``, ``_current``,
-    ``_wheel_state``) so a compiled implementation needs no Python attribute
-    writes on the per-event path except the ``_now`` timestamp, which stays a
-    plain attribute because pipeline closures read ``engine._now`` directly.
+    ``_wheel_state``); the ``_now`` timestamp stays a plain attribute because
+    pipeline closures read ``engine._now`` directly.
     """
     queue = engine._queue
     wheel = engine._wheel
@@ -198,8 +186,8 @@ def sync_visible_at(time, phase, period, latency):
     """Visibility time of a flag raised at ``time`` under a capturing clock.
 
     This is the mixed-clock FIFO synchronizer edge mapping (inlined on the
-    FIFO fast paths, shared here so the compiled backend and the differential
-    tests pin the exact arithmetic): the flag is captured by the first rising
+    FIFO fast paths, shared here so tests can pin the exact arithmetic): the
+    flag is captured by the first rising
     edge of the ``(phase, period)`` clock *strictly after* ``time`` and
     becomes observable ``latency`` (= sync depth x period) later.  Times
     before ``phase`` -- a clock that has not started, or a retimed clock's

@@ -26,6 +26,7 @@ from typing import Callable, Dict, List, Optional
 from ..isa.instructions import DEFAULT_LATENCIES, InstructionClass, latency_of
 from ..memory.hierarchy import MemoryHierarchy
 from ..sim.channel import Channel
+from ..sim.hotcore import wake_waiters
 from .branch_predictor import BranchUnit
 from .instruction import DynamicInstruction
 from .issue_queue import SCHEME_EVENT, ForwardingLatency, IssueQueue
@@ -96,7 +97,6 @@ class ExecutionUnit:
         memory: Optional[MemoryHierarchy] = None,
         latencies: Optional[Dict[InstructionClass, int]] = None,
         clock=None,
-        kernel=None,
     ) -> None:
         self.name = name
         self.domain_name = domain_name
@@ -152,12 +152,6 @@ class ExecutionUnit:
         #: folded into the eager counters on the next non-empty edge or an
         #: external read (integer run-length encoding, so totals are exact)
         self._idle_samples = 0
-        # event-wakeup writeback walk from the selected kernel backend
-        # (pure reference or the compiled extension; bit-identical)
-        if kernel is None:
-            from ..kernel import get_kernel
-            kernel = get_kernel()
-        self._wake_waiters = kernel.wake_waiters
         # per-unit fused stage closures (stable collaborators pre-bound),
         # picked by the queue's wakeup scheme
         if issue_queue.scheme == SCHEME_EVENT:
@@ -302,8 +296,8 @@ class ExecutionUnit:
                 # inline regfile.mark_ready; the waiter walk (under the event
                 # wakeup scheme this writeback is what moves blocked
                 # consumers toward their queue's ready list; under the scan
-                # scheme the waiter list is always empty) is the kernel
-                # backend's wake_waiters
+                # scheme the waiter list is always empty) is
+                # hotcore.wake_waiters
                 reg = registers[phys_dest]
                 reg.ready_time = now
                 reg.producer_domain = domain_name
@@ -311,7 +305,7 @@ class ExecutionUnit:
                 results += 1
                 waiters = reg.waiters
                 if waiters:
-                    self._wake_waiters(waiters)
+                    wake_waiters(waiters)
             if instr.is_branch and self.branch_unit is not None:
                 self.branch_unit.resolve(instr.pc, instr.trace.taken,
                                          instr.predicted_taken

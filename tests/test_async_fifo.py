@@ -9,6 +9,7 @@ from repro.async_comm.pausible import PausibleClockModel
 from repro.async_comm.synchronizer import (Synchronizer,
                                            synchronization_failure_probability)
 from repro.sim.clock import Clock
+from repro.sim.hotcore import sync_visible_at
 
 
 def make_fifo(capacity=4, producer_period=1.0, consumer_period=1.0,
@@ -141,6 +142,32 @@ def test_property_fifo_never_loses_or_reorders(values, producer_period, consumer
     while fifo.can_pop(deadline):
         out.append(fifo.pop(deadline))
     assert out == values
+
+
+# ---------------------------------------------------- synchronizer mapping
+def test_synchronizer_visible_at_matches_sync_visible_at():
+    fifo = MixedClockFifo(
+        "probe", 64,
+        producer_clock=Clock("prod", 0.8, phase=0.1),
+        consumer_clock=Clock("cons", 1.1, phase=0.3),
+        producer_sync=1, consumer_sync=1)
+    sides = {
+        "data": (fifo._data_phase, fifo._data_period, fifo._data_latency),
+        "space": (fifo._space_phase, fifo._space_period, fifo._space_latency),
+    }
+    for step in range(40):
+        time = step * 0.41
+        for side, parameters in sides.items():
+            assert (fifo.synchronizer_visible_at(time, side)
+                    == sync_visible_at(time, *parameters))
+        # the inlined fast paths agree with the shared helper bit for bit
+        fifo.push(step, time)
+        assert fifo._entries[-1][2] == fifo.synchronizer_visible_at(time,
+                                                                    "data")
+        assert (fifo._space_visible_at(time)
+                == fifo.synchronizer_visible_at(time, "space"))
+    with pytest.raises(ValueError, match="unknown synchronizer side"):
+        fifo.synchronizer_visible_at(1.0, "sideways")
 
 
 # ------------------------------------------------------------------- pop_bulk

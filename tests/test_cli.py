@@ -83,6 +83,15 @@ def test_list_controllers(capsys):
         assert name in out
 
 
+def test_cli_list_backends(capsys):
+    code, out, _ = run_cli(capsys, "list", "backends")
+    assert code == 0
+    for name in ("serial", "local", "subprocess"):
+        assert name in out
+    assert "job backends" in out
+    assert "engine kernel" not in out and "compiled" not in out
+
+
 def test_run_with_overrides_and_json_dump(tmp_path, capsys):
     dump = tmp_path / "result.json"
     code, out, _ = run_cli(

@@ -1,7 +1,7 @@
 """Tests for the pluggable job-backend subsystem (:mod:`repro.exec`).
 
 Covers the backend registry, the :class:`ExecutionConfig` merge semantics
-(including the deprecated ``cache=`` spelling), bit-identity of every
+(explicit keywords over config fields), bit-identity of every
 backend against the serial reference, the narrowed exception contract
 (real worker exceptions surface; only pool-infrastructure failures fall
 back), and the store-coordinated ``subprocess`` fabric end to end.
@@ -13,7 +13,7 @@ import pytest
 
 from repro.core.scenario import get_scenario, sweep_scenarios
 from repro.exec import (JOB_BACKENDS, ExecutionConfig, JobHandle,
-                        LocalPoolBackend, SerialBackend, UNSET,
+                        LocalPoolBackend, SerialBackend,
                         available_job_backends, make_job_backend,
                         register_job_backend, resolve_execution)
 from repro.results import ResultsStore, resume_sweep
@@ -93,17 +93,6 @@ def test_resolve_execution_defaults_and_overrides(store):
     assert merged.store is store and merged.jobs == 4
     # the original config is untouched (frozen dataclass + replace)
     assert base.jobs == 1 and base.store is None
-
-
-def test_resolve_execution_cache_alias_warns(store):
-    with pytest.warns(DeprecationWarning, match="store="):
-        config = resolve_execution(cache=store)
-    assert config.store is store
-    # explicit store= beats the deprecated alias
-    with pytest.warns(DeprecationWarning):
-        config = resolve_execution(store=None, cache=store)
-    assert config.store is None
-    assert UNSET is not None
 
 
 # --------------------------------------------------------------- bit-identity

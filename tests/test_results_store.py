@@ -13,6 +13,7 @@ from dataclasses import replace
 import pytest
 
 from repro.core.scenario import get_scenario, run_scenario, sweep_scenarios
+from repro.exec import resolve_execution
 from repro.results import (ResultsStore, cache_key, canonical_scenario_dict,
                            code_fingerprint, resolve_store, resume_sweep,
                            run_cached, source_tree_digest)
@@ -385,41 +386,26 @@ def test_claim_contention_has_exactly_one_winner(store):
     assert not store.try_claim("deadbeef")
 
 
-# ------------------------------------------------------- deprecated spellings
-def test_resolve_store_cache_alias_warns_but_works(tmp_path):
-    with pytest.warns(DeprecationWarning, match="store="):
-        resolved = resolve_store(cache=str(tmp_path / "cache"))
-    assert resolved is not None
-    assert resolved.root == tmp_path / "cache"
-
-
-def test_run_scenario_cache_alias_warns_but_works(store, scenario):
-    with pytest.warns(DeprecationWarning, match="store="):
-        outcome = run_scenario(scenario, cache=store)
-    assert store.get(scenario) is not None
-    assert store.get(scenario).to_json() == outcome.to_json()
-
-
-def test_run_cached_cache_alias_warns_but_works(store, scenario):
-    with pytest.warns(DeprecationWarning, match="store="):
-        run = run_cached(scenario, cache=store)
-    assert not run.cached
-    assert run_cached(scenario, store=store).cached
-
-
-def test_sweep_scenarios_cache_alias_warns_but_works(store):
-    with pytest.warns(DeprecationWarning, match="store="):
-        results = sweep_scenarios(["base"], jobs=1, cache=store,
-                                  num_instructions=SMALL)
-    assert len(results) == 1
-    assert store.get(replace(get_scenario("base"),
-                             num_instructions=SMALL)) is not None
-
-
-def test_run_design_space_cache_alias_warns_but_works(store):
+# ------------------------------------------------- removed "cache" keyword
+def _run_design_space(**keywords):
     from repro.core.experiments import run_design_space
-    with pytest.warns(DeprecationWarning, match="store="):
-        results = run_design_space(topologies=["base"], workloads=["perl"],
-                                   num_instructions=SMALL, jobs=1,
-                                   cache=store)
-    assert len(results) == 1
+    return run_design_space(topologies=["base"], workloads=["perl"],
+                            num_instructions=SMALL, jobs=1, **keywords)
+
+
+@pytest.mark.parametrize("entry_point", [
+    lambda scenario, **old: run_scenario(scenario, **old),
+    lambda scenario, **old: sweep_scenarios([scenario], jobs=1, **old),
+    lambda scenario, **old: _run_design_space(**old),
+    lambda scenario, **old: run_cached(scenario, **old),
+    lambda scenario, **old: resume_sweep([scenario], jobs=1, **old),
+    lambda scenario, **old: resolve_store(**old),
+    lambda scenario, **old: resolve_execution(**old),
+], ids=["run_scenario", "sweep_scenarios", "run_design_space", "run_cached",
+        "resume_sweep", "resolve_store", "resolve_execution"])
+def test_cache_keyword_is_rejected(entry_point, store, scenario):
+    # the old alias of store= is gone: a leftover caller fails loudly
+    # instead of silently running uncached (or against the default store)
+    with pytest.raises(TypeError, match="'cache'"):
+        entry_point(scenario, **{"cache": store})
+    assert list(store.entries()) == []
