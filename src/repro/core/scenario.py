@@ -159,6 +159,15 @@ def execute_run(trace: ListTraceSource,
 
 
 # ------------------------------------------------------------------- scenario
+def _copy_containers(value: Any) -> Any:
+    """``value`` with every dict, list and tuple in it copied (JSON-safe)."""
+    if isinstance(value, dict):
+        return {key: _copy_containers(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return type(value)(_copy_containers(item) for item in value)
+    return value
+
+
 @dataclass(frozen=True)
 class Scenario:
     """A declarative description of one simulation run."""
@@ -269,8 +278,14 @@ class Scenario:
 
     # --------------------------------------------------------- serialization
     def to_dict(self) -> Dict[str, Any]:
-        """Plain-dict form (JSON-safe; inverse of :meth:`from_dict`)."""
-        return asdict(self)
+        """Plain-dict form (JSON-safe; inverse of :meth:`from_dict`).
+
+        Equal to ``dataclasses.asdict(self)``, which deep-copies every
+        value: fields hold only JSON-safe values, so copying the dicts,
+        lists and tuples among them (at every depth) is the same result.
+        """
+        return {name: _copy_containers(getattr(self, name))
+                for name in self.__dataclass_fields__}
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "Scenario":

@@ -545,14 +545,21 @@ class ResultsStore:
             pass
         return target
 
-    def quarantined(self) -> List[QuarantinedFile]:
-        """Every quarantined file with its kind and recorded reason."""
+    def _quarantined_paths(self) -> List[Path]:
+        """Every quarantined file, sorted (``.reason`` sidecars excluded)."""
         if not self.quarantine_dir.is_dir():
             return []
+        return [path for path in sorted(self.quarantine_dir.glob("*/*"))
+                if not path.name.endswith(".reason")]
+
+    def quarantine_count(self) -> int:
+        """How many files are quarantined (no ``.reason`` file is read)."""
+        return len(self._quarantined_paths())
+
+    def quarantined(self) -> List[QuarantinedFile]:
+        """Every quarantined file with its kind and recorded reason."""
         found = []
-        for path in sorted(self.quarantine_dir.glob("*/*")):
-            if path.name.endswith(".reason"):
-                continue
+        for path in self._quarantined_paths():
             reason_path = path.parent / (path.name + ".reason")
             try:
                 reason = reason_path.read_text().strip()

@@ -33,16 +33,27 @@ without limit; ``/compare`` scans its grid under a per-request deadline
 (``request_deadline``) and returns *202* early rather than stalling the
 connection; ``/health`` reports queue depth, quarantine count and drain
 liveness so a load balancer can tell a saturated replica from a dead one.
+
+The HTTP layer is deliberately small: each open connection has a handler
+thread of its own, reused from up to ``HANDLER_THREADS`` idle ones; each
+request is a ``GET`` whose headers are skipped (no endpoint reads one); a
+connection whose request head has not arrived ``READ_TIMEOUT_S`` after it
+was accepted is dropped; and every reply is one write followed by closing
+the connection (HTTP/1.0, no keep-alive).
 """
 
 from __future__ import annotations
 
+import itertools
 import json
+import queue
+import socket
+import socketserver
 import threading
 import time
 from dataclasses import replace
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, List, Optional, Tuple, Union
+from http import HTTPStatus
+from typing import Any, Dict, List, Optional, Set, Tuple, Union
 from urllib.parse import parse_qs, urlsplit
 
 from ..core.experiments import design_space_scenarios
@@ -56,6 +67,20 @@ __all__ = ["ResultsService"]
 
 #: Scenario fields the /scenario endpoint accepts as query parameters.
 SCENARIO_FIELDS = frozenset(Scenario.__dataclass_fields__)
+
+#: Idle handler threads kept for the next connections (busy ones are not
+#: capped: each open connection has a thread of its own).
+HANDLER_THREADS = 32
+
+#: Seconds a connection's request line and headers may take to arrive,
+#: in total (one deadline, not a per-read timeout).
+READ_TIMEOUT_S = 10
+
+#: Longest request or header line accepted (longer: 414 / 431).
+MAX_LINE_BYTES = 65536
+
+#: Most header lines a request may carry (more: 431).
+MAX_HEADER_LINES = 100
 
 
 def _parse_query_value(text: str) -> Any:
@@ -103,24 +128,95 @@ def _comma_list(params: Dict[str, List[str]], field: str,
             for item in params[field][0].split(",") if item]
 
 
-class _Handler(BaseHTTPRequestHandler):
-    """Request handler bound to one :class:`ResultsService` (class attr)."""
+class _BadRequest(Exception):
+    """A request the reader refuses; ``args`` are (HTTP code, message)."""
+
+
+def _read_request_line(conn: socket.socket, timeout: float) -> bytes:
+    """Read one request head from *conn*; return its request line.
+
+    The request line and every header line must arrive within *timeout*
+    seconds in total, not per read, so a client trickling bytes is cut off
+    as surely as a silent one (``TimeoutError``).  Header lines are skipped
+    up to the blank line; no endpoint reads one.  A client that closes
+    early ends the head (``b""`` when no line came at all).  Raises
+    :class:`_BadRequest` for a line over ``MAX_LINE_BYTES`` (414 for the
+    request line, 431 for a header) or more than ``MAX_HEADER_LINES``.
+    """
+    deadline = time.monotonic() + timeout
+    buf = bytearray()
+    start = 0  # where the next unread line begins in buf
+    request_line = b""
+    headers = 0
+    while True:
+        end = buf.find(b"\n", start)
+        if end < 0 and len(buf) - start < MAX_LINE_BYTES:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                raise TimeoutError("request not read in time")
+            conn.settimeout(remaining)
+            chunk = conn.recv(MAX_LINE_BYTES)
+            if not chunk:
+                return request_line or bytes(buf[start:])
+            buf += chunk
+            continue
+        if end < 0 or end + 1 - start > MAX_LINE_BYTES:
+            if request_line:
+                raise _BadRequest(431, "header line too long")
+            raise _BadRequest(414, "request line too long")
+        line, start = buf[start:end + 1], end + 1
+        if not request_line:
+            request_line = bytes(line)
+        elif line in (b"\r\n", b"\n"):
+            return request_line
+        else:
+            headers += 1
+            if headers > MAX_HEADER_LINES:
+                raise _BadRequest(431, "too many headers")
+
+
+class _Handler(socketserver.BaseRequestHandler):
+    """GET-only HTTP/1.0 handler bound to one :class:`ResultsService`.
+
+    Reads the request line, skips the headers (no endpoint reads one) and
+    answers with one write; the connection closes after the reply.
+    """
 
     service: "ResultsService"
-    # the service answers tiny JSON bodies; keep-alive just ties up threads
-    protocol_version = "HTTP/1.0"
-    # headers and body go out in separate writes: don't hold the second
-    # back waiting for the client's ACK of the first
-    disable_nagle_algorithm = True
+    #: the raw request line (for the access log)
+    request_line = b""
+    #: seconds the whole request head may take to arrive
+    timeout = READ_TIMEOUT_S
 
-    def log_message(self, format: str, *args: Any) -> None:
-        """Route access logging through the service (quiet by default)."""
-        if self.service.verbose:
-            self.service.log(f"{self.address_string()} - {format % args}")
+    def handle(self) -> None:
+        """Read one request, skip its headers and answer it."""
+        # a reply larger than one segment must not wait on the client's
+        # delayed ACK for its last, partial segment
+        self.request.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, True)
+        try:
+            self.request_line = line = _read_request_line(self.request,
+                                                          self.timeout)
+        except _BadRequest as exc:
+            self.request.settimeout(self.timeout)
+            self._reply_error(*exc.args)
+            return
+        except OSError:  # silent or trickling past the deadline, or gone
+            return
+        if not line:
+            return
+        self.request.settimeout(self.timeout)  # bounds the whole reply write
+        words = line.split()
+        if len(words) != 3 or words[2] not in (b"HTTP/1.0", b"HTTP/1.1"):
+            self._reply_error(400, "bad request line")
+            return
+        if words[0] != b"GET":
+            self._reply_error(501, "unsupported method")
+            return
+        self._dispatch(words[1].decode("iso-8859-1"))
 
-    def do_GET(self) -> None:  # noqa: N802 - http.server contract
-        """Dispatch GET /health, /scenario and /compare."""
-        split = urlsplit(self.path)
+    def _dispatch(self, target: str) -> None:
+        """Answer GET /health, /scenario and /compare."""
+        split = urlsplit(target)
         params = parse_qs(split.query)
         try:
             if split.path in ("/health", "/"):
@@ -130,12 +226,14 @@ class _Handler(BaseHTTPRequestHandler):
             elif split.path == "/compare":
                 self._reply_compare(params)
             else:
-                self._reply_json(404, {"error":
-                                       f"unknown endpoint: {split.path}"})
+                self._reply_error(404, f"unknown endpoint: {split.path}")
         except KeyError as exc:
-            self._reply_json(404, {"error": str(exc.args[0])})
+            self._reply_error(404, str(exc.args[0]))
         except (ValueError, TypeError) as exc:
-            self._reply_json(400, {"error": str(exc)})
+            self._reply_error(400, str(exc))
+
+    def _reply_error(self, code: int, message: str) -> None:
+        self._reply_json(code, {"error": message})
 
     def _reply_scenario(self, params: Dict[str, List[str]]) -> None:
         scenario = _scenario_from_query(params)
@@ -175,18 +273,22 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _reply_raw(self, code: int, body: str, status: str = "",
                    key: str = "", retry_after: int = 0) -> None:
+        """Write the status line, headers and body in one write."""
         payload = body.encode("utf-8")
-        self.send_response(code)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(payload)))
+        head = (f"HTTP/1.0 {code} {HTTPStatus(code).phrase}\r\n"
+                "Content-Type: application/json\r\n"
+                f"Content-Length: {len(payload)}\r\n")
         if status:
-            self.send_header("X-Repro-Status", status)
+            head += f"X-Repro-Status: {status}\r\n"
         if key:
-            self.send_header("X-Repro-Key", key)
+            head += f"X-Repro-Key: {key}\r\n"
         if retry_after:
-            self.send_header("Retry-After", str(retry_after))
-        self.end_headers()
-        self.wfile.write(payload)
+            head += f"Retry-After: {retry_after}\r\n"
+        self.request.sendall(head.encode("latin-1") + b"\r\n" + payload)
+        if self.service.verbose:
+            request = self.request_line.decode("iso-8859-1").rstrip("\r\n")
+            self.service.log(f'{self.client_address[0]} - "{request}" '
+                             f"{code} -")
 
     def _reply_json(self, code: int, payload: Dict[str, Any],
                     status: str = "", key: str = "",
@@ -195,12 +297,83 @@ class _Handler(BaseHTTPRequestHandler):
                         status, key, retry_after)
 
 
-class _Server(ThreadingHTTPServer):
-    """The service's threaded HTTP server."""
+class _Server(socketserver.TCPServer):
+    """The service's TCP server: handler threads reused across connections.
 
+    An accepted connection goes to an idle handler thread, or to a new one
+    when none is idle, so every connection still has a thread of its own
+    (a slow client holds up no other) but a hit rarely starts one.  Up to
+    ``HANDLER_THREADS`` idle threads are kept; a thread that finishes while
+    that many wait exits.
+    """
+
+    allow_reuse_address = True
     # listen backlog: the stdlib default of 5 makes a burst of concurrent
     # clients wait out SYN retransmits (a ~1 s stall) instead of queueing
     request_queue_size = 128
+
+    def __init__(self, address: Tuple[str, int], handler: type) -> None:
+        self._connections: "queue.SimpleQueue[Any]" = queue.SimpleQueue()
+        self._lock = threading.Lock()
+        self._idle = 0  # threads counted here take one item each
+        self._closed = False
+        self._workers: Set[threading.Thread] = set()
+        self._names = itertools.count()
+        # last: a failed bind calls server_close(), which reads the above
+        super().__init__(address, handler)
+
+    def process_request(self, request: Any, client_address: Any) -> None:
+        """Hand one accepted connection to an idle handler thread."""
+        with self._lock:
+            if self._idle:
+                self._idle -= 1
+                self._connections.put((request, client_address))
+                return
+            worker = threading.Thread(
+                target=self._work, args=(request, client_address),
+                name=f"repro-serve-handler-{self.server_address[1]}"
+                     f"_{next(self._names)}",
+                daemon=True)
+            self._workers.add(worker)
+        worker.start()
+
+    def _work(self, request: Any, client_address: Any) -> None:
+        """Serve connections until closed or surplus to the idle threads."""
+        try:
+            while True:
+                try:
+                    self.finish_request(request, client_address)
+                except Exception:
+                    self.handle_error(request, client_address)
+                finally:
+                    self.shutdown_request(request)
+                with self._lock:
+                    if self._closed or self._idle >= HANDLER_THREADS:
+                        return
+                    self._idle += 1
+                item = self._connections.get()
+                if item is None:
+                    return
+                request, client_address = item
+        finally:
+            with self._lock:
+                self._workers.discard(threading.current_thread())
+
+    def server_close(self) -> None:
+        """Close the listening socket, then end and join the handler threads.
+
+        Called after ``shutdown()``, so no connection is accepted meanwhile;
+        a busy thread finishes its connection, which the read timeout bounds.
+        """
+        super().server_close()
+        with self._lock:
+            self._closed = True
+            idle, self._idle = self._idle, 0
+            workers = list(self._workers)
+        for _ in range(idle):
+            self._connections.put(None)
+        for worker in workers:
+            worker.join()
 
 
 class ResultsService:
@@ -324,7 +497,7 @@ class ResultsService:
             "pending": pending,
             "max_pending": self.max_pending,
             "failed": failed,
-            "quarantined": len(self.store.quarantined()),
+            "quarantined": self.store.quarantine_count(),
             "drain_alive": drain_alive,
         }
 

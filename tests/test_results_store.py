@@ -85,6 +85,19 @@ def test_key_misses_on_simulation_relevant_change(scenario, change):
     assert cache_key(replace(scenario, **change)) != cache_key(scenario)
 
 
+@pytest.mark.parametrize("name, digest", [
+    ("base",
+     "ee6dc1ac6193cd7a7db39dd5f47eab29058ff36bbb568f072c66be97e7ec193c"),
+    ("gals5-perl-fp3",
+     "71fbf639dc07b72fcf48b5d792b9a828fef327309d6a836eba5a3f1d066a9a4e"),
+    ("gals5-perl-pid",
+     "5b17a2232b4133aac5fa650166223fb0978dbfea1ca0efb4d690de7cfbc1138a"),
+])
+def test_key_digests_are_pinned(name, digest):
+    """Literal keys: a serialization change must not re-key every store."""
+    assert cache_key(get_scenario(name), "0" * 64) == digest
+
+
 def test_key_misses_on_code_fingerprint_change(scenario):
     assert (cache_key(scenario, "2.0.0:aaaaaaaaaaaaaaaa")
             != cache_key(scenario, "2.0.0:bbbbbbbbbbbbbbbb"))

@@ -6,7 +6,7 @@ the parallel sweep.
 """
 
 import json
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import pytest
 
@@ -77,6 +77,32 @@ def test_scenario_json_round_trip_is_equal():
         config={"rob_entries": 48}, description="round-trip fixture")
     reloaded = Scenario.from_json(scenario.to_json())
     assert reloaded == scenario
+
+
+#: A scenario setting every container field, with nested controller args.
+CONTAINER_SCENARIO = Scenario(
+    name="containers", topology="gals5", policy="generic",
+    slowdowns={"fp": 1.5}, phases={"fetch": 0.25},
+    config={"rob_entries": 48}, controller="pid",
+    controller_args={"setpoint": 2.0, "gains": [[1.0, 0.5], [0.1]]})
+
+
+@pytest.mark.parametrize("name", [*available_scenarios(), "containers"])
+def test_to_dict_equals_asdict(name):
+    scenario = (CONTAINER_SCENARIO if name == "containers"
+                else get_scenario(name))
+    assert scenario.to_dict() == asdict(scenario)
+
+
+def test_to_dict_copies_nested_containers():
+    first = CONTAINER_SCENARIO.to_dict()
+    first["slowdowns"]["fp"] = 9.0
+    first["controller_args"]["gains"][0].append(7.0)
+    second = CONTAINER_SCENARIO.to_dict()
+    assert CONTAINER_SCENARIO.slowdowns == {"fp": 1.5}
+    assert second["slowdowns"] == {"fp": 1.5}
+    assert CONTAINER_SCENARIO.controller_args["gains"] == [[1.0, 0.5], [0.1]]
+    assert second["controller_args"]["gains"] == [[1.0, 0.5], [0.1]]
 
 
 def test_scenario_from_dict_rejects_unknown_fields():

@@ -9,8 +9,13 @@ subcommand.
 """
 
 import json
+import select
+import socket
 import threading
+import time
 from dataclasses import replace
+from pathlib import Path
+from urllib.parse import urlencode
 
 import pytest
 
@@ -20,7 +25,8 @@ from repro.core.scenario import (ScenarioResult, available_scenarios,
 from repro.results import ResultsStore, run_cached
 from repro.serve import (ResultsService, query_compare, query_health,
                          query_scenario, request_json)
-from repro.serve.service import _scenario_from_query
+from repro.serve.service import (HANDLER_THREADS, READ_TIMEOUT_S, _Handler,
+                                 _scenario_from_query)
 from repro.workloads.registry import (WORKLOAD_SYNTHETIC, WORKLOADS,
                                       WorkloadEntry)
 
@@ -55,6 +61,22 @@ def test_health_reports_store_and_backend(service):
     assert payload["store"] == str(service.store.root)
     assert payload["backend"] == "serial"
     assert payload["fingerprint"] == service.store.fingerprint
+
+
+def test_health_counts_quarantine_without_reading_reasons(tmp_path,
+                                                          monkeypatch):
+    service = ResultsService(store=ResultsStore(root=tmp_path / "cache"),
+                             execution="serial", port=0)
+    for index in range(3):
+        victim = tmp_path / f"torn{index}.json"
+        victim.write_text("torn")
+        service.store.quarantine_file(victim, kind="entries", reason="torn")
+
+    def no_read(path, *args, **kwargs):
+        raise AssertionError(f"/health read {path}")
+
+    monkeypatch.setattr(Path, "read_text", no_read)
+    assert service.health()["quarantined"] == 3
 
 
 # ------------------------------------------------------------ scenario queries
@@ -213,6 +235,139 @@ def test_hit_hashes_the_key_once(offline_service, scenario, monkeypatch):
     monkeypatch.setattr(ResultsStore, "key_for", counting_key_for)
     assert offline_service.lookup(scenario)[0] == "hit"
     assert len(calls) == 1
+
+
+# ------------------------------------------------------------------ HTTP layer
+def raw_request(service, request):
+    """Send raw request bytes on one connection; every byte of the reply."""
+    with socket.create_connection((service.host, service.port),
+                                  timeout=WAIT) as conn:
+        conn.sendall(request)
+        chunks = []
+        while True:
+            chunk = conn.recv(65536)
+            if not chunk:
+                return b"".join(chunks)
+            chunks.append(chunk)
+
+
+@pytest.mark.parametrize("request_bytes, code", [
+    (b"GARBAGE\r\n\r\n", 400),
+    (b"GET /health HTTP/2.0\r\n\r\n", 400),
+    (b"POST /health HTTP/1.0\r\nContent-Length: 0\r\n\r\n", 501),
+    (b"GET /" + b"x" * 65536 + b" HTTP/1.0\r\n\r\n", 414),
+    (b"GET /health HTTP/1.0\r\n" + b"X-Pad: 1\r\n" * 101 + b"\r\n", 431),
+], ids=["malformed", "version", "post", "long-line", "many-headers"])
+def test_bad_requests_get_their_error_codes(service, request_bytes, code):
+    reply = raw_request(service, request_bytes)
+    assert reply.startswith(f"HTTP/1.0 {code} ".encode())
+    assert "error" in json.loads(reply.partition(b"\r\n\r\n")[2])
+
+
+def test_bare_http10_request_gets_a_byte_identical_hit(service, scenario):
+    expected = run_cached(scenario, store=service.store).outcome.to_json()
+    query = urlencode({"scenario": scenario.to_json(indent=None)})
+    reply = raw_request(service,
+                        f"GET /scenario?{query} HTTP/1.0\r\n\r\n".encode())
+    head, _, body = reply.partition(b"\r\n\r\n")
+    assert body == expected.encode()
+    assert head.decode().split("\r\n") == [
+        "HTTP/1.0 200 OK",
+        "Content-Type: application/json",
+        f"Content-Length: {len(body)}",
+        "X-Repro-Status: hit",
+        f"X-Repro-Key: {service.store.key_for(scenario)}",
+    ]
+
+
+def trickle(conn, limit=WAIT):
+    """Send one byte every 50 ms, never a full line; seconds until closed."""
+    began = time.monotonic()
+    while time.monotonic() - began < limit:
+        try:
+            conn.send(b"G")
+            if select.select([conn], [], [], 0.05)[0]:
+                conn.recv(1)  # b"": the server closed the connection
+                break
+        except OSError:
+            break
+    return time.monotonic() - began
+
+
+def test_silent_connection_neither_delays_a_hit_nor_lingers(
+        service, scenario, monkeypatch):
+    monkeypatch.setattr(_Handler, "timeout", 0.2)
+    expected = run_cached(scenario, store=service.store).outcome.to_json()
+    with socket.create_connection((service.host, service.port),
+                                  timeout=WAIT) as silent:
+        reply = query_scenario(service.url, scenario)
+        assert reply.code == 200 and reply.body == expected
+        # the hit was answered while the silent connection is still open
+        assert select.select([silent], [], [], 0)[0] == []
+        assert silent.recv(1) == b""  # closed by the server's read timeout
+
+
+def test_more_silent_connections_than_idle_threads_do_not_block_hits(
+        service, scenario):
+    expected = run_cached(scenario, store=service.store).outcome.to_json()
+    silent = [socket.create_connection((service.host, service.port),
+                                       timeout=WAIT)
+              for _ in range(HANDLER_THREADS + 1)]
+    try:
+        began = time.monotonic()
+        reply = query_scenario(service.url, scenario)
+        elapsed = time.monotonic() - began
+        assert reply.code == 200 and reply.body == expected
+        # well inside the read timeout the silent connections hold out for
+        assert elapsed < READ_TIMEOUT_S / 2
+        assert select.select(silent, [], [], 0)[0] == []
+    finally:
+        for conn in silent:
+            conn.close()
+
+
+def test_trickling_client_is_cut_off_at_the_request_deadline(
+        service, scenario, monkeypatch):
+    # each byte comes well inside 0.3 s, so only a deadline for the
+    # whole request head ends this connection
+    monkeypatch.setattr(_Handler, "timeout", 0.3)
+    with socket.create_connection((service.host, service.port),
+                                  timeout=WAIT) as conn:
+        assert trickle(conn) < 5.0
+    assert query_scenario(service.url, scenario).code in (200, 202)
+
+
+def test_taken_port_raises_oserror(service, tmp_path):
+    second = ResultsService(store=ResultsStore(root=tmp_path / "cache"),
+                            execution="serial", port=service.port)
+    with pytest.raises(OSError):
+        second.start()
+
+
+def test_stop_joins_the_handler_threads(tmp_path, monkeypatch):
+    monkeypatch.setattr(_Handler, "timeout", 0.3)
+    instance = ResultsService(store=ResultsStore(root=tmp_path / "cache"),
+                              execution="serial", port=0).start()
+    prefix = f"repro-serve-handler-{instance.port}"
+    conn = socket.create_connection((instance.host, instance.port),
+                                    timeout=WAIT)
+    trickler = threading.Thread(target=trickle, args=(conn,))
+    try:
+        assert query_health(instance.url).code == 200
+        assert any(thread.name.startswith(prefix)
+                   for thread in threading.enumerate())
+        trickler.start()
+        time.sleep(0.1)
+    finally:
+        began = time.monotonic()
+        instance.stop()
+        stopped = time.monotonic() - began
+        trickler.join()
+        conn.close()
+    # stop() waits at most for the trickling client's request deadline
+    assert stopped < 5.0
+    assert not [thread for thread in threading.enumerate()
+                if thread.name.startswith(prefix) and thread.is_alive()]
 
 
 # -------------------------------------------------------------------- /compare
