@@ -423,20 +423,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
             print(f"(quarantined entries moved to {store.quarantine_dir}; "
                   f"inspect with 'repro cache quarantine')")
             return 1
-    elif args.action == "claims":
-        claims = store.list_claims()
-        print(f"results store: {store.root}")
-        print(f"claim lease TTL: {store.claim_ttl:.0f}s")
-        if not claims:
-            print("(no claims)")
-            return 0
-        print(f"{'key':<14} {'owner':<24} {'pid':>7} {'host':<16} "
-              f"{'age s':>7}  state")
-        for claim in claims:
-            state = "expired" if claim.expired else "live"
-            print(f"{claim.key[:12]:<14} {claim.owner or '-':<24} "
-                  f"{claim.pid:>7} {claim.host:<16} {claim.age:>7.1f}  "
-                  f"{state}")
     elif args.action == "quarantine":
         if getattr(args, "clear", False):
             removed = store.clear_quarantine()
@@ -645,8 +631,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_parser.add_argument("--job-backend", dest="job_backend",
                               metavar="NAME",
                               help="job backend for computed scenarios "
-                                   "(serial, local, subprocess; see 'repro "
-                                   "list backends'; default: local)")
+                                   "(serial, local; see 'repro list "
+                                   "backends'; default: local)")
     sweep_parser.add_argument("--instructions", type=int, metavar="N")
     sweep_parser.add_argument("--seed", type=int)
     _add_cache_arguments(sweep_parser, default=False)
@@ -659,12 +645,11 @@ def build_parser() -> argparse.ArgumentParser:
         "cache", help="inspect/maintain the persistent results store")
     cache_parser.add_argument("action",
                               choices=("ls", "gc", "clear", "verify",
-                                       "claims", "quarantine"),
+                                       "quarantine"),
                               help="ls: list entries; gc: drop entries from "
                                    "other code fingerprints; clear: drop "
                                    "everything; verify: checksum-scan every "
                                    "entry (quarantines corrupt ones); "
-                                   "claims: list live/expired claim leases; "
                                    "quarantine: list (or --clear) "
                                    "quarantined files")
     cache_parser.add_argument("--cache-dir", metavar="PATH", dest="cache_dir",
@@ -714,8 +699,7 @@ def build_parser() -> argparse.ArgumentParser:
     compare_parser.add_argument("--job-backend", dest="job_backend",
                                 metavar="NAME",
                                 help="job backend for computed grid cells "
-                                     "(serial, local, subprocess; default: "
-                                     "local)")
+                                     "(serial, local; default: local)")
     _add_cache_arguments(compare_parser, default=True)
     compare_parser.add_argument("--json", metavar="PATH",
                                 help="write the metric records as JSON "
@@ -736,7 +720,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument("--job-backend", dest="job_backend",
                               metavar="NAME",
                               help="job backend for queued misses (serial, "
-                                   "local, subprocess; default: local)")
+                                   "local; default: local)")
     serve_parser.add_argument("--jobs", type=int,
                               help="worker processes for the job backend "
                                    "(default: REPRO_JOBS or the CPU count)")

@@ -8,29 +8,25 @@ talks to this protocol, so the execution fabric is swappable per call:
 * ``serial`` -- one scenario at a time, in-process (no pool, no forking;
   deterministic and debugger-friendly);
 * ``local`` -- the warm-started :class:`~concurrent.futures.ProcessPoolExecutor`
-  fan-out (bit-identical to the pre-backend sweep path, and the default);
-* ``subprocess`` -- N independent worker *processes* coordinating purely
-  through a shared results store (queue files + atomic claim files under the
-  store root), the multi-host-shaped fabric: point several machines at one
-  ``REPRO_CACHE_DIR`` on shared storage and they divide the queue between
-  them.
+  fan-out (bit-identical to the pre-backend sweep path, and the default).
+
+Several sweep processes -- on one host or on hosts sharing a filesystem --
+may point at one results store: entries are published atomically and two
+writers of one key store the same result, so the worst a race costs is a
+cell computed twice.
 
 Backends register by name in :data:`JOB_BACKENDS` (shown by ``repro list
-backends`` next to the kernel backends) so new fabrics -- a cluster
-scheduler, an rsh/ssh fan-out in the style of instrumentation-infra's
-``prun`` -- plug in without touching the sweep code.
+backends``) so new fabrics -- a cluster scheduler, an rsh/ssh fan-out in the
+style of instrumentation-infra's ``prun`` -- plug in without touching the
+sweep code.
 """
 
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from pathlib import Path
 from typing import (TYPE_CHECKING, Callable, Dict, List, Optional, Sequence,
                     Tuple, Union)
 
@@ -41,13 +37,20 @@ from ..core.scenario import (Scenario, ScenarioResult, WorkloadSpec,
                              default_jobs, run_scenario, warm_worker)
 from ..workloads.registry import WORKLOADS
 from .config import ExecutionConfig
+from .faults import inject, set_role
 
 if TYPE_CHECKING:  # pragma: no cover - the import-time dependency must stay
     from ..results.store import ResultsStore  # one-way: results -> exec
 
 
 def timed_run_scenario(scenario: Scenario) -> Tuple[ScenarioResult, float]:
-    """Top-level (picklable) run returning (outcome, wall seconds)."""
+    """Top-level (picklable) run returning (outcome, wall seconds).
+
+    Fault site ``pool.run``: a plan rule with ``role="worker"`` fires only
+    inside local-pool workers (see :func:`_start_pool_worker`), so chaos
+    runs can kill a worker mid-job without touching the parent.
+    """
+    inject("pool.run")
     start = time.perf_counter()
     outcome = run_scenario(scenario)
     return outcome, time.perf_counter() - start
@@ -66,7 +69,7 @@ def is_infrastructure_error(exc: BaseException) -> bool:
     the same scenario may well succeed on the next attempt, so the fabric
     retries them with backoff.  Everything else is a *deterministic*
     simulation exception: retrying would fail identically, so those fail
-    fast (and poison jobs are quarantined instead of retried).
+    fast.
     """
     return isinstance(exc, INFRASTRUCTURE_ERRORS)
 
@@ -76,8 +79,8 @@ def retry_delay(backoff: float, attempt: int, token: str) -> float:
 
     Attempt ``k`` (1-based) waits ``backoff * 2**(k-1)`` plus a jitter drawn
     from ``random.Random(f"{token}:{k}")`` -- deterministic so chaos runs
-    replay identically, jittered so a fleet of retrying workers does not
-    stampede the shared store in lockstep.  Capped at 5 seconds.
+    replay identically, jittered so processes retrying against one shared
+    store do not stampede it in lockstep.  Capped at 5 seconds.
     """
     import random
     base = backoff * (2 ** max(attempt - 1, 0))
@@ -90,10 +93,7 @@ def retry_delay(backoff: float, attempt: int, token: str) -> float:
 class JobHandle:
     """One submitted scenario's lifecycle under a job backend.
 
-    ``index`` is the scenario's position in the ``submit()`` call;
-    ``stored_key`` is set when the backend itself already persisted the
-    result (the ``subprocess`` workers publish straight into the shared
-    store), telling the caller not to ``put()`` a second time.
+    ``index`` is the scenario's position in the ``submit()`` call.
     """
 
     index: int
@@ -101,14 +101,12 @@ class JobHandle:
     done: bool = False
     outcome: Optional[ScenarioResult] = None
     seconds: float = 0.0
-    stored_key: Optional[str] = None
 
-    def complete(self, outcome: ScenarioResult, seconds: float,
-                 stored_key: Optional[str] = None) -> "JobHandle":
+    def complete(self, outcome: ScenarioResult,
+                 seconds: float) -> "JobHandle":
         """Mark this handle finished with its outcome; returns itself."""
         self.outcome = outcome
         self.seconds = seconds
-        self.stored_key = stored_key
         self.done = True
         return self
 
@@ -233,7 +231,7 @@ class LocalPoolBackend(JobBackend):
         workers = min(max(1, jobs), max(len(handles), 1))
         try:
             self._executor = ProcessPoolExecutor(
-                max_workers=workers, initializer=warm_worker,
+                max_workers=workers, initializer=_start_pool_worker,
                 initargs=(self._specs,))
             self._futures = {
                 self._executor.submit(timed_run_scenario, handle.scenario):
@@ -303,6 +301,12 @@ class LocalPoolBackend(JobBackend):
             self._executor = None
 
 
+def _start_pool_worker(specs: Sequence[WorkloadSpec]) -> None:
+    """Pool initializer: declare the fault role ``worker``, then warm up."""
+    set_role("worker")
+    warm_worker(specs)
+
+
 def _parent_can_resolve(scenario: Scenario) -> bool:
     """True when every registry name the scenario uses resolves here.
 
@@ -315,157 +319,6 @@ def _parent_can_resolve(scenario: Scenario) -> bool:
             and (scenario.policy is None or scenario.policy in POLICIES)
             and (scenario.controller is None
                  or scenario.controller in CONTROLLERS))
-
-
-# --------------------------------------------------------- subprocess backend
-class SubprocessBackend(JobBackend):
-    """N worker processes coordinating through the shared results store.
-
-    The multi-host-shaped fabric: ``submit()`` writes one queue file per
-    scenario under ``<store root>/queue/``, spawns ``jobs`` detached
-    ``python -m repro.exec.worker`` processes against the same store root,
-    and ``poll()`` watches the store for published results -- the
-    instrumentation-infra ``prun`` loop (queue jobs, poll completion,
-    aggregate).  Workers claim jobs via atomic claim files
-    (:meth:`~repro.results.store.ResultsStore.try_claim`), publish with the
-    store's atomic ``put()`` and exit when the queue runs dry.  Because the
-    only coordination substrate is the store directory, workers started by
-    hand on *other hosts* against a shared filesystem participate in exactly
-    the same way.  Jobs the workers cannot finish (crashes, registry names
-    only the parent knows) fall back to in-process execution once every
-    worker has exited, so the sweep still completes -- or surfaces the real
-    exception with full context.
-    """
-
-    name = "subprocess"
-
-    def __init__(self, config: ExecutionConfig,
-                 store: Optional[ResultsStore]) -> None:
-        if store is None:
-            raise ValueError(
-                "the 'subprocess' job backend requires a results store: its "
-                "queue and claim files live under the store root (pass "
-                "store=/--cache, or use the 'local' backend)")
-        self.config = config
-        self.store = store
-        self._handles: List[JobHandle] = []
-        self._pending: List[JobHandle] = []
-        self._workers: List[subprocess.Popen] = []
-
-    def submit(self, scenarios: Sequence[Scenario]) -> List[JobHandle]:
-        """Enqueue job files in the store and spawn the worker processes."""
-        from .worker import enqueue_job
-        self._handles = [JobHandle(index, scenario)
-                         for index, scenario in enumerate(scenarios)]
-        for handle in self._handles:
-            enqueue_job(self.store, handle.scenario)
-        self._pending = list(self._handles)
-        jobs = (self.config.jobs if self.config.jobs is not None
-                else default_jobs())
-        workers = min(max(1, jobs), len(self._handles))
-        command = [sys.executable, "-m", "repro.exec.worker",
-                   "--store", str(self.store.root), "--exit-when-idle",
-                   "--poll-interval", str(self.config.poll_interval),
-                   "--max-retries", str(self.config.max_retries),
-                   "--retry-backoff", str(self.config.retry_backoff)]
-        for _ in range(workers):
-            try:
-                self._workers.append(subprocess.Popen(
-                    command, env=_worker_environment(),
-                    stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL))
-            except OSError:
-                # cannot spawn (restricted environment): the in-process
-                # fallback in poll() still completes the sweep
-                break
-        return list(self._handles)
-
-    def poll(self) -> List[JobHandle]:
-        """Collect results the workers published into the shared store."""
-        from .worker import read_error, withdraw_error
-        if not self._pending:
-            return []
-        completed: List[JobHandle] = []
-        for handle in list(self._pending):
-            hit = self.store.get_with_seconds(handle.scenario)
-            if hit is not None:
-                outcome, seconds = hit
-                completed.append(handle.complete(
-                    outcome, seconds,
-                    stored_key=self.store.key_for(handle.scenario)))
-                self._pending.remove(handle)
-        if completed:
-            return completed
-        for handle in list(self._pending):
-            key = self.store.key_for(handle.scenario)
-            marker = read_error(self.store, key)
-            if marker is not None and marker.get("quarantined"):
-                # A worker gave up on this job (poison scenario, exhausted
-                # retries, or a registry name only this process knows):
-                # compute it in-process immediately so the sweep finishes or
-                # the real exception surfaces with full context.
-                self._pending.remove(handle)
-                done = handle.complete(*timed_run_scenario(handle.scenario))
-                withdraw_error(self.store, key)
-                return [done]
-        if not any(worker.poll() is None for worker in self._workers):
-            # Every worker has exited yet jobs remain (a worker crashed, or
-            # a scenario references registry names only this process knows):
-            # finish in-process so the sweep completes or the real exception
-            # surfaces with full context.
-            handle = self._pending.pop(0)
-            self._dequeue(handle.scenario)
-            return [handle.complete(*timed_run_scenario(handle.scenario))]
-        time.sleep(self.config.poll_interval)
-        return []
-
-    def cancel(self) -> None:
-        """Stop the workers, release their claims, withdraw queued jobs.
-
-        Termination escalates: ``terminate()`` (SIGTERM) first, and any
-        worker still alive after the 5 s grace ``wait`` gets ``kill()``
-        (SIGKILL) and a blocking reap.  Claims the stopped workers still
-        held are then released outright -- the holders are provably dead,
-        so a cancelled sweep can be resumed immediately instead of waiting
-        out the lease TTL.
-        """
-        from ..results.store import _hostname
-        for worker in self._workers:
-            if worker.poll() is None:
-                worker.terminate()
-        for worker in self._workers:
-            try:
-                worker.wait(timeout=5)
-            except subprocess.TimeoutExpired:  # pragma: no cover - defensive
-                worker.kill()
-                worker.wait()
-        pids = {worker.pid for worker in self._workers}
-        self._workers.clear()
-        for claim in self.store.list_claims():
-            if claim.pid in pids and claim.host == _hostname():
-                self.store.release_claim(claim.key)
-        for handle in self._pending:
-            self._dequeue(handle.scenario)
-        self._pending.clear()
-
-    def _dequeue(self, scenario: Scenario) -> None:
-        from .worker import withdraw_job
-        withdraw_job(self.store, self.store.key_for(scenario))
-
-
-def _worker_environment() -> Dict[str, str]:
-    """Environment for worker processes: parent env + importable ``repro``.
-
-    Prepending the installed package's parent directory to ``PYTHONPATH``
-    keeps workers importable both for ``pip install -e .`` checkouts and
-    for ``PYTHONPATH=src`` source runs.
-    """
-    environment = dict(os.environ)
-    package_parent = str(Path(__file__).resolve().parent.parent.parent)
-    existing = environment.get("PYTHONPATH", "")
-    if package_parent not in existing.split(os.pathsep):
-        environment["PYTHONPATH"] = (
-            package_parent + (os.pathsep + existing if existing else ""))
-    return environment
 
 
 # ------------------------------------------------------------------- registry
@@ -519,7 +372,3 @@ register_job_backend(
 register_job_backend(
     "local", LocalPoolBackend,
     "warm-started ProcessPoolExecutor fan-out on this machine (default)")
-register_job_backend(
-    "subprocess", SubprocessBackend,
-    "worker processes coordinating via queue+claim files in the shared "
-    "results store (multi-host-shaped; requires a store)")

@@ -32,19 +32,17 @@ class ExecutionConfig:
     """How a sweep executes: backend, parallelism, store, warm-start.
 
     ``backend`` names a registered job backend (``serial``, ``local``,
-    ``subprocess``, ...); ``jobs`` bounds its worker count (``None`` =
-    ``REPRO_JOBS`` or the CPU count); ``store`` is anything
+    ...); ``jobs`` bounds its worker count (``None`` = ``REPRO_JOBS`` or
+    the CPU count); ``store`` is anything
     :func:`~repro.results.store.resolve_store` accepts (``True`` = the
     default store, a path, a :class:`~repro.results.store.ResultsStore`,
     ``None``/``False`` = uncached); ``warm_start`` pre-builds the sweep's
-    workloads in every worker; ``poll_interval`` is the completion-poll
-    period (seconds) for backends that poll shared state rather than wait on
-    in-process futures.  ``max_retries`` bounds how often an
-    *infrastructure* failure (``OSError``, a broken process pool, a torn
-    job file) is retried with exponential backoff before the job is given
+    workloads in every worker.  ``max_retries`` bounds how often an
+    *infrastructure* failure (``OSError``, a broken process pool) is
+    retried with exponential backoff before the work is degraded or given
     up on -- deterministic simulation exceptions are never retried; they
     fail fast.  ``retry_backoff`` is the backoff base delay in seconds
-    (attempt ``k`` waits ``retry_backoff * 2**k`` plus deterministic
+    (attempt ``k`` waits ``retry_backoff * 2**(k-1)`` plus deterministic
     jitter).
     """
 
@@ -52,13 +50,10 @@ class ExecutionConfig:
     jobs: Optional[int] = None
     store: Any = True
     warm_start: bool = True
-    poll_interval: float = 0.05
     max_retries: int = 3
     retry_backoff: float = 0.05
 
     def __post_init__(self) -> None:
-        if self.poll_interval <= 0:
-            raise ValueError("poll_interval must be positive")
         if self.jobs is not None and self.jobs < 1:
             raise ValueError("jobs must be at least 1")
         if self.max_retries < 0:
@@ -82,7 +77,7 @@ def resolve_execution(execution: Union[ExecutionConfig, str, None] = None,
     (shorthand for ``ExecutionConfig(backend=name)``), or ``None`` for the
     defaults.  Explicitly passed ``store=``/``jobs=`` keywords override the
     corresponding ``execution`` fields, so callers can say
-    ``resume_sweep(..., execution="subprocess", jobs=4)``.
+    ``resume_sweep(..., execution="serial", jobs=4)``.
     """
     if isinstance(execution, str):
         execution = ExecutionConfig(backend=execution, store=default_store)

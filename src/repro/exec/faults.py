@@ -9,14 +9,14 @@ substrate of ``tools/chaos_smoke.py`` and ``tests/test_fault_injection.py``,
 whose acceptance bar is that a sweep full of injected kills and torn writes
 still produces byte-identical results.
 
-Plans activate through the environment so *real worker subprocesses*
-inherit them:
+Plans activate through the environment so *pool worker processes* inherit
+them:
 
 * ``REPRO_FAULT_PLAN`` -- the plan as inline JSON, or a path to a JSON file;
-* ``REPRO_FAULT_ROLE`` -- this process's role (``main`` unless set;
-  ``python -m repro.exec.worker`` declares itself ``worker``), matched
-  against each rule's ``role`` filter so a plan can kill workers without
-  touching the submitting parent;
+* ``REPRO_FAULT_ROLE`` -- this process's role (``main`` unless set; the
+  ``local`` backend's pool initializer declares its workers ``worker``),
+  matched against each rule's ``role`` filter so a plan can kill pool
+  workers without touching the submitting parent;
 * ``REPRO_FAULT_LOG`` -- optional append-only log file recording every
   fired fault (one JSON line each), uploadable as a CI artifact.
 
@@ -27,17 +27,15 @@ site                      fired
 ========================  =====================================================
 ``store.put``             before an entry write (``raise``/``torn``/``sleep``)
 ``store.get``             before an entry read (``sleep`` = slow filesystem)
-``worker.enqueue``        before a job-file write (``torn`` = torn job file)
-``worker.claimed``        right after a worker wins a claim (``exit`` = death
-                          mid-claim, the SIGKILL shape)
-``worker.heartbeat``      each heartbeat tick (``stall`` = skip the beat)
+``pool.run``              before each scenario run (``exit`` with
+                          ``role="worker"`` = a pool worker killed mid-job)
 ========================  =====================================================
 
 Actions: ``raise`` raises :class:`OSError` (an infrastructure failure,
-retried by the fabric), ``exit`` calls ``os._exit(137)`` (uncatchable,
-leaves claims and queue files behind exactly like a powered-off host),
-``sleep`` delays ``seconds``, and ``torn``/``stall`` are returned to the
-instrumented caller, which implements the corruption/skip itself.
+retried by the fabric), ``exit`` calls ``os._exit(137)`` (uncatchable, the
+SIGKILL shape: a pool worker's death breaks the pool), ``sleep`` delays
+``seconds``, and ``torn`` is returned to the instrumented caller, which
+implements the corruption itself.
 """
 
 from __future__ import annotations
@@ -59,7 +57,7 @@ FAULT_ROLE_ENV_VAR = "REPRO_FAULT_ROLE"
 FAULT_LOG_ENV_VAR = "REPRO_FAULT_LOG"
 
 #: The actions a rule may request.
-ACTIONS = ("raise", "exit", "sleep", "torn", "stall")
+ACTIONS = ("raise", "exit", "sleep", "torn")
 
 #: Exit status used by the ``exit`` action (the SIGKILL convention).
 EXIT_STATUS = 137
@@ -241,10 +239,10 @@ def _log_fired(site: str, rule: FaultRule) -> None:
 def inject(site: str) -> Optional[FaultRule]:
     """Fire the active plan at ``site``; the instrumented-code entry point.
 
-    Performs ``raise``/``exit``/``sleep`` itself; ``torn``/``stall`` rules
-    are *returned* for the caller to implement (corrupt its write, skip its
-    heartbeat).  Returns None when no rule fires -- the overwhelmingly
-    common case costs one ``os.environ`` probe.
+    Performs ``raise``/``exit``/``sleep`` itself; a ``torn`` rule is
+    *returned* for the caller to implement (corrupt its write).  Returns
+    None when no rule fires -- the overwhelmingly common case costs one
+    ``os.environ`` probe.
     """
     state = active_plan()
     if state is None:
@@ -260,4 +258,4 @@ def inject(site: str) -> Optional[FaultRule]:
     if rule.action == "sleep":
         time.sleep(rule.seconds)
         return None
-    return rule  # torn / stall: caller-implemented
+    return rule  # torn: caller-implemented

@@ -3,8 +3,7 @@
 :func:`resume_sweep` is the sweep engine behind ``repro sweep --cache`` and
 ``repro report compare``: scenarios already in the store load from disk, only
 the missing ones fan out over a pluggable :class:`~repro.exec.JobBackend`
-(the warm-started local process pool by default; ``serial`` and the
-store-coordinated ``subprocess`` fabric are one
+(the warm-started local process pool by default; ``serial`` is one
 :class:`~repro.exec.ExecutionConfig` away), and every freshly computed
 result is stored immediately -- so an interrupted sweep resumes where it
 stopped, and a repeated sweep is served entirely from cache.
@@ -82,7 +81,7 @@ def resume_sweep(scenarios: Sequence[Union[Scenario, str]],
     which is what the CLI prints for uncached sweeps.
 
     ``execution`` selects the job backend (an :class:`ExecutionConfig` or a
-    bare backend name: ``"serial"``, ``"local"``, ``"subprocess"``);
+    bare backend name: ``"serial"``, ``"local"``);
     explicit ``store=``/``jobs=`` keywords override the corresponding
     config fields.
     """
@@ -137,8 +136,8 @@ def _compute_and_store(missing: Sequence[Tuple[int, Scenario]],
                 break  # defensive: backend reports nothing left pending
             for handle in completed:
                 index = missing[handle.index][0]
-                key = handle.stored_key or ""
-                if store is not None and handle.stored_key is None:
+                key = ""
+                if store is not None:
                     key = store.put(handle.outcome,
                                     wall_seconds=handle.seconds)
                 slots[index] = SweepRun(outcome=handle.outcome, cached=False,

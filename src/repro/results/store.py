@@ -60,13 +60,6 @@ from .fingerprint import code_fingerprint
 #: Environment variable overriding the default store location.
 CACHE_DIR_ENV_VAR = "REPRO_CACHE_DIR"
 
-#: Environment variable overriding the claim-lease TTL (seconds).
-CLAIM_TTL_ENV_VAR = "REPRO_CLAIM_TTL"
-
-#: Default claim-lease TTL: a claim whose holder has not heartbeat for this
-#: long is considered dead and may be broken by any other worker.
-DEFAULT_CLAIM_TTL = 60.0
-
 #: Bump when the on-disk entry layout changes; part of every cache key, so a
 #: format change invalidates old stores instead of misreading them.
 #: (2: entries carry a SHA-256 payload checksum verified on every read;
@@ -97,17 +90,6 @@ def temp_path_for(path: Path) -> Path:
     """
     return path.with_suffix(".tmp.%s.%d.%d.%d" % (
         _hostname(), os.getpid(), threading.get_ident(), next(_temp_serial)))
-
-
-def default_claim_ttl() -> float:
-    """``$REPRO_CLAIM_TTL`` (seconds), else :data:`DEFAULT_CLAIM_TTL`."""
-    raw = os.environ.get(CLAIM_TTL_ENV_VAR)
-    if raw:
-        try:
-            return float(raw)
-        except ValueError:
-            pass
-    return DEFAULT_CLAIM_TTL
 
 
 def encode_entry(header: Dict[str, Any], result_payload: Dict[str, Any]
@@ -246,29 +228,6 @@ class VerifyStats:
 
 
 @dataclass(frozen=True)
-class ClaimInfo:
-    """One live claim file's record (what ``repro cache claims`` prints).
-
-    ``age`` is seconds since the holder's last heartbeat; ``expired`` means
-    the lease outlived the store's TTL and :meth:`ResultsStore.try_claim`
-    will break it on the next contention.
-    """
-
-    key: str
-    owner: str
-    pid: int
-    host: str
-    created: str
-    age: float
-    ttl: float
-
-    @property
-    def expired(self) -> bool:
-        """True when the holder stopped heartbeating for longer than the TTL."""
-        return self.age > self.ttl
-
-
-@dataclass(frozen=True)
 class QuarantinedFile:
     """One quarantined file: its resting place, origin kind and reason."""
 
@@ -285,13 +244,9 @@ class ResultsStore:
     """Content-addressed store memoizing scenario runs on disk."""
 
     def __init__(self, root: Optional[Union[str, Path]] = None,
-                 fingerprint: Optional[str] = None,
-                 claim_ttl: Optional[float] = None) -> None:
+                 fingerprint: Optional[str] = None) -> None:
         self.root = Path(root).expanduser() if root else default_cache_dir()
         self.fingerprint = fingerprint or code_fingerprint()
-        #: lease TTL for claim files (``REPRO_CLAIM_TTL`` unless overridden)
-        self.claim_ttl = claim_ttl if claim_ttl is not None \
-            else default_claim_ttl()
         #: probe counters for this store instance (reported by the CLI)
         self.hits = 0
         self.misses = 0
@@ -404,133 +359,19 @@ class ResultsStore:
         os.replace(temporary, path)
         return key
 
-    # ------------------------------------------------------------------ claims
-    @property
-    def claims_dir(self) -> Path:
-        """Directory holding per-entry claim files (worker coordination)."""
-        return self.root / "claims"
-
-    def claim_path(self, key: str) -> Path:
-        """On-disk path of one key's claim file."""
-        return self.claims_dir / f"{key}.claim"
-
-    def try_claim(self, key: str, owner: str = "") -> bool:
-        """Atomically claim ``key`` for computation; False if already claimed.
-
-        The claim is a *leased* JSON record (owner, pid, host, heartbeat)
-        created with ``O_CREAT | O_EXCL`` -- the filesystem guarantees
-        exactly one concurrent claimer wins, which is what lets several
-        worker processes share one store root (the ``subprocess`` job
-        backend's coordination substrate) without computing the same
-        scenario twice.  The lease is kept alive by
-        :meth:`heartbeat_claim`; a claim whose holder stopped heartbeating
-        for longer than :attr:`claim_ttl` (a SIGKILLed or powered-off
-        worker) is **broken** here, so a dead worker never wedges a job
-        forever.  Claims are advisory: :meth:`put` itself stays safe under
-        unclaimed concurrent writers (atomic ``os.replace``, last writer
-        wins with identical bytes).
-        """
-        self.claims_dir.mkdir(parents=True, exist_ok=True)
-        for attempt in range(2):
-            try:
-                descriptor = os.open(self.claim_path(key),
-                                     os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            except FileExistsError:
-                if attempt or not self._break_expired_claim(key):
-                    return False
-                continue  # expired lease broken: retry the exclusive create
-            with os.fdopen(descriptor, "w") as handle:
-                json.dump({"pid": os.getpid(), "owner": owner,
-                           "host": _hostname(),
-                           "created": time.strftime("%Y-%m-%dT%H:%M:%S")},
-                          handle)
-            return True
-        return False  # pragma: no cover - a third racer won both rounds
-
-    def _break_expired_claim(self, key: str) -> bool:
-        """Remove ``key``'s claim iff its lease expired; True when removed.
-
-        The removal is a rename to a breaker-unique name first, so when two
-        workers race to break one expired claim exactly one rename succeeds
-        -- the loser's rename raises and it reports the claim unbroken.
-        """
-        info = self.claim_info(key)
-        if info is None or not info.expired:
-            return False
-        wreck = temp_path_for(self.claim_path(key))
-        try:
-            os.rename(self.claim_path(key), wreck)
-        except OSError:
-            return False  # lost the break race, or the holder released
-        wreck.unlink()
-        return True
-
-    def heartbeat_claim(self, key: str) -> bool:
-        """Refresh ``key``'s lease; False when the claim no longer exists.
-
-        The heartbeat is the claim file's mtime (``os.utime`` never
-        recreates a removed file, so a worker whose lease was broken learns
-        it here instead of resurrecting a zombie claim).
-        """
-        try:
-            os.utime(self.claim_path(key))
-        except OSError:
-            return False
-        return True
-
-    def claim_info(self, key: str) -> Optional[ClaimInfo]:
-        """The live claim record for ``key`` (None when unclaimed)."""
-        path = self.claim_path(key)
-        try:
-            age = time.time() - path.stat().st_mtime
-            record = json.loads(path.read_text())
-        except (OSError, ValueError):
-            try:  # torn/unreadable claim record: judge it by mtime alone
-                age = time.time() - path.stat().st_mtime
-            except OSError:
-                return None
-            record = {}
-        return ClaimInfo(key=key, owner=str(record.get("owner", "?")),
-                         pid=int(record.get("pid", 0)),
-                         host=str(record.get("host", "?")),
-                         created=str(record.get("created", "?")),
-                         age=age, ttl=self.claim_ttl)
-
-    def list_claims(self) -> List[ClaimInfo]:
-        """Every current claim's record (live and expired), sorted by key."""
-        if not self.claims_dir.is_dir():
-            return []
-        found = []
-        for path in sorted(self.claims_dir.glob("*.claim")):
-            info = self.claim_info(path.stem)
-            if info is not None:
-                found.append(info)
-        return found
-
-    def release_claim(self, key: str) -> None:
-        """Drop ``key``'s claim file (no-op when absent)."""
-        try:
-            self.claim_path(key).unlink()
-        except FileNotFoundError:
-            pass
-
-    def claimed(self, key: str) -> bool:
-        """True while some worker holds a claim on ``key``."""
-        return self.claim_path(key).exists()
-
     # ------------------------------------------------------------- quarantine
     @property
     def quarantine_dir(self) -> Path:
-        """Directory receiving corrupt entries and poison jobs."""
+        """Directory receiving corrupt (torn or bit-rotted) entries."""
         return self.root / "quarantine"
 
     def quarantine_file(self, path: Path, kind: str, reason: str) -> Path:
         """Move ``path`` into quarantine with a ``.reason`` sidecar.
 
-        ``kind`` buckets the file (``entries`` for store entries, ``jobs``
-        for queue files).  Returns the quarantined path; when the file
-        vanished first (a racing quarantiner won), returns the intended
-        destination anyway.
+        ``kind`` names the quarantine subdirectory (``entries`` for store
+        entries).  Returns the quarantined path; when the file vanished
+        first (a racing quarantiner won), returns the intended destination
+        anyway.
         """
         target_dir = self.quarantine_dir / kind
         target_dir.mkdir(parents=True, exist_ok=True)
@@ -592,15 +433,17 @@ class ResultsStore:
         """
         stats = VerifyStats()
         for path in list(self._entry_files()):
-            stats.checked += 1
             try:
                 decode_entry(path.read_bytes(), path.stem)
+            except FileNotFoundError:
+                continue  # removed by another process mid-scan
             except (OSError, ValueError) as exc:
                 self.quarantine_file(path, kind="entries",
                                      reason=f"{type(exc).__name__}: {exc}")
                 stats.quarantined += 1
-                continue
-            stats.ok += 1
+            else:
+                stats.ok += 1
+            stats.checked += 1
         return stats
 
     # -------------------------------------------------------------- inventory
@@ -636,20 +479,30 @@ class ResultsStore:
     # ------------------------------------------------------------ maintenance
     def gc(self) -> GcStats:
         """Drop entries from other simulator versions or store formats (and
-        unreadable files); reads only each entry's header line."""
+        unreadable files); reads only each entry's header line.
+
+        Like :meth:`clear` and :meth:`verify`, it skips an entry that
+        another process sharing the store removes while the scan runs.
+        """
         stats = GcStats()
         for path in list(self._entry_files()):
             try:
                 header = read_header(path)
                 current = (header.get("format") == STORE_FORMAT
                            and header.get("fingerprint") == self.fingerprint)
+            except FileNotFoundError:
+                continue  # removed by another process mid-scan
             except (OSError, ValueError):
                 current = False
             if current:
                 stats.kept += 1
                 continue
-            stats.bytes_freed += path.stat().st_size
-            path.unlink()
+            try:
+                size = path.stat().st_size
+                path.unlink()
+            except FileNotFoundError:
+                continue
+            stats.bytes_freed += size
             stats.removed += 1
         return stats
 
@@ -657,7 +510,10 @@ class ResultsStore:
         """Remove every entry; returns the number removed."""
         removed = 0
         for path in list(self._entry_files()):
-            path.unlink()
+            try:
+                path.unlink()
+            except FileNotFoundError:
+                continue  # removed by another process mid-scan
             removed += 1
         return removed
 

@@ -621,9 +621,10 @@ class ResultsService:
                               scenario: Scenario) -> Optional[str]:
         """Compute one scenario; the recorded error string, or None on success.
 
-        Infrastructure failures are retried with the execution config's
-        backoff/budget (the same classification the workers use);
-        deterministic simulation exceptions are recorded immediately.
+        Infrastructure failures
+        (:func:`~repro.exec.backends.is_infrastructure_error`) are retried
+        with the execution config's backoff/budget; deterministic
+        simulation exceptions are recorded immediately.
         """
         from ..exec.backends import is_infrastructure_error, retry_delay
         attempts = 0

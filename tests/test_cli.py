@@ -86,10 +86,17 @@ def test_list_controllers(capsys):
 def test_cli_list_backends(capsys):
     code, out, _ = run_cli(capsys, "list", "backends")
     assert code == 0
-    for name in ("serial", "local", "subprocess"):
+    for name in ("serial", "local"):
         assert name in out
     assert "job backends" in out
     assert "engine kernel" not in out and "compiled" not in out
+
+
+def test_cli_sweep_rejects_the_removed_subprocess_backend(capsys):
+    code, _, err = run_cli(capsys, "sweep", "base", "--instructions",
+                           str(SMALL), "--job-backend", "subprocess")
+    assert code == 2
+    assert "unknown job backend" in err
 
 
 def test_run_with_overrides_and_json_dump(tmp_path, capsys):

@@ -4,14 +4,20 @@ Covers the backend registry, the :class:`ExecutionConfig` merge semantics
 (explicit keywords over config fields), bit-identity of every
 backend against the serial reference, the narrowed exception contract
 (real worker exceptions surface; only pool-infrastructure failures fall
-back), and the store-coordinated ``subprocess`` fabric end to end.
+back), and two sweep processes sharing one store.
 """
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from repro.core.scenario import get_scenario, sweep_scenarios
+import repro
+from repro.core.scenario import (get_scenario, run_scenario,
+                                 scenario_result_json, sweep_scenarios)
 from repro.exec import (JOB_BACKENDS, ExecutionConfig, JobHandle,
                         LocalPoolBackend, SerialBackend,
                         available_job_backends, make_job_backend,
@@ -22,7 +28,7 @@ from repro.workloads.registry import (WORKLOAD_SYNTHETIC, WORKLOADS,
 
 SMALL = 150
 
-#: Six registered scenarios for the multi-worker sweep acceptance test.
+#: Six registered scenarios for the shared-store sweep test.
 SWEEP_SCENARIOS = ["base", "gals5", "frontback2", "fem3", "alu4", "memsplit2"]
 
 
@@ -33,7 +39,7 @@ def store(tmp_path):
 
 # ------------------------------------------------------------------- registry
 def test_builtin_backends_are_registered():
-    assert available_job_backends() == ("serial", "local", "subprocess")
+    assert available_job_backends() == ("serial", "local")
     for info in JOB_BACKENDS.values():
         assert info.description
 
@@ -74,16 +80,14 @@ def test_custom_backend_registration(monkeypatch, store):
 def test_execution_config_validation():
     with pytest.raises(ValueError, match="jobs"):
         ExecutionConfig(jobs=0)
-    with pytest.raises(ValueError, match="poll_interval"):
-        ExecutionConfig(poll_interval=0)
 
 
 def test_resolve_execution_defaults_and_overrides(store):
     config = resolve_execution()
     assert config.backend == "local" and config.store is True
 
-    config = resolve_execution("subprocess", jobs=3, store=store)
-    assert config.backend == "subprocess"
+    config = resolve_execution("serial", jobs=3, store=store)
+    assert config.backend == "serial"
     assert config.jobs == 3 and config.store is store
 
     # explicit keywords override the ExecutionConfig's fields
@@ -99,7 +103,7 @@ def test_resolve_execution_defaults_and_overrides(store):
 def test_all_backends_bit_identical_to_uncached_sweep(tmp_path):
     names = ["base", "gals5"]
     reference = sweep_scenarios(names, jobs=1, num_instructions=SMALL)
-    for backend in ("serial", "local", "subprocess"):
+    for backend in ("serial", "local"):
         store = ResultsStore(root=tmp_path / backend)
         runs = resume_sweep(names, store=store, jobs=2, execution=backend,
                             num_instructions=SMALL)
@@ -182,96 +186,43 @@ def test_job_handle_complete_round_trip():
     assert not handle.done
     from repro.exec import timed_run_scenario
     outcome, seconds = timed_run_scenario(scenario)
-    assert handle.complete(outcome, seconds, stored_key="abc") is handle
-    assert handle.done and handle.stored_key == "abc"
+    assert handle.complete(outcome, seconds) is handle
+    assert handle.done and handle.outcome is outcome
     assert handle.seconds == seconds
 
 
-# -------------------------------------------------------- subprocess backend
-def test_subprocess_backend_requires_store():
-    with pytest.raises(ValueError, match="requires a results store"):
-        make_job_backend("subprocess", store=None)
-
-
-def test_subprocess_sweep_two_workers_serves_all_from_shared_store(store):
-    """Acceptance: a two-worker subprocess sweep of six scenarios completes
-    with every result published to (and afterwards served from) the shared
-    store, and leaves no queue/claim residue behind."""
-    from repro.exec.worker import pending_jobs
-
-    runs = resume_sweep(SWEEP_SCENARIOS, store=store, jobs=2,
-                        execution="subprocess", num_instructions=SMALL)
-    assert [run.status for run in runs] == ["computed"] * len(SWEEP_SCENARIOS)
-    again = resume_sweep(SWEEP_SCENARIOS, store=store, jobs=1,
-                         num_instructions=SMALL)
-    assert all(run.cached for run in again)
-    assert pending_jobs(store) == []
-    assert not list(store.claims_dir.glob("*.claim")) \
-        if store.claims_dir.is_dir() else True
-
-
-def test_subprocess_parent_fallback_for_runtime_registrations(store,
-                                                              monkeypatch):
-    """A workload only the parent knows: workers record a failure marker and
-    exit, the parent computes in-process -- the sweep still completes."""
-    from repro.workloads.registry import _synthetic_factory
-
-    monkeypatch.setitem(WORKLOADS, "runtime-perl", WorkloadEntry(
-        name="runtime-perl", kind=WORKLOAD_SYNTHETIC,
-        description="registered after worker launch",
-        factory=_synthetic_factory("perl")))
-    scenario = replace(get_scenario("base"), workload="runtime-perl",
-                       num_instructions=SMALL)
-    runs = resume_sweep([scenario], store=store, jobs=1,
-                        execution="subprocess")
-    assert len(runs) == 1 and not runs[0].cached
-    assert store.get(scenario) is not None
-
-
-# ------------------------------------------------------- worker queue plumbing
-def test_worker_queue_round_trip(store):
-    from repro.exec import worker
-
-    scenario = replace(get_scenario("base"), num_instructions=SMALL)
-    key = worker.enqueue_job(store, scenario)
-    assert key == store.key_for(scenario)
-    assert [path.stem for path in worker.pending_jobs(store)] == [key]
-    # a worker drains the queue and publishes into the store
-    processed = worker.drain(store, poll_interval=0.01, exit_when_idle=True)
-    assert processed == 1
-    assert worker.pending_jobs(store) == []
-    assert store.get(scenario) is not None
-    # draining an empty queue is a clean no-op
-    assert worker.drain(store, poll_interval=0.01, exit_when_idle=True) == 0
-
-
-def test_worker_records_failure_marker(store, monkeypatch):
-    from repro.exec import worker
-
-    monkeypatch.setitem(WORKLOADS, "raising", WorkloadEntry(
-        name="raising", kind=WORKLOAD_SYNTHETIC, description="always raises",
-        factory=_raising_factory))
-    scenario = replace(get_scenario("base"), workload="raising",
-                       num_instructions=SMALL)
-    key = worker.enqueue_job(store, scenario)
-    assert worker.run_one(store)
-    assert worker.pending_jobs(store) == []
-    marker = worker.error_path(store, key)
-    assert marker.exists()
-    assert "synthetic workload failure" in marker.read_text()
-    # re-submitting the job clears the stale failure marker
-    worker.enqueue_job(store, scenario)
-    assert not marker.exists()
-
-
-def test_worker_skips_claimed_jobs(store):
-    from repro.exec import worker
-
-    scenario = replace(get_scenario("base"), num_instructions=SMALL)
-    key = worker.enqueue_job(store, scenario)
-    assert store.try_claim(key, owner="someone-else")
-    # the job is claimed by another worker: nothing to do this scan
-    assert not worker.run_one(store)
-    store.release_claim(key)
-    assert worker.run_one(store)
-    assert store.get(scenario) is not None
+# ------------------------------------------------------------- shared store
+def test_two_sweep_processes_share_one_store(tmp_path):
+    """Two concurrent ``repro sweep --cache`` processes over one grid and
+    one store directory: both succeed, every entry verifies, and every
+    served entry is byte-identical to a serial in-process run."""
+    root = tmp_path / "shared"
+    env = dict(os.environ)
+    package_parent = str(Path(repro.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [package_parent, env.get("PYTHONPATH")]))
+    command = [sys.executable, "-m", "repro", "sweep", *SWEEP_SCENARIOS,
+               "--instructions", str(SMALL), "--cache", "--cache-dir",
+               str(root), "--jobs", "2", "--quiet"]
+    sweeps = [subprocess.Popen(command, env=env, stdout=subprocess.DEVNULL,
+                               stderr=subprocess.PIPE)
+              for _ in range(2)]
+    try:
+        for sweep in sweeps:
+            _, stderr = sweep.communicate(timeout=300)
+            assert sweep.returncode == 0, stderr.decode()
+    finally:
+        for sweep in sweeps:
+            if sweep.poll() is None:
+                sweep.kill()
+                sweep.wait()
+    store = ResultsStore(root=root)
+    stats = store.verify()
+    assert (stats.checked, stats.ok, stats.quarantined) \
+        == (len(SWEEP_SCENARIOS), len(SWEEP_SCENARIOS), 0)
+    for name in SWEEP_SCENARIOS:
+        scenario = replace(get_scenario(name), num_instructions=SMALL)
+        expected = run_scenario(scenario).to_json()
+        served = store.get_rendering(store.key_for(scenario))
+        assert scenario_result_json(served, scenario) == expected, name
+        assert store.get(scenario).to_json() == expected, name

@@ -2,17 +2,14 @@
 
 Covers the deterministic fault-injection harness itself (plan round-trips,
 exact hit schedules, role filtering), every failure mode it drives --
-injected ``OSError`` retries, torn entry writes caught by the store
-checksum, poison-job quarantine, claim-lease expiry -- and the headline
-crash-recovery contract: a real worker subprocess killed mid-claim (via the
-plan's ``exit`` action) never wedges the sweep, because the next worker
-breaks the expired lease and recomputes bit-identically.
+injected ``OSError``s, torn entry writes caught by the store checksum --
+and the headline crash-recovery contract: a local-pool worker killed
+mid-job (via the plan's ``exit`` action) breaks the pool, the pool is
+rebuilt or degrades to the parent, and the sweep still completes
+bit-identically to a serial run.
 """
 
 import json
-import os
-import subprocess
-import sys
 import time
 from dataclasses import replace
 
@@ -20,15 +17,13 @@ import pytest
 
 from repro.cli import main as cli_main
 from repro.core.scenario import get_scenario, run_scenario
-from repro.exec import faults, worker
-from repro.exec.backends import _worker_environment, is_infrastructure_error
-from repro.exec.faults import (FAULT_PLAN_ENV_VAR, FAULT_ROLE_ENV_VAR,
-                               FaultPlan, FaultRule, inject)
+from repro.exec import ExecutionConfig
+from repro.exec.backends import is_infrastructure_error
+from repro.exec.faults import (FAULT_LOG_ENV_VAR, FAULT_PLAN_ENV_VAR,
+                               FAULT_ROLE_ENV_VAR, FaultPlan, FaultRule,
+                               inject)
 from repro.results import ResultsStore, resume_sweep, run_cached
-from repro.results.store import CLAIM_TTL_ENV_VAR
 from repro.serve import ResultsService, request_json, scenario_query_url
-from repro.workloads.registry import (WORKLOAD_SYNTHETIC, WORKLOADS,
-                                      WorkloadEntry)
 
 SMALL = 150
 
@@ -48,10 +43,6 @@ def _activate(monkeypatch, plan: FaultPlan) -> None:
     monkeypatch.setenv(FAULT_PLAN_ENV_VAR, plan.to_json())
 
 
-def _raising_factory(num_instructions, seed, kernel_size):
-    raise ValueError("synthetic workload failure")
-
-
 # ------------------------------------------------------------------- the plan
 def test_fault_rule_rejects_unknown_action():
     with pytest.raises(ValueError, match="unknown fault action"):
@@ -61,7 +52,7 @@ def test_fault_rule_rejects_unknown_action():
 def test_fault_plan_json_round_trip():
     plan = FaultPlan(seed=42, rules=(
         FaultRule(site="store.put", action="raise", hits=(0, 2)),
-        FaultRule(site="worker.claimed", action="exit", hits=(1,),
+        FaultRule(site="pool.run", action="exit", hits=(1,),
                   role="worker", message="die"),
         FaultRule(site="store.get", action="sleep", seconds=0.5),
     ))
@@ -179,121 +170,31 @@ def test_entry_checksum_is_stable_and_covers_every_byte(tmp_path, scenario,
     assert first.get(scenario).to_json() == outcome.to_json()
 
 
-# ------------------------------------------------------------- leased claims
-def test_claim_records_owner_pid_host(store):
-    assert store.try_claim("k" * 16, owner="tester")
-    info = store.claim_info("k" * 16)
-    assert info is not None
-    assert info.owner == "tester" and info.pid == os.getpid()
-    assert info.host and not info.expired
-    assert [claim.key for claim in store.list_claims()] == ["k" * 16]
-
-
-def test_expired_lease_is_broken_by_the_next_claimer(tmp_path):
-    store = ResultsStore(root=tmp_path / "cache", claim_ttl=0.2)
-    assert store.try_claim("deadbeef", owner="the-dead")
-    assert not store.try_claim("deadbeef", owner="too-early")
-    time.sleep(0.3)
-    assert store.claim_info("deadbeef").expired
-    assert store.try_claim("deadbeef", owner="the-breaker")
-    assert store.claim_info("deadbeef").owner == "the-breaker"
-
-
-def test_heartbeat_keeps_the_lease_alive(tmp_path):
-    store = ResultsStore(root=tmp_path / "cache", claim_ttl=0.4)
-    assert store.try_claim("cafe", owner="beater")
-    for _ in range(3):
-        time.sleep(0.2)
-        assert store.heartbeat_claim("cafe")
-        assert not store.claim_info("cafe").expired
-    assert not store.try_claim("cafe", owner="thief")
-    store.release_claim("cafe")
-    assert not store.heartbeat_claim("cafe")  # released: nothing to refresh
-
-
-def test_claim_ttl_environment_default(monkeypatch, tmp_path):
-    monkeypatch.setenv(CLAIM_TTL_ENV_VAR, "7.5")
-    assert ResultsStore(root=tmp_path / "cache").claim_ttl == 7.5
-
-
-# ------------------------------------------------------------ worker retries
-def test_worker_retries_transient_oserror(monkeypatch, store, scenario):
-    _activate(monkeypatch, FaultPlan(rules=(
-        FaultRule(site="store.put", action="raise", hits=(0,)),)))
-    key = worker.enqueue_job(store, scenario)
-    assert worker.run_one(store, retry_backoff=0.01)
-    # the retry succeeded: result published, no lasting failure marker
-    assert store.get(scenario) is not None
-    assert not worker.error_path(store, key).exists()
-
-
-def test_worker_quarantines_poison_job(monkeypatch, store):
-    monkeypatch.setitem(WORKLOADS, "raising", WorkloadEntry(
-        name="raising", kind=WORKLOAD_SYNTHETIC, description="always raises",
-        factory=_raising_factory))
-    poison = replace(get_scenario("base"), workload="raising",
-                     num_instructions=SMALL)
-    key = worker.enqueue_job(store, poison)
-    assert worker.run_one(store)
-    marker = worker.read_error(store, key)
-    assert marker["quarantined"] and not marker["infrastructure"]
-    assert marker["attempts"] == 1  # deterministic failures fail fast
-    assert "synthetic workload failure" in marker["error"]
-    assert worker.pending_jobs(store) == []
-    assert any(item.kind == "jobs" for item in store.quarantined())
-    # the quarantined job is not picked up again
-    assert not worker.run_one(store)
-
-
-def test_worker_quarantines_torn_job_file(monkeypatch, store, scenario):
-    _activate(monkeypatch, FaultPlan(rules=(
-        FaultRule(site="worker.enqueue", action="torn", hits=(0,)),)))
-    key = worker.enqueue_job(store, scenario)
-    assert worker.run_one(store)
-    assert worker.read_error(store, key)["quarantined"]
-    assert worker.pending_jobs(store) == []
-    assert any(item.kind == "jobs" for item in store.quarantined())
-
-
 # -------------------------------------------------- crash recovery, for real
-def test_worker_killed_mid_claim_then_lease_break_recovers(tmp_path):
-    """The headline satellite: a real worker subprocess dies (``os._exit``,
-    the SIGKILL shape) right after winning a claim; a second worker breaks
-    the expired lease, recomputes, and the store's results are bit-identical
-    to a fault-free run."""
-    store = ResultsStore(root=tmp_path / "chaos", claim_ttl=0.5)
+def test_pool_worker_killed_mid_sweep_recovers(monkeypatch, tmp_path):
+    """Every local-pool worker dies (``os._exit``, the SIGKILL shape) on its
+    second job; the broken pool is rebuilt and finally degrades to the
+    parent, and the sweep's results are bit-identical to a serial run with
+    a store that verifies clean."""
     scenarios = [replace(get_scenario(name), num_instructions=SMALL)
-                 for name in ("base", "gals5")]
-    for item in scenarios:
-        worker.enqueue_job(store, item)
-    plan_path = tmp_path / "plan.json"
-    plan_path.write_text(FaultPlan(seed=7, rules=(
-        FaultRule(site="worker.claimed", action="exit", hits=(0,),
-                  role="worker"),)).to_json())
-    env = _worker_environment()
-    env[FAULT_PLAN_ENV_VAR] = str(plan_path)  # ONLY the subprocess gets it
-    env[CLAIM_TTL_ENV_VAR] = "0.5"
-    victim = subprocess.Popen(
-        [sys.executable, "-m", "repro.exec.worker", "--store",
-         str(store.root), "--exit-when-idle", "--poll-interval", "0.02"],
-        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-    assert victim.wait(timeout=120) == faults.EXIT_STATUS
-    # the victim died holding its first claim; nothing was published
-    assert len(store.list_claims()) == 1
-    assert store.get(scenarios[0]) is None and store.get(scenarios[1]) is None
-    # the second worker busy-waits on the lease, breaks it once expired,
-    # and drains the whole queue
-    assert worker.drain(store, poll_interval=0.02, exit_when_idle=True) == 2
-    assert store.list_claims() == []
-    assert worker.pending_jobs(store) == []
-    # resume_sweep now serves everything from the store, bit-identical to a
-    # clean store that never saw a fault
-    recovered = resume_sweep(scenarios, store=store, execution="serial")
-    assert all(run.cached for run in recovered)
-    clean = resume_sweep(scenarios, store=ResultsStore(root=tmp_path / "ok"),
-                         execution="serial")
-    assert ([run.outcome.to_json() for run in recovered]
-            == [run.outcome.to_json() for run in clean])
+                 for name in ("base", "gals5", "fem3", "alu4")]
+    reference = resume_sweep(scenarios, store=None, execution="serial")
+    fault_log = tmp_path / "faults.jsonl"
+    monkeypatch.setenv(FAULT_LOG_ENV_VAR, str(fault_log))
+    _activate(monkeypatch, FaultPlan(seed=7, rules=(
+        FaultRule(site="pool.run", action="exit", hits=(1,),
+                  role="worker"),)))
+    store = ResultsStore(root=tmp_path / "chaos")
+    runs = resume_sweep(scenarios, execution=ExecutionConfig(
+        backend="local", jobs=2, store=store, retry_backoff=0.01))
+    assert ([run.outcome.to_json() for run in runs]
+            == [run.outcome.to_json() for run in reference])
+    events = [json.loads(line) for line in fault_log.read_text().splitlines()]
+    exits = [event for event in events if event["action"] == "exit"]
+    assert exits and all(event["role"] == "worker" for event in exits)
+    stats = store.verify()
+    assert (stats.checked, stats.ok, stats.quarantined) \
+        == (len(scenarios), len(scenarios), 0)
 
 
 # ------------------------------------------------------- service degradation
@@ -318,6 +219,24 @@ def test_service_saturation_answers_429_with_retry_after(tmp_path, scenario):
         service.stop()
 
 
+def test_service_drain_retries_transient_oserror(monkeypatch, tmp_path,
+                                                 scenario):
+    """A transient ``OSError`` fails the batched sweep and the first
+    per-scenario attempt; the drain's backoff retry then stores the result
+    and records no failure."""
+    _activate(monkeypatch, FaultPlan(rules=(
+        FaultRule(site="store.put", action="raise", hits=(0, 1)),)))
+    service = ResultsService(
+        store=ResultsStore(root=tmp_path / "cache"),
+        execution=ExecutionConfig(backend="serial", retry_backoff=0.01),
+        poll_interval=30.0)
+    assert service.lookup(scenario)[0] == "pending"
+    assert service.drain_once() == 1
+    status, _, body = service.lookup(scenario)
+    assert status == "hit"
+    assert body == run_scenario(scenario).to_json()
+
+
 def test_service_lookup_saturates_beyond_max_pending(tmp_path, scenario):
     service = ResultsService(store=ResultsStore(root=tmp_path / "cache"),
                              execution="serial", max_pending=1,
@@ -336,7 +255,7 @@ def test_client_surfaces_connection_error_after_retries():
 
 
 # --------------------------------------------------------------- CLI surface
-def test_cache_verify_claims_quarantine_cli(tmp_path, scenario, capsys):
+def test_cache_verify_quarantine_cli(tmp_path, scenario, capsys):
     root = tmp_path / "cache"
     store = ResultsStore(root=root)
     run_cached(scenario, store=store)
@@ -351,7 +270,3 @@ def test_cache_verify_claims_quarantine_cli(tmp_path, scenario, capsys):
     assert cli_main(["cache", "quarantine", "--cache-dir", str(root),
                      "--clear"]) == 0
     assert "removed 1" in capsys.readouterr().out
-    store.try_claim(store.key_for(scenario), owner="cli-test")
-    assert cli_main(["cache", "claims", "--cache-dir", str(root)]) == 0
-    out = capsys.readouterr().out
-    assert "cli-test" in out and "live" in out

@@ -1,45 +1,41 @@
 #!/usr/bin/env python3
-"""CI chaos test: the sweep fabric under a deterministic fault storm.
+"""CI chaos test: the local process pool under a deterministic fault storm.
 
-Drives a multi-worker sweep through worker kills, injected ``OSError``s and
-torn entry writes (a seeded :class:`repro.exec.faults.FaultPlan`), then
-asserts the *bit-identity contract*: the design-space records and table of
-the storm-ridden store are byte-identical to a clean serial run's.
+Drives a ``local``-backend :func:`repro.results.resume_sweep` through
+pool-worker kills, an injected ``OSError`` and a torn entry write (one
+seeded :class:`repro.exec.faults.FaultPlan`), then asserts the
+*bit-identity contract*: the design-space records and table of the stormed
+store are byte-identical to a clean serial run's.
 
 The storm, step by step (every fault scheduled by the plan, so the run
 replays identically):
 
 1. **clean run** -- the design-space grid on the ``serial`` backend into
    store A; its records/table are the reference bytes;
-2. **victim worker** -- a real ``python -m repro.exec.worker`` process
-   whose plan kills it (``os._exit(137)``) right after it wins its second
-   claim: it publishes one result, then dies *holding a claim* -- the
-   SIGKILL/power-loss shape;
-3. **survivor worker** -- a second worker whose plan injects a transient
-   ``OSError`` on its first entry write (exercising the retry/backoff path)
-   and tears the bytes of a later one (exercising checksum quarantine).
-   With ``REPRO_CLAIM_TTL=2`` it breaks the victim's expired lease,
-   recomputes the orphaned job and drains the rest of the queue;
-4. **resume** -- an in-process :func:`repro.results.resume_sweep` fills
-   whatever the storm left missing (the torn entry is quarantined on read
-   and recomputed);
-5. **verdict** -- records/table must equal the clean run's bytes, ``repro
-   cache verify`` semantics must report every entry ok, no queue files or
-   claims may remain, and the fault log must show the storm actually fired
-   (exit + raise + torn events).
+2. **stormed sweep** -- the same grid on the ``local`` pool into store B.
+   Every pool worker dies (``os._exit(137)``, the SIGKILL shape) at the
+   start of its second job: the pool breaks, is rebuilt up to
+   ``max_retries`` times and finally degrades to running in the parent.
+   Meanwhile the parent's second entry write is torn and its fourth raises
+   a transient ``OSError``, which interrupts the sweep;
+3. **resume** -- a second ``resume_sweep`` over store B: the torn entry is
+   quarantined on read and recomputed, the cells the interruption left
+   missing are computed (the pool workers still die on schedule);
+4. **verdict** -- records/table must equal the clean run's bytes, ``repro
+   cache verify`` semantics must report every entry ok, and the fault log
+   must show the storm actually fired (``exit`` from role ``worker``,
+   ``raise`` and ``torn``).
 
 Exits nonzero on the first violated expectation.  Usage::
 
-    python tools/chaos_smoke.py [--instructions N] [--fault-log PATH]
+    python tools/chaos_smoke.py [--instructions N] [--jobs N] [--fault-log PATH]
 """
 
 import argparse
 import json
 import os
-import subprocess
 import sys
 import tempfile
-import time
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -50,57 +46,23 @@ from repro.core.experiments import design_space_scenarios
 from repro.exec import ExecutionConfig
 from repro.exec.faults import (FAULT_LOG_ENV_VAR, FAULT_PLAN_ENV_VAR,
                                FaultPlan, FaultRule)
-from repro.exec.worker import pending_jobs, enqueue_job
-from repro.results import resume_sweep
-from repro.results.store import CLAIM_TTL_ENV_VAR, ResultsStore
+from repro.results import ResultsStore, resume_sweep
 
-#: Lease TTL (seconds) for the storm: short enough that the survivor breaks
-#: the dead victim's claim within the smoke budget.
-CLAIM_TTL = 2.0
-
-#: The plan that kills the victim right after its second claim win.
-VICTIM_PLAN = FaultPlan(seed=1202, rules=(
-    FaultRule(site="worker.claimed", action="exit", hits=(1,), role="worker",
-              message="injected worker death mid-claim"),
-))
-
-#: The plan that makes the survivor's store writes misbehave (but lets it
-#: live): a transient OSError on its first put, torn bytes on its third.
-SURVIVOR_PLAN = FaultPlan(seed=1202, rules=(
-    FaultRule(site="store.put", action="raise", hits=(0,), role="worker",
-              message="injected transient store failure"),
-    FaultRule(site="store.put", action="torn", hits=(2,), role="worker",
+#: Pool workers die on their second job; the parent's store writes tear
+#: once and fail once.
+STORM = FaultPlan(seed=1202, rules=(
+    FaultRule(site="pool.run", action="exit", hits=(1,), role="worker",
+              message="injected pool-worker death mid-job"),
+    FaultRule(site="store.put", action="torn", hits=(1,), role="main",
               message="injected torn entry write"),
+    FaultRule(site="store.put", action="raise", hits=(3,), role="main",
+              message="injected transient store failure"),
 ))
 
 
 def fail(message: str) -> None:
     print(f"FAIL: {message}", file=sys.stderr)
     raise SystemExit(1)
-
-
-def worker_env(plan_path: Path, fault_log: Path) -> dict:
-    """Environment for one faulty worker process (plan + TTL + log)."""
-    env = dict(os.environ)
-    env[FAULT_PLAN_ENV_VAR] = str(plan_path)
-    env[FAULT_LOG_ENV_VAR] = str(fault_log)
-    env[CLAIM_TTL_ENV_VAR] = str(CLAIM_TTL)
-    source = str(REPO / "src")
-    existing = env.get("PYTHONPATH", "")
-    if source not in existing.split(os.pathsep):
-        env["PYTHONPATH"] = source + (os.pathsep + existing
-                                      if existing else "")
-    return env
-
-
-def spawn_worker(store: Path, env: dict) -> subprocess.Popen:
-    """Start one real worker process against ``store``."""
-    return subprocess.Popen(
-        [sys.executable, "-m", "repro.exec.worker", "--store", str(store),
-         "--exit-when-idle", "--poll-interval", "0.05",
-         "--retry-backoff", "0.01"],
-        cwd=REPO, env=env,
-        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
 
 
 def reference_bytes(runs) -> bytes:
@@ -115,9 +77,8 @@ def reference_bytes(runs) -> bytes:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--instructions", type=int, default=240)
-    parser.add_argument("--timeout", type=float, default=180.0,
-                        help="overall deadline for the storm phase "
-                             "(default: 180)")
+    parser.add_argument("--jobs", type=int, default=2,
+                        help="local-pool workers (default: 2)")
     parser.add_argument("--fault-log", metavar="PATH",
                         help="write the fired-fault log here (default: "
                              "inside the temp dir; CI uploads it)")
@@ -132,86 +93,61 @@ def main() -> int:
         workdir = Path(temp)
         fault_log = (Path(args.fault_log).resolve() if args.fault_log
                      else workdir / "faults.jsonl")
+        fault_log.unlink(missing_ok=True)
 
-        # ---- phase 1: the clean serial reference ------------------------
-        print("[1/5] clean serial run ...", flush=True)
-        store_a = ResultsStore(root=workdir / "store-clean")
+        print("[1/4] clean serial run ...", flush=True)
         clean_runs = resume_sweep(grid, execution=ExecutionConfig(
-            backend="serial", store=store_a))
+            backend="serial", store=ResultsStore(root=workdir / "clean")))
         reference = reference_bytes(clean_runs)
 
-        # ---- phase 2: the victim worker dies holding a claim ------------
-        print("[2/5] victim worker (killed mid-claim) ...", flush=True)
-        store_b = ResultsStore(root=workdir / "store-chaos",
-                               claim_ttl=CLAIM_TTL)
-        for scenario in grid:
-            enqueue_job(store_b, scenario)
-        victim_plan = workdir / "victim-plan.json"
-        victim_plan.write_text(VICTIM_PLAN.to_json())
-        victim = spawn_worker(store_b.root, worker_env(victim_plan,
-                                                       fault_log))
-        victim.wait(timeout=args.timeout)
-        if victim.returncode != 137:
-            fail(f"victim exited {victim.returncode}, expected the injected "
-                 f"death (137)")
-        held = store_b.list_claims()
-        if len(held) != 1:
-            fail(f"victim should die holding exactly one claim, found "
-                 f"{len(held)}")
-        print(f"      victim died holding claim {held[0].key[:12]} "
-              f"(published {len(store_b.entries())} result(s) first)",
-              flush=True)
+        # forked pool workers inherit the plan and the log through the
+        # environment; the pool initializer declares them role "worker"
+        os.environ[FAULT_PLAN_ENV_VAR] = STORM.to_json()
+        os.environ[FAULT_LOG_ENV_VAR] = str(fault_log)
+        store = ResultsStore(root=workdir / "chaos")
+        execution = ExecutionConfig(backend="local", jobs=args.jobs,
+                                    store=store)
+        print("[2/4] stormed local-pool sweep ...", flush=True)
+        try:
+            resume_sweep(grid, execution=execution)
+        except OSError as exc:
+            print(f"      interrupted: {exc} "
+                  f"({len(store.entries())} entries stored)", flush=True)
+        else:
+            fail("the injected store failure never interrupted the sweep")
 
-        # ---- phase 3: the survivor breaks the lease and drains ----------
-        print("[3/5] survivor worker (retries, torn write, lease break) "
-              "...", flush=True)
-        survivor_plan = workdir / "survivor-plan.json"
-        survivor_plan.write_text(SURVIVOR_PLAN.to_json())
-        survivor = spawn_worker(store_b.root, worker_env(survivor_plan,
-                                                         fault_log))
-        survivor.wait(timeout=args.timeout)
-        if survivor.returncode != 0:
-            fail(f"survivor exited {survivor.returncode}, expected 0")
-        if pending_jobs(store_b):
-            fail(f"queue not drained: {len(pending_jobs(store_b))} job(s) "
-                 f"left")
-        if store_b.list_claims():
-            fail("claims left behind after the survivor drained the queue")
-
-        # ---- phase 4: resume fills what the storm corrupted -------------
-        print("[4/5] resume_sweep over the stormed store ...", flush=True)
-        chaos_runs = resume_sweep(grid, execution=ExecutionConfig(
-            backend="serial", store=store_b))
+        print("[3/4] resume_sweep over the stormed store ...", flush=True)
+        chaos_runs = resume_sweep(grid, execution=execution)
+        del os.environ[FAULT_PLAN_ENV_VAR], os.environ[FAULT_LOG_ENV_VAR]
         recomputed = sum(1 for run in chaos_runs if not run.cached)
-        print(f"      {recomputed} scenario(s) recomputed (torn/corrupt "
-              f"entries)", flush=True)
+        print(f"      {recomputed} scenario(s) computed on resume, "
+              f"{store.quarantine_count()} torn entr"
+              f"{'y' if store.quarantine_count() == 1 else 'ies'} "
+              f"quarantined", flush=True)
 
-        # ---- phase 5: the verdict ---------------------------------------
-        print("[5/5] verifying bit-identity and store integrity ...",
+        print("[4/4] verifying bit-identity and store integrity ...",
               flush=True)
-        chaos = reference_bytes(chaos_runs)
-        if chaos != reference:
+        if reference_bytes(chaos_runs) != reference:
             fail("design-space records/table differ from the clean run")
-        stats = store_b.verify()
-        if stats.quarantined or stats.ok != stats.checked:
-            fail(f"store verify found corruption after the resume: "
-                 f"{stats.checked} checked, {stats.ok} ok, "
-                 f"{stats.quarantined} quarantined")
-        if stats.checked < len(grid):
-            fail(f"store holds {stats.checked} entries, expected at least "
-                 f"{len(grid)}")
+        stats = store.verify()
+        if (stats.checked, stats.ok, stats.quarantined) != (
+                len(grid), len(grid), 0):
+            fail(f"store verify: {stats.checked} checked, {stats.ok} ok, "
+                 f"{stats.quarantined} quarantined; expected {len(grid)} "
+                 f"ok")
         events = [json.loads(line)
                   for line in fault_log.read_text().splitlines() if line]
-        actions = {event["action"] for event in events}
-        for expected in ("exit", "raise", "torn"):
-            if expected not in actions:
-                fail(f"fault log records no {expected!r} event -- the storm "
-                     f"never fired ({sorted(actions)})")
-        print(f"      {len(events)} faults fired "
-              f"({', '.join(sorted(actions))}); results byte-identical; "
-              f"store verifies clean", flush=True)
-        if args.fault_log is None:
-            time.sleep(0)  # the temp-dir log dies with the TemporaryDirectory
+        fired = {(event["action"], event["role"]) for event in events}
+        for expected in (("exit", "worker"), ("raise", "main"),
+                         ("torn", "main")):
+            if expected not in fired:
+                fail(f"fault log records no {expected[0]!r} from role "
+                     f"{expected[1]!r} -- the storm never fired "
+                     f"({sorted(fired)})")
+        exits = sum(1 for event in events if event["action"] == "exit")
+        print(f"      {len(events)} faults fired ({exits} pool-worker "
+              f"exits); results byte-identical; store verifies clean",
+              flush=True)
 
     print("chaos smoke: OK", flush=True)
     return 0
