@@ -316,8 +316,7 @@ class ResultsStore:
             # is torn, bit-rotted or foreign.  Quarantine it (so the next
             # probe misses cleanly and recomputes) instead of serving from
             # -- or repeatedly tripping over -- a corrupt file.
-            self.quarantine_file(path, kind="entries",
-                                 reason=f"{type(exc).__name__}: {exc}")
+            self.quarantine_file(path, f"{type(exc).__name__}: {exc}")
             self.misses += 1
             return None
         self.hits += 1
@@ -365,15 +364,14 @@ class ResultsStore:
         """Directory receiving corrupt (torn or bit-rotted) entries."""
         return self.root / "quarantine"
 
-    def quarantine_file(self, path: Path, kind: str, reason: str) -> Path:
-        """Move ``path`` into quarantine with a ``.reason`` sidecar.
+    def quarantine_file(self, path: Path, reason: str) -> Path:
+        """Move entry ``path`` into ``quarantine/entries`` with a ``.reason``
+        sidecar.
 
-        ``kind`` names the quarantine subdirectory (``entries`` for store
-        entries).  Returns the quarantined path; when the file vanished
-        first (a racing quarantiner won), returns the intended destination
-        anyway.
+        Returns the quarantined path; when the file vanished first (a racing
+        quarantiner won), returns the intended destination anyway.
         """
-        target_dir = self.quarantine_dir / kind
+        target_dir = self.quarantine_dir / "entries"
         target_dir.mkdir(parents=True, exist_ok=True)
         target = target_dir / path.name
         try:
@@ -438,8 +436,7 @@ class ResultsStore:
             except FileNotFoundError:
                 continue  # removed by another process mid-scan
             except (OSError, ValueError) as exc:
-                self.quarantine_file(path, kind="entries",
-                                     reason=f"{type(exc).__name__}: {exc}")
+                self.quarantine_file(path, f"{type(exc).__name__}: {exc}")
                 stats.quarantined += 1
             else:
                 stats.ok += 1

@@ -70,7 +70,7 @@ def test_health_counts_quarantine_without_reading_reasons(tmp_path,
     for index in range(3):
         victim = tmp_path / f"torn{index}.json"
         victim.write_text("torn")
-        service.store.quarantine_file(victim, kind="entries", reason="torn")
+        service.store.quarantine_file(victim, reason="torn")
 
     def no_read(path, *args, **kwargs):
         raise AssertionError(f"/health read {path}")

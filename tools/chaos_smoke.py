@@ -28,7 +28,7 @@ replays identically):
 
 Exits nonzero on the first violated expectation.  Usage::
 
-    python tools/chaos_smoke.py [--instructions N] [--jobs N] [--fault-log PATH]
+    python tools/chaos_smoke.py [--instructions N] [--fault-log PATH]
 """
 
 import argparse
@@ -47,6 +47,9 @@ from repro.exec import ExecutionConfig
 from repro.exec.faults import (FAULT_LOG_ENV_VAR, FAULT_PLAN_ENV_VAR,
                                FaultPlan, FaultRule)
 from repro.results import ResultsStore, resume_sweep
+
+#: Processes in the stormed local pool.
+POOL_WORKERS = 2
 
 #: Pool workers die on their second job; the parent's store writes tear
 #: once and fail once.
@@ -77,8 +80,6 @@ def reference_bytes(runs) -> bytes:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--instructions", type=int, default=240)
-    parser.add_argument("--jobs", type=int, default=2,
-                        help="local-pool workers (default: 2)")
     parser.add_argument("--fault-log", metavar="PATH",
                         help="write the fired-fault log here (default: "
                              "inside the temp dir; CI uploads it)")
@@ -105,7 +106,7 @@ def main() -> int:
         os.environ[FAULT_PLAN_ENV_VAR] = STORM.to_json()
         os.environ[FAULT_LOG_ENV_VAR] = str(fault_log)
         store = ResultsStore(root=workdir / "chaos")
-        execution = ExecutionConfig(backend="local", jobs=args.jobs,
+        execution = ExecutionConfig(backend="local", jobs=POOL_WORKERS,
                                     store=store)
         print("[2/4] stormed local-pool sweep ...", flush=True)
         try:
