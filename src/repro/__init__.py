@@ -23,87 +23,30 @@ Quickstart::
     print(run_scenario("frontback2", num_instructions=2000).summary())
 """
 
-from .core import (ClockPlan, ComparisonRow, DEFAULT_CONFIG, DvfsController,
-                   DvfsResult, EpochTelemetry, Processor, ProcessorConfig,
-                   Scenario, ScenarioResult, SimulationResult, SlowdownPolicy,
-                   Topology, available_controllers, available_policies,
-                   available_scenarios, available_topologies,
-                   baseline_comparison, build_base_processor,
-                   build_gals_processor, build_processor, compare,
-                   design_space_scenarios, get_policy, get_scenario,
-                   get_topology, make_controller, phase_sensitivity,
-                   register_controller, register_scenario, register_topology,
-                   run_design_space, run_pair, run_scenario, run_single,
-                   selective_slowdown, slowdown_plan, slowdown_sweep,
-                   sweep_scenarios, uniform_plan)
-from .exec import (ExecutionConfig, JobBackend, available_job_backends,
-                   make_job_backend, register_job_backend)
-from .results import (ResultsStore, code_fingerprint, resume_sweep,
-                      run_cached)
-from .workloads import (DEFAULT_BENCHMARKS, PROFILES, available_workloads,
-                        build_workload, get_kernel, get_profile, kernel_trace,
-                        make_trace, make_workload)
+from ._compat import lazy_exports
 
 __version__ = "2.8.0"
 
-__all__ = [
-    "ClockPlan",
-    "ComparisonRow",
-    "DEFAULT_BENCHMARKS",
-    "DEFAULT_CONFIG",
-    "DvfsController",
-    "DvfsResult",
-    "EpochTelemetry",
-    "ExecutionConfig",
-    "JobBackend",
-    "PROFILES",
-    "Processor",
-    "ProcessorConfig",
-    "ResultsStore",
-    "Scenario",
-    "ScenarioResult",
-    "SimulationResult",
-    "SlowdownPolicy",
-    "Topology",
-    "__version__",
-    "available_controllers",
-    "available_job_backends",
-    "available_policies",
-    "available_scenarios",
-    "available_topologies",
-    "available_workloads",
-    "baseline_comparison",
-    "build_base_processor",
-    "build_gals_processor",
-    "build_processor",
-    "build_workload",
-    "code_fingerprint",
-    "compare",
-    "design_space_scenarios",
-    "get_kernel",
-    "get_policy",
-    "get_profile",
-    "get_scenario",
-    "get_topology",
-    "kernel_trace",
-    "make_controller",
-    "make_job_backend",
-    "make_trace",
-    "make_workload",
-    "phase_sensitivity",
-    "register_controller",
-    "register_job_backend",
-    "register_scenario",
-    "register_topology",
-    "resume_sweep",
-    "run_cached",
-    "run_design_space",
-    "run_pair",
-    "run_scenario",
-    "run_single",
-    "selective_slowdown",
-    "slowdown_plan",
-    "slowdown_sweep",
-    "sweep_scenarios",
-    "uniform_plan",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    ".core": (
+        "ClockPlan", "ComparisonRow", "DEFAULT_CONFIG", "DvfsController",
+        "DvfsResult", "EpochTelemetry", "Processor", "ProcessorConfig",
+        "Scenario", "ScenarioResult", "SimulationResult", "SlowdownPolicy",
+        "Topology", "available_controllers", "available_policies",
+        "available_scenarios", "available_topologies", "baseline_comparison",
+        "build_base_processor", "build_gals_processor", "build_processor",
+        "compare", "design_space_scenarios", "get_policy", "get_scenario",
+        "get_topology", "make_controller", "phase_sensitivity",
+        "register_controller", "register_scenario", "register_topology",
+        "run_design_space", "run_pair", "run_scenario", "run_single",
+        "selective_slowdown", "slowdown_plan", "slowdown_sweep",
+        "sweep_scenarios", "uniform_plan"),
+    ".exec": ("ExecutionConfig", "JobBackend", "available_job_backends",
+              "make_job_backend", "register_job_backend"),
+    ".results": ("ResultsStore", "code_fingerprint", "resume_sweep",
+                 "run_cached"),
+    ".workloads": ("DEFAULT_BENCHMARKS", "PROFILES", "available_workloads",
+                   "build_workload", "get_kernel", "get_profile",
+                   "kernel_trace", "make_trace", "make_workload"),
+})
+__all__.append("__version__")

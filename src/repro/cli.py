@@ -26,6 +26,11 @@ Every run funnels through :func:`repro.core.scenario.run_scenario`, so CLI
 results are bit-identical to library results for the same scenario --
 including results served from the cache (``--cache``), which are stored and
 reloaded bit-exactly.
+
+Start-up: this module imports only the standard library, and each ``_cmd_*``
+handler imports the layers it runs -- ``repro --help`` never loads the
+simulator, and ``repro run`` without ``--cache`` never loads the sweep
+fabric or the results store.
 """
 
 from __future__ import annotations
@@ -35,25 +40,11 @@ import json
 import sys
 import time
 from dataclasses import replace
-from typing import Any, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
 
-from .analysis.report import (design_space_records, design_space_table,
-                              dvfs_table, dvfs_trace_table,
-                              energy_power_table, misspeculation_table,
-                              performance_table, scenario_table,
-                              slip_breakdown_table, slip_table)
-from .core.controllers import CONTROLLERS
-from .core.domains import TOPOLOGIES, get_topology
-from .core.dvfs import POLICIES, get_policy
-from .core.experiments import (DEFAULT_INSTRUCTIONS, baseline_comparison,
-                               design_space_scenarios, slowdown_sweep)
-from .core.scenario import (SCENARIOS, Scenario, get_scenario,
-                            resolve_scenarios)
-from .exec import JOB_BACKENDS, ExecutionConfig
-from .results import (ResultsStore, code_fingerprint, hit_rate, resume_sweep,
-                      run_cached)
-from .workloads.profiles import DEFAULT_BENCHMARKS, DVFS_CASE_STUDY_BENCHMARKS
-from .workloads.registry import PHASED_PREFIX, WORKLOADS
+if TYPE_CHECKING:  # each handler imports the layers it runs (see below)
+    from .core.scenario import Scenario
+    from .results.store import ResultsStore
 
 
 # ------------------------------------------------------------------- helpers
@@ -78,6 +69,8 @@ def _parse_assignments(pairs: Sequence[str], flag: str) -> Dict[str, Any]:
 
 def _scenario_with_overrides(args: argparse.Namespace) -> Scenario:
     """Resolve the named scenario and apply CLI overrides."""
+    from .core.scenario import get_scenario
+
     scenario = get_scenario(args.scenario)
     changes: Dict[str, Any] = {}
     if args.topology is not None:
@@ -148,6 +141,8 @@ def _store_from_args(args: argparse.Namespace,
         enabled = default or args.cache_dir is not None
     if not enabled:
         return None
+    from .results.store import ResultsStore
+
     return ResultsStore(root=args.cache_dir)
 
 
@@ -187,6 +182,13 @@ def _add_override_arguments(parser: argparse.ArgumentParser) -> None:
 
 # ------------------------------------------------------------------ commands
 def _cmd_list(args: argparse.Namespace) -> int:
+    from .core.controllers import CONTROLLERS
+    from .core.domains import TOPOLOGIES
+    from .core.dvfs import POLICIES
+    from .core.scenario import SCENARIOS
+    from .exec.backends import JOB_BACKENDS
+    from .workloads.registry import WORKLOADS
+
     what = args.what
     sections = []
     if what in ("topologies", "all"):
@@ -227,11 +229,16 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
 
 def _cmd_topology(args: argparse.Namespace) -> int:
+    from .core.domains import get_topology
+
     print(get_topology(args.name).describe())
     return 0
 
 
 def _cmd_show(args: argparse.Namespace) -> int:
+    from .core.scenario import get_scenario
+    from .workloads.registry import PHASED_PREFIX
+
     scenario = get_scenario(args.scenario)
     print(scenario.to_json())
     if scenario.workload.startswith(PHASED_PREFIX):
@@ -255,21 +262,31 @@ def _cmd_run(args: argparse.Namespace) -> int:
               f"policy={scenario.policy or '-'}{controller}, "
               f"{scenario.num_instructions} instructions")
     store = _store_from_args(args, default=False)
-    run = run_cached(scenario, store=store)
-    outcome = run.outcome
+    if store is None:
+        from .core.scenario import run_scenario
+
+        outcome = run_scenario(scenario)
+    else:
+        from .results.runner import run_cached
+
+        run = run_cached(scenario, store=store)
+        outcome = run.outcome
+        if not args.quiet:
+            if run.cached:
+                print(f"  served from cache (key {run.key[:12]}, saved "
+                      f"{run.seconds:.2f}s)")
+            else:
+                print(f"  computed in {run.seconds:.2f}s and cached "
+                      f"(key {run.key[:12]})")
     if not args.quiet:
-        if run.cached:
-            print(f"  served from cache (key {run.key[:12]}, saved "
-                  f"{run.seconds:.2f}s)")
-        elif store is not None:
-            print(f"  computed in {run.seconds:.2f}s and cached "
-                  f"(key {run.key[:12]})")
         print()
         print(outcome.result.summary())
         print(f"  domain cycles: {outcome.result.domain_cycles}")
         print(f"  domain voltages: "
               f"{ {k: round(v, 3) for k, v in outcome.result.domain_voltages.items()} }")
         if outcome.result.dvfs_trace:
+            from .analysis.report import dvfs_trace_table
+
             print()
             print("per-epoch DVFS trace (domain frequencies in GHz; "
                   "* = retimed):")
@@ -342,6 +359,10 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from .analysis.report import scenario_table
+    from .core.scenario import SCENARIOS, resolve_scenarios
+    from .results.runner import hit_rate, resume_sweep
+
     names = list(args.scenarios)
     if args.all:
         names = [name for name in SCENARIOS if name not in names] + names
@@ -389,6 +410,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 # ------------------------------------------------------------- results store
 def _cmd_cache(args: argparse.Namespace) -> int:
+    from .results.store import ResultsStore
+
     store = ResultsStore(root=args.cache_dir)
     if args.action == "ls":
         entries = store.entries()
@@ -451,6 +474,13 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 def _cmd_report(args: argparse.Namespace) -> int:
     if args.family == "compare":
         return _cmd_report_compare(args)
+    from .analysis.report import (dvfs_table, energy_power_table,
+                                  misspeculation_table, performance_table,
+                                  slip_breakdown_table, slip_table)
+    from .core.dvfs import POLICIES, get_policy
+    from .core.experiments import baseline_comparison, slowdown_sweep
+    from .workloads.profiles import DEFAULT_BENCHMARKS
+
     instructions = args.instructions
     if args.family == "baseline":
         benchmarks = args.benchmarks or list(DEFAULT_BENCHMARKS)
@@ -486,6 +516,11 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 def _cmd_report_compare(args: argparse.Namespace) -> int:
     """Cross-topology design-space table from cached ScenarioResults."""
+    from .analysis.report import design_space_records, design_space_table
+    from .core.experiments import design_space_scenarios
+    from .results.fingerprint import code_fingerprint
+    from .results.runner import resume_sweep
+
     policies = [None if name == "none" else name
                 for name in (args.policies or ["none"])]
     controllers = [None if name == "none" else name
@@ -518,6 +553,8 @@ def _cmd_report_compare(args: argparse.Namespace) -> int:
 # ------------------------------------------------------------ results service
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Run the HTTP results service in the foreground."""
+    from .exec.config import ExecutionConfig
+    from .results.store import ResultsStore
     from .serve import ResultsService
 
     execution = ExecutionConfig(backend=args.job_backend or "local",
@@ -568,6 +605,9 @@ def _cmd_query(args: argparse.Namespace) -> int:
 # --------------------------------------------------------------------- parser
 def build_parser() -> argparse.ArgumentParser:
     """Construct the ``repro`` argument parser (single source of truth for the generated CLI reference in the docs)."""
+    from .workloads.profiles import (DEFAULT_INSTRUCTIONS,
+                                     DVFS_CASE_STUDY_BENCHMARKS)
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="GALS processor reproduction (Iyer & Marculescu, "
@@ -766,8 +806,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
     except (ValueError, TypeError, OSError) as exc:
-        # TypeError covers non-numeric override values (--slowdown fetch=abc)
-        # and misspelled --config fields reaching dataclasses.replace
+        # TypeError covers mistyped override values and misspelled --config
+        # fields reaching dataclasses.replace
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -6,114 +6,39 @@ multiple-clock / multiple-voltage policies, and the experiment drivers that
 regenerate the evaluation figures.
 """
 
-from .config import DEFAULT_CONFIG, ProcessorConfig
-from .controllers import (CONTROLLERS, DvfsController, EpochTelemetry,
-                          IntervalController, OccupancyController,
-                          PidController, StaticController,
-                          available_controllers, get_controller_type,
-                          make_controller, register_controller)
-from .domains import (BLOCK_LINKS, BLOCKS, DOMAIN_DECODE, DOMAIN_FETCH,
-                      DOMAIN_FP, DOMAIN_INTEGER, DOMAIN_MEMORY, GALS_DOMAINS,
-                      SYNC_DOMAIN, TOPOLOGIES, ClockPlan, Topology,
-                      available_topologies, get_topology,
-                      pipeline_stage_table, register_topology, slowdown_plan,
-                      uniform_plan)
-from .dvfs import (GCC_GALS_1, GCC_GALS_2, GENERIC_SLOWDOWN, IJPEG_SWEEP,
-                   PERL_FP_BY_3, POLICIES, SlowdownPolicy, available_policies,
-                   get_policy, recommend_policy, register_policy)
-from .experiments import (DEFAULT_INSTRUCTIONS, DvfsResult, average_energy_increase,
-                          average_performance_drop, average_power_saving,
-                          average_slip_increase, baseline_comparison,
-                          design_space_scenarios, phase_sensitivity,
-                          run_design_space, run_pair, run_single,
-                          selective_slowdown, slowdown_sweep)
-from .metrics import (ComparisonRow, SimulationResult, SimulationStats,
-                      arithmetic_mean, compare, geometric_mean)
-from .processor import (BASE_PROCESSOR, GALS_PROCESSOR, Processor,
-                        build_base_processor, build_gals_processor,
-                        build_processor)
-from .scenario import (SCENARIOS, Scenario, ScenarioResult,
-                       available_scenarios, execute_run, get_scenario,
-                       register_scenario, resolve_scenarios, run_scenario,
-                       sweep_scenarios)
+from .._compat import lazy_exports
 
-__all__ = [
-    "arithmetic_mean",
-    "available_controllers",
-    "available_policies",
-    "available_scenarios",
-    "available_topologies",
-    "average_energy_increase",
-    "average_performance_drop",
-    "average_power_saving",
-    "average_slip_increase",
-    "BASE_PROCESSOR",
-    "baseline_comparison",
-    "BLOCK_LINKS",
-    "BLOCKS",
-    "build_base_processor",
-    "build_gals_processor",
-    "build_processor",
-    "ClockPlan",
-    "compare",
-    "ComparisonRow",
-    "CONTROLLERS",
-    "DEFAULT_CONFIG",
-    "DEFAULT_INSTRUCTIONS",
-    "design_space_scenarios",
-    "DOMAIN_DECODE",
-    "DOMAIN_FETCH",
-    "DOMAIN_FP",
-    "DOMAIN_INTEGER",
-    "DOMAIN_MEMORY",
-    "DvfsController",
-    "DvfsResult",
-    "EpochTelemetry",
-    "execute_run",
-    "GALS_DOMAINS",
-    "GALS_PROCESSOR",
-    "GCC_GALS_1",
-    "GCC_GALS_2",
-    "GENERIC_SLOWDOWN",
-    "geometric_mean",
-    "get_controller_type",
-    "get_policy",
-    "get_scenario",
-    "get_topology",
-    "IJPEG_SWEEP",
-    "IntervalController",
-    "make_controller",
-    "OccupancyController",
-    "PERL_FP_BY_3",
-    "phase_sensitivity",
-    "PidController",
-    "pipeline_stage_table",
-    "POLICIES",
-    "Processor",
-    "ProcessorConfig",
-    "recommend_policy",
-    "register_controller",
-    "register_policy",
-    "register_scenario",
-    "register_topology",
-    "resolve_scenarios",
-    "run_design_space",
-    "run_pair",
-    "run_scenario",
-    "run_single",
-    "Scenario",
-    "ScenarioResult",
-    "SCENARIOS",
-    "selective_slowdown",
-    "SimulationResult",
-    "SimulationStats",
-    "slowdown_plan",
-    "slowdown_sweep",
-    "SlowdownPolicy",
-    "StaticController",
-    "sweep_scenarios",
-    "SYNC_DOMAIN",
-    "TOPOLOGIES",
-    "Topology",
-    "uniform_plan",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    ".config": ("DEFAULT_CONFIG", "ProcessorConfig"),
+    ".controllers": (
+        "CONTROLLERS", "DvfsController", "EpochTelemetry",
+        "IntervalController", "OccupancyController", "PidController",
+        "StaticController", "available_controllers", "get_controller_type",
+        "make_controller", "register_controller"),
+    ".domains": (
+        "BLOCK_LINKS", "BLOCKS", "DOMAIN_DECODE", "DOMAIN_FETCH", "DOMAIN_FP",
+        "DOMAIN_INTEGER", "DOMAIN_MEMORY", "GALS_DOMAINS", "SYNC_DOMAIN",
+        "TOPOLOGIES", "ClockPlan", "Topology", "available_topologies",
+        "get_topology", "pipeline_stage_table", "register_topology",
+        "slowdown_plan", "uniform_plan"),
+    ".dvfs": (
+        "GCC_GALS_1", "GCC_GALS_2", "GENERIC_SLOWDOWN", "IJPEG_SWEEP",
+        "PERL_FP_BY_3", "POLICIES", "SlowdownPolicy", "available_policies",
+        "get_policy", "recommend_policy", "register_policy"),
+    ".experiments": (
+        "DEFAULT_INSTRUCTIONS", "DvfsResult", "average_energy_increase",
+        "average_performance_drop", "average_power_saving",
+        "average_slip_increase", "baseline_comparison",
+        "design_space_scenarios", "phase_sensitivity", "run_design_space",
+        "run_pair", "run_single", "selective_slowdown", "slowdown_sweep"),
+    ".metrics": (
+        "ComparisonRow", "SimulationResult", "SimulationStats",
+        "arithmetic_mean", "compare", "geometric_mean"),
+    ".processor": (
+        "BASE_PROCESSOR", "GALS_PROCESSOR", "Processor",
+        "build_base_processor", "build_gals_processor", "build_processor"),
+    ".scenario": (
+        "SCENARIOS", "Scenario", "ScenarioResult", "available_scenarios",
+        "execute_run", "get_scenario", "register_scenario",
+        "resolve_scenarios", "run_scenario", "sweep_scenarios"),
+})

@@ -19,8 +19,6 @@ from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field, replace
 from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
                     Tuple, Union)
@@ -28,19 +26,14 @@ from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
 from ..isa.trace import ListTraceSource
 from ..power.accounting import EnergyBreakdown
 from ..power.technology import TechnologyParameters
-from ..workloads.registry import build_workload
+from ..workloads.profiles import DEFAULT_INSTRUCTIONS
+from ..workloads.registry import build_workload, get_workload_entry
 from .config import DEFAULT_CONFIG, ProcessorConfig
 from .controllers import DvfsController, make_controller
 from .domains import ClockPlan, Topology, get_topology
 from .dvfs import get_policy
 from .metrics import SimulationResult
 from .processor import Processor
-
-#: Default trace length for the reproduction harness.  The paper simulates
-#: full SPEC runs; the synthetic workloads reach steady state quickly, so a
-#: few thousand instructions per run keep the harness fast while preserving
-#: the relative behaviour.
-DEFAULT_INSTRUCTIONS = 3000
 
 #: Environment variable selecting the default worker count of the parallel
 #: experiment runner.  Unset -> one worker per CPU; "1" -> serial.
@@ -124,6 +117,9 @@ def _run_jobs(function: Callable, argument_tuples: Sequence[tuple],
     jobs = min(jobs, len(argument_tuples))
     if jobs <= 1:
         return [function(*args) for args in argument_tuples]
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
     payload = [(function, args) for args in argument_tuples]
     try:
         with ProcessPoolExecutor(max_workers=jobs, initializer=initializer,
@@ -247,6 +243,10 @@ class Scenario:
             # domains (a merged domain runs at its slowest member's clock).
             slowdowns.update(get_policy(self.policy).project_onto(topology))
         for domain, slowdown in self.slowdowns.items():
+            if not isinstance(slowdown, (int, float)) or slowdown <= 0:
+                raise ValueError(
+                    f"scenario {self.name!r}: slowdown for domain {domain!r} "
+                    f"must be a positive number, got {slowdown!r}")
             slowdowns[domain] = slowdown
         unknown = (set(slowdowns) | set(self.phases)) - set(topology.domain_names)
         if unknown:
@@ -270,6 +270,18 @@ class Scenario:
         if self.controller is None:
             return None
         return make_controller(self.controller, self.controller_args)
+
+    def validate(self) -> None:
+        """Resolve every name and build everything but the trace.
+
+        Raises KeyError (unknown topology, workload, policy or controller),
+        ValueError (bad slowdown or controller argument) or TypeError
+        (unknown config field) for a scenario that can never run --
+        without synthesising its workload or building a processor.
+        """
+        get_workload_entry(self.workload)
+        self.build_plan()
+        self.build_controller()
 
     def build_trace(self):
         """(trace, workload-or-None) for this scenario's workload."""

@@ -14,36 +14,17 @@ process pool, the default).  The ``repro serve`` results service
 torn writes and slow filesystems with bit-identical results.
 """
 
-from .backends import (INFRASTRUCTURE_ERRORS, JOB_BACKENDS, JobBackend,
-                       JobBackendInfo, JobHandle, LocalPoolBackend,
-                       SerialBackend, available_job_backends,
-                       is_infrastructure_error, make_job_backend,
-                       register_job_backend, retry_delay, timed_run_scenario)
-from .config import UNSET, ExecutionConfig, resolve_execution
-from .faults import (FAULT_LOG_ENV_VAR, FAULT_PLAN_ENV_VAR,
-                     FAULT_ROLE_ENV_VAR, FaultPlan, FaultRule, inject)
+from .._compat import lazy_exports
 
-__all__ = [
-    "ExecutionConfig",
-    "FAULT_LOG_ENV_VAR",
-    "FAULT_PLAN_ENV_VAR",
-    "FAULT_ROLE_ENV_VAR",
-    "FaultPlan",
-    "FaultRule",
-    "INFRASTRUCTURE_ERRORS",
-    "JOB_BACKENDS",
-    "JobBackend",
-    "JobBackendInfo",
-    "JobHandle",
-    "LocalPoolBackend",
-    "SerialBackend",
-    "UNSET",
-    "available_job_backends",
-    "inject",
-    "is_infrastructure_error",
-    "make_job_backend",
-    "register_job_backend",
-    "resolve_execution",
-    "retry_delay",
-    "timed_run_scenario",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    ".backends": (
+        "INFRASTRUCTURE_ERRORS", "JOB_BACKENDS", "JobBackend",
+        "JobBackendInfo", "JobHandle", "LocalPoolBackend", "SerialBackend",
+        "available_job_backends", "is_infrastructure_error",
+        "make_job_backend", "register_job_backend", "retry_delay",
+        "timed_run_scenario"),
+    ".config": ("UNSET", "ExecutionConfig", "resolve_execution"),
+    ".faults": (
+        "FAULT_LOG_ENV_VAR", "FAULT_PLAN_ENV_VAR", "FAULT_ROLE_ENV_VAR",
+        "FaultPlan", "FaultRule", "inject"),
+})

@@ -14,10 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Tuple
 
+from .._compat import SLOTS
 from .instructions import InstructionClass
 
 
-@dataclass(slots=True)
+@dataclass(**SLOTS)
 class TraceInstruction:
     """One correct-path dynamic instruction."""
 

@@ -16,42 +16,21 @@ the :class:`~repro.exec.JobBackend` protocol, and the job-backend registry
 :func:`~repro.exec.make_job_backend`).
 """
 
-from ..exec import (JOB_BACKENDS, ExecutionConfig, JobBackend, JobBackendInfo,
-                    JobHandle, available_job_backends, make_job_backend,
-                    register_job_backend, resolve_execution)
-from .fingerprint import (SIMULATION_PACKAGES, code_fingerprint,
-                          fingerprint_details, source_tree_digest)
-from .runner import (SweepRun, hit_rate, resume_sweep, run_cached,
-                     timed_run_scenario)
-from .store import (CACHE_DIR_ENV_VAR, CacheEntry, GcStats, ResultsStore,
-                    cache_key, canonical_scenario_dict, default_cache_dir,
-                    resolve_store)
+from .._compat import lazy_exports
 
-__all__ = [
-    "CACHE_DIR_ENV_VAR",
-    "CacheEntry",
-    "ExecutionConfig",
-    "GcStats",
-    "JOB_BACKENDS",
-    "JobBackend",
-    "JobBackendInfo",
-    "JobHandle",
-    "ResultsStore",
-    "SIMULATION_PACKAGES",
-    "SweepRun",
-    "available_job_backends",
-    "cache_key",
-    "canonical_scenario_dict",
-    "code_fingerprint",
-    "default_cache_dir",
-    "fingerprint_details",
-    "hit_rate",
-    "make_job_backend",
-    "register_job_backend",
-    "resolve_execution",
-    "resolve_store",
-    "resume_sweep",
-    "run_cached",
-    "source_tree_digest",
-    "timed_run_scenario",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "..exec": (
+        "JOB_BACKENDS", "ExecutionConfig", "JobBackend", "JobBackendInfo",
+        "JobHandle", "available_job_backends", "make_job_backend",
+        "register_job_backend", "resolve_execution"),
+    ".fingerprint": (
+        "SIMULATION_PACKAGES", "code_fingerprint", "fingerprint_details",
+        "source_tree_digest"),
+    ".runner": (
+        "SweepRun", "hit_rate", "resume_sweep", "run_cached",
+        "timed_run_scenario"),
+    ".store": (
+        "CACHE_DIR_ENV_VAR", "CacheEntry", "GcStats", "ResultsStore",
+        "cache_key", "canonical_scenario_dict", "default_cache_dir",
+        "resolve_store"),
+})

@@ -512,12 +512,15 @@ class ResultsService:
 
         A hit hashes the key once, verifies the raw entry and splices its
         stored rendering around the requested scenario: the result is
-        never decoded or re-encoded.
+        never decoded or re-encoded.  A miss first runs
+        :meth:`~repro.core.scenario.Scenario.validate`: a scenario that can
+        never run raises (404/400) and is not queued.
         """
         key = self.store.key_for(scenario)
         rendering = self.store.get_rendering(key)
         if rendering is not None:
             return "hit", key, scenario_result_json(rendering, scenario)
+        scenario.validate()
         with self._lock:
             if key in self._failures:
                 return "failed", key, self._failures.pop(key)

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
+from .._compat import SLOTS
 from ..isa.registers import is_fp_reg
 
 #: A value produced "at the beginning of time" (architectural state).
@@ -22,7 +23,7 @@ ALWAYS_READY = float("-inf")
 _NEVER_READY = float("inf")
 
 
-@dataclass(slots=True)
+@dataclass(**SLOTS)
 class PhysicalRegister:
     """Allocation and readiness state of one physical register."""
 

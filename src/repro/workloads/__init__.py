@@ -11,42 +11,17 @@
   declarative Scenario subsystem and the CLI resolve workloads through.
 """
 
-from .kernels import KERNELS, Kernel, get_kernel, kernel_trace
-from .phased import PhasedWorkload, PhasePlacement
-from .profiles import (DEFAULT_BENCHMARKS, DVFS_CASE_STUDY_BENCHMARKS, PROFILES,
-                       WORKLOAD_MIXES, BenchmarkProfile, PhasedMix,
-                       available_mixes, get_mix, get_profile,
-                       profiles_in_suite)
-from .registry import (KERNEL_PREFIX, PHASED_PREFIX, WORKLOADS, WorkloadEntry,
-                       available_workloads, build_workload,
-                       get_workload_entry)
-from .synthetic import SyntheticWorkload, make_trace, make_workload
+from .._compat import lazy_exports
 
-__all__ = [
-    "BenchmarkProfile",
-    "DEFAULT_BENCHMARKS",
-    "DVFS_CASE_STUDY_BENCHMARKS",
-    "KERNELS",
-    "KERNEL_PREFIX",
-    "Kernel",
-    "PHASED_PREFIX",
-    "PROFILES",
-    "PhasePlacement",
-    "PhasedMix",
-    "PhasedWorkload",
-    "SyntheticWorkload",
-    "WORKLOADS",
-    "WORKLOAD_MIXES",
-    "WorkloadEntry",
-    "available_mixes",
-    "available_workloads",
-    "build_workload",
-    "get_kernel",
-    "get_mix",
-    "get_profile",
-    "get_workload_entry",
-    "kernel_trace",
-    "make_trace",
-    "make_workload",
-    "profiles_in_suite",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    ".kernels": ("KERNELS", "Kernel", "get_kernel", "kernel_trace"),
+    ".phased": ("PhasedWorkload", "PhasePlacement"),
+    ".profiles": (
+        "DEFAULT_BENCHMARKS", "DVFS_CASE_STUDY_BENCHMARKS", "PROFILES",
+        "WORKLOAD_MIXES", "BenchmarkProfile", "PhasedMix", "available_mixes",
+        "get_mix", "get_profile", "profiles_in_suite"),
+    ".registry": (
+        "KERNEL_PREFIX", "PHASED_PREFIX", "WORKLOADS", "WorkloadEntry",
+        "available_workloads", "build_workload", "get_workload_entry"),
+    ".synthetic": ("SyntheticWorkload", "make_trace", "make_workload"),
+})

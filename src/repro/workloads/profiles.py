@@ -268,6 +268,12 @@ DEFAULT_BENCHMARKS: Tuple[str, ...] = (
 #: The three benchmarks the paper's DVFS case studies focus on (Section 5.2).
 DVFS_CASE_STUDY_BENCHMARKS: Tuple[str, ...] = ("perl", "ijpeg", "gcc")
 
+#: Default trace length for the reproduction harness.  The paper simulates
+#: full SPEC runs; the synthetic workloads reach steady state quickly, so a
+#: few thousand instructions per run keep the harness fast while preserving
+#: the relative behaviour.
+DEFAULT_INSTRUCTIONS = 3000
+
 
 def get_profile(name: str) -> BenchmarkProfile:
     """Look up a benchmark profile by name."""

@@ -32,6 +32,7 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Iterator, List, Optional, Sequence, Tuple
 
+from .._compat import SLOTS
 from ..isa.instructions import InstructionClass
 from ..isa.program import INSTRUCTION_SIZE, TEXT_BASE
 from ..isa.registers import FP_BASE, NUM_INT_ARCH_REGS, fp_reg, int_reg
@@ -46,7 +47,7 @@ _INT_REG_POOL = [int_reg(i) for i in range(1, 28)]
 _FP_REG_POOL = [fp_reg(i) for i in range(0, 28)]
 
 
-@dataclass(slots=True)
+@dataclass(**SLOTS)
 class _StaticSlot:
     """One static non-control instruction slot inside a basic block."""
 
@@ -59,7 +60,7 @@ class _StaticSlot:
     stride: int = 0
 
 
-@dataclass(slots=True)
+@dataclass(**SLOTS)
 class _StaticBranch:
     """The control-flow terminator of a basic block."""
 
@@ -70,7 +71,7 @@ class _StaticBranch:
     fallthrough_block: int
 
 
-@dataclass(slots=True)
+@dataclass(**SLOTS)
 class _StaticBlock:
     """A synthetic basic block."""
 

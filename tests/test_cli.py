@@ -130,7 +130,7 @@ def test_run_non_numeric_override_value_fails_cleanly(capsys):
     """A bad value must produce a clean error exit, not a raw traceback."""
     code, _, err = run_cli(capsys, "run", "gals5", "--slowdown", "fetch=abc")
     assert code == 2
-    assert "error:" in err
+    assert "slowdown for domain 'fetch' must be a positive number" in err
 
 
 def test_run_unknown_config_field_fails_cleanly(capsys):

@@ -152,6 +152,25 @@ def test_bad_field_and_missing_params_400(service):
     assert request_json(f"{service.url}/scenario").code == 400
 
 
+@pytest.mark.parametrize("overrides, code", [
+    ({"topology": "no-such-topology"}, 404),
+    ({"workload": "no-such-workload"}, 404),
+    ({"policy": "no-such-policy"}, 404),
+    ({"controller": "no-such-controller"}, 404),
+    ({"slowdowns": '{"no-such-domain": 1.5}'}, 400),
+    ({"slowdowns": '{"fetch": "abc"}'}, 400),
+    ({"config": '{"no_such_field": 1}'}, 400),
+], ids=["topology", "workload", "policy", "controller", "slowdown-domain",
+        "slowdown-value", "config-field"])
+def test_malformed_scenario_is_refused_not_queued(service, overrides, code):
+    query = urlencode({"name": "gals5", "num_instructions": SMALL,
+                       **overrides})
+    reply = request_json(f"{service.url}/scenario?{query}")
+    assert reply.code == code
+    assert "error" in reply.payload
+    assert service.health()["pending"] == 0
+
+
 def test_failed_computation_reports_500_once(service, monkeypatch):
     def raising_factory(num_instructions, seed, kernel_size):
         raise ValueError("doomed workload")
