@@ -54,6 +54,5 @@ def figure12_results():
 @pytest.fixture(scope="session")
 def figure13_results():
     """gcc with the FP clock halved (gals-1) and divided by three (gals-2)."""
-    return [selective_slowdown("gcc", policy,
-                               num_instructions=FIGURE_INSTRUCTIONS)
-            for policy in (GCC_GALS_1, GCC_GALS_2)]
+    return slowdown_sweep("gcc", (GCC_GALS_1, GCC_GALS_2),
+                          num_instructions=FIGURE_INSTRUCTIONS)

@@ -17,12 +17,12 @@ profile-driven workloads by default; any
 :class:`~repro.isa.trace.ListTraceSource` (e.g. a kernel trace) can be passed
 instead.
 
-Every driver funnels through the single scenario execution path
-(:func:`repro.core.scenario.execute_run`), so an experiment run and the
-equivalent declarative :class:`~repro.core.scenario.Scenario` produce
-bit-identical results.  The parallel runner (``jobs=`` / ``REPRO_JOBS``)
-lives in :mod:`repro.core.scenario`; its names are re-exported here for
-backwards compatibility.
+Every driver builds :class:`~repro.core.scenario.Scenario` objects: a single
+run goes through :func:`~repro.core.scenario.run_scenario`, and a driver with
+several independent runs hands its whole grid to
+:func:`~repro.core.scenario.sweep_scenarios` (the local job backend;
+``jobs=`` / ``REPRO_JOBS`` bound its workers).  An experiment run is
+therefore bit-identical to the equivalent declarative scenario.
 """
 
 from __future__ import annotations
@@ -32,15 +32,12 @@ from typing import Dict, Iterable, List, Optional, Sequence
 
 from ..power.voltage import ideal_synchronous_energy
 from ..workloads.profiles import DEFAULT_BENCHMARKS
-from ..workloads.registry import build_workload
 from .config import DEFAULT_CONFIG, ProcessorConfig
-from .domains import (ClockPlan, available_topologies, get_topology,
-                      uniform_plan)
+from .domains import available_topologies, get_topology
 from .dvfs import SlowdownPolicy
 from .metrics import (ComparisonRow, SimulationResult, arithmetic_mean, compare)
-from .scenario import (DEFAULT_INSTRUCTIONS, JOBS_ENV_VAR, Scenario,
-                       ScenarioResult, _call_star, _run_jobs,
-                       default_jobs, execute_run, sweep_scenarios)
+from .scenario import (DEFAULT_INSTRUCTIONS, Scenario, ScenarioResult,
+                       config_overrides, run_scenario, sweep_scenarios)
 
 
 @dataclass
@@ -72,11 +69,18 @@ class DvfsResult:
         return 1.0 - self.relative_power
 
 
+def _scenario(benchmark: str, topology: str, num_instructions: int,
+              config: ProcessorConfig, seed: int, **fields) -> Scenario:
+    """One driver run as a scenario (``config`` becomes its overrides)."""
+    return Scenario(name=f"{topology}/{benchmark}", topology=topology,
+                    workload=benchmark, num_instructions=num_instructions,
+                    seed=seed, config=config_overrides(config), **fields)
+
+
 def run_single(benchmark: str,
                processor: str = "base",
                num_instructions: int = DEFAULT_INSTRUCTIONS,
                config: ProcessorConfig = DEFAULT_CONFIG,
-               plan: Optional[ClockPlan] = None,
                seed: int = 1) -> SimulationResult:
     """Run one benchmark on one machine (any registered topology name).
 
@@ -85,28 +89,23 @@ def run_single(benchmark: str,
     registered workload name (including 'kernel:<name>') may be passed as
     the benchmark.
     """
-    trace, workload = build_workload(benchmark, num_instructions, seed=seed)
     try:
-        topology = get_topology(processor)
+        get_topology(processor)
     except KeyError as exc:
         raise ValueError(f"unknown processor kind {processor!r}") from exc
-    return execute_run(trace, topology, config=config, plan=plan,
-                       workload=workload)
+    return run_scenario(_scenario(benchmark, processor, num_instructions,
+                                  config, seed)).result
 
 
 def run_pair(benchmark: str,
              num_instructions: int = DEFAULT_INSTRUCTIONS,
              config: ProcessorConfig = DEFAULT_CONFIG,
-             gals_plan: Optional[ClockPlan] = None,
-             base_plan: Optional[ClockPlan] = None,
              seed: int = 1,
              phase_seed: int = 0) -> ComparisonRow:
     """Run the same workload on base and GALS and normalise (Figures 5-9)."""
-    if gals_plan is None:
-        gals_plan = uniform_plan(phase_seed=phase_seed)
-    base = run_single(benchmark, "base", num_instructions, config, base_plan, seed)
-    gals = run_single(benchmark, "gals", num_instructions, config, gals_plan, seed)
-    return compare(base, gals)
+    (row,) = baseline_comparison([benchmark], num_instructions, config, seed,
+                                 phase_seed, jobs=1)
+    return row
 
 
 def baseline_comparison(benchmarks: Sequence[str] = DEFAULT_BENCHMARKS,
@@ -117,14 +116,17 @@ def baseline_comparison(benchmarks: Sequence[str] = DEFAULT_BENCHMARKS,
                         jobs: Optional[int] = None) -> List[ComparisonRow]:
     """Experiment set 1: base vs GALS at equal clocks for a benchmark list.
 
-    Runs fan out over a process pool (``jobs`` workers; default REPRO_JOBS or
-    the CPU count) and the result list matches the serial path exactly.
+    One grid of base+GALS pairs runs on the local job backend (``jobs``
+    workers; default REPRO_JOBS or the CPU count), and the rows are
+    identical whatever the worker count.
     """
-    return _run_jobs(
-        run_pair,
-        [(benchmark, num_instructions, config, None, None, seed, phase_seed)
-         for benchmark in benchmarks],
-        jobs=jobs)
+    results = [outcome.result for outcome in sweep_scenarios([
+        scenario for benchmark in benchmarks for scenario in (
+            _scenario(benchmark, "base", num_instructions, config, seed),
+            _scenario(benchmark, "gals5", num_instructions, config, seed,
+                      phase_seed=phase_seed))], jobs=jobs)]
+    return [compare(base, gals)
+            for base, gals in zip(results[::2], results[1::2])]
 
 
 def average_performance_drop(rows: Iterable[ComparisonRow]) -> float:
@@ -161,27 +163,10 @@ def selective_slowdown(benchmark: str,
     fully synchronous base, plus the "ideal" energy of the base machine
     globally slowed (and voltage-scaled) to the same performance.
     """
-    base = run_single(benchmark, "base", num_instructions, config, None, seed)
-    plan = policy.plan(scale_voltages=scale_voltages, phase_seed=phase_seed,
-                       technology=config.technology)
-    gals = run_single(benchmark, "gals", num_instructions, config, plan, seed)
-    relative_performance = base.elapsed_ns / gals.elapsed_ns
-    relative_energy = (gals.total_energy_nj / base.total_energy_nj
-                       if base.total_energy_nj else 0.0)
-    relative_power = (gals.average_power_w / base.average_power_w
-                      if base.average_power_w else 0.0)
-    ideal = ideal_synchronous_energy(min(1.0, relative_performance),
-                                     config.technology)
-    return DvfsResult(
-        benchmark=benchmark,
-        policy=policy.name,
-        relative_performance=relative_performance,
-        relative_energy=relative_energy,
-        relative_power=relative_power,
-        ideal_energy=ideal,
-        gals_result=gals,
-        base_result=base,
-    )
+    (result,) = _slowdown_grid(benchmark, [policy], num_instructions, config,
+                               seed, phase_seed=phase_seed,
+                               scale_voltages=scale_voltages, jobs=1)
+    return result
 
 
 def slowdown_sweep(benchmark: str,
@@ -192,14 +177,43 @@ def slowdown_sweep(benchmark: str,
                    jobs: Optional[int] = None) -> List[DvfsResult]:
     """Run a list of slowdown policies on one benchmark (Figure 12 sweep).
 
-    Each policy's base+GALS pair is independent, so the sweep uses the
-    parallel runner (see :func:`baseline_comparison`).
+    One grid -- the base once, then one GALS run per policy -- runs on the
+    local job backend (see :func:`baseline_comparison`); each result equals
+    :func:`selective_slowdown` for its policy.
     """
-    return _run_jobs(
-        selective_slowdown,
-        [(benchmark, policy, num_instructions, config, seed)
-         for policy in policies],
-        jobs=jobs)
+    return _slowdown_grid(benchmark, policies, num_instructions, config,
+                          seed, phase_seed=0, scale_voltages=True, jobs=jobs)
+
+
+def _slowdown_grid(benchmark: str, policies: Sequence[SlowdownPolicy],
+                   num_instructions: int, config: ProcessorConfig, seed: int,
+                   phase_seed: int, scale_voltages: bool,
+                   jobs: Optional[int]) -> List[DvfsResult]:
+    """The base plus one GALS run per policy (by slowdowns, not by name, so
+    unregistered policies work too), each normalised to the base."""
+    base, *gals_runs = (outcome.result for outcome in sweep_scenarios(
+        [_scenario(benchmark, "base", num_instructions, config, seed),
+         *(_scenario(benchmark, "gals5", num_instructions, config, seed,
+                     slowdowns=dict(policy.slowdowns),
+                     scale_voltages=scale_voltages, phase_seed=phase_seed)
+           for policy in policies)], jobs=jobs))
+    results = []
+    for policy, gals in zip(policies, gals_runs):
+        relative_performance = base.elapsed_ns / gals.elapsed_ns
+        results.append(DvfsResult(
+            benchmark=benchmark,
+            policy=policy.name,
+            relative_performance=relative_performance,
+            relative_energy=(gals.total_energy_nj / base.total_energy_nj
+                             if base.total_energy_nj else 0.0),
+            relative_power=(gals.average_power_w / base.average_power_w
+                            if base.average_power_w else 0.0),
+            ideal_energy=ideal_synchronous_energy(
+                min(1.0, relative_performance), config.technology),
+            gals_result=gals,
+            base_result=base,
+        ))
+    return results
 
 
 # ---------------------------------------------------- design-space exploration
@@ -274,16 +288,14 @@ def phase_sensitivity(benchmark: str = "perl",
 
     The paper observes a variation of the order of 0.5 % when all clocks run
     at the same frequency with random relative phases.  Returns the relative
-    performance for each phase seed plus its spread.  The per-phase GALS runs
-    are independent and use the parallel runner.
+    performance for each phase seed plus its spread.  The base run and the
+    per-phase GALS runs form one grid on the local job backend.
     """
-    base = run_single(benchmark, "base", num_instructions, config, None, seed)
-    gals_runs = _run_jobs(
-        run_single,
-        [(benchmark, "gals", num_instructions, config,
-          uniform_plan(phase_seed=phase_seed), seed)
-         for phase_seed in phase_seeds],
-        jobs=jobs)
+    base, *gals_runs = (outcome.result for outcome in sweep_scenarios(
+        [_scenario(benchmark, "base", num_instructions, config, seed),
+         *(_scenario(benchmark, "gals5", num_instructions, config, seed,
+                     phase_seed=phase_seed) for phase_seed in phase_seeds)],
+        jobs=jobs))
     performances = {
         f"phase-{phase_seed}": base.elapsed_ns / gals.elapsed_ns
         for phase_seed, gals in zip(phase_seeds, gals_runs)

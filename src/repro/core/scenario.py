@@ -9,10 +9,9 @@ cross-references are *names* resolved through the topology, policy and
 workload registries, so scenarios round-trip through JSON and pickle cleanly
 across process-pool workers.
 
-:func:`run_scenario` is the single execution path: every experiment driver in
-:mod:`repro.core.experiments` and the ``python -m repro`` CLI funnel through
-:func:`execute_run` underneath it, so a scenario run is bit-identical to the
-equivalent hand-assembled run.
+:func:`run_scenario` is the single execution path and :func:`sweep_scenarios`
+(via :func:`~repro.results.resume_sweep`) the single fan-out: every
+experiment driver in :mod:`repro.core.experiments` and the CLI run scenarios.
 """
 
 from __future__ import annotations
@@ -20,8 +19,8 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import asdict, dataclass, field, replace
-from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
-                    Tuple, Union)
+from typing import (Any, Dict, List, Mapping, Optional, Sequence, Tuple,
+                    Union)
 
 from ..isa.trace import ListTraceSource
 from ..power.accounting import EnergyBreakdown
@@ -35,12 +34,12 @@ from .dvfs import get_policy
 from .metrics import SimulationResult
 from .processor import Processor
 
-#: Environment variable selecting the default worker count of the parallel
-#: experiment runner.  Unset -> one worker per CPU; "1" -> serial.
+#: Environment variable selecting the default worker count of the local
+#: job backend.  Unset -> one worker per CPU; "1" -> serial.
 JOBS_ENV_VAR = "REPRO_JOBS"
 
 
-# ------------------------------------------------------------ parallel runner
+# ------------------------------------------------------------ sweep workers
 def default_jobs() -> int:
     """Worker count for experiment sweeps (REPRO_JOBS, else cpu count)."""
     value = os.environ.get(JOBS_ENV_VAR)
@@ -50,12 +49,6 @@ def default_jobs() -> int:
         except ValueError:
             raise ValueError(f"{JOBS_ENV_VAR} must be an integer, got {value!r}")
     return os.cpu_count() or 1
-
-
-def _call_star(job: Tuple[Callable, tuple]) -> Any:
-    """Top-level trampoline so (function, args) tuples pickle cleanly."""
-    function, args = job
-    return function(*args)
 
 
 #: A workload build spec: (workload name, num_instructions, seed, kernel_size)
@@ -87,7 +80,7 @@ def warm_worker(specs: Sequence[WorkloadSpec] = ()) -> None:
 
     Workload names unknown to this process (registered at runtime in the
     parent, invisible to a spawn-start worker's re-imported registry) are
-    skipped; the sweep's existing KeyError fallback handles those scenarios.
+    skipped; the local job backend reruns those scenarios in the parent.
     """
     for name, num_instructions, seed, kernel_size in specs:
         try:
@@ -95,41 +88,6 @@ def warm_worker(specs: Sequence[WorkloadSpec] = ()) -> None:
                            kernel_size=kernel_size)
         except KeyError:
             pass
-
-
-def _run_jobs(function: Callable, argument_tuples: Sequence[tuple],
-              jobs: Optional[int] = None,
-              initializer: Optional[Callable] = None,
-              initargs: tuple = ()) -> List[Any]:
-    """Run ``function(*args)`` for each argument tuple, in order.
-
-    Every experiment run is fully independent (a fresh Processor, engine and
-    workload per run), so sweeps fan out over a ``ProcessPoolExecutor``.
-    Results are returned in submission order and are identical to the serial
-    path -- each run's determinism depends only on its own seeds.  Falls back
-    to serial execution when only one worker is useful or when worker
-    processes cannot be spawned (restricted environments).
-    ``initializer``/``initargs`` warm-start each pool worker once (see
-    :func:`warm_worker`).
-    """
-    if jobs is None:
-        jobs = default_jobs()
-    jobs = min(jobs, len(argument_tuples))
-    if jobs <= 1:
-        return [function(*args) for args in argument_tuples]
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-
-    payload = [(function, args) for args in argument_tuples]
-    try:
-        with ProcessPoolExecutor(max_workers=jobs, initializer=initializer,
-                                 initargs=initargs) as executor:
-            return list(executor.map(_call_star, payload))
-    except (OSError, PermissionError, BrokenProcessPool):
-        # Pool infrastructure failure (e.g. sandboxes without fork/sem
-        # support) -- run serially instead.  Exceptions raised by the
-        # experiment itself propagate unchanged.
-        return [function(*args) for args in argument_tuples]
 
 
 # ------------------------------------------------------------- single run path
@@ -191,7 +149,8 @@ class Scenario:
     #: explicit per-domain starting phases in ns (domains not listed draw
     #: random phases on multi-domain topologies)
     phases: Dict[str, float] = field(default_factory=dict)
-    #: ProcessorConfig field overrides (scalar fields only)
+    #: ProcessorConfig field overrides: scalar fields by name, fields of the
+    #: nested dataclasses as "memory.<field>" / "technology.<field>"
     config: Dict[str, Any] = field(default_factory=dict)
     #: registered online DVFS controller name ("static", "interval",
     #: "occupancy", "pid", ...), or None for today's static clocking
@@ -224,10 +183,30 @@ class Scenario:
         return get_topology(self.topology)
 
     def build_config(self) -> ProcessorConfig:
-        """ProcessorConfig with this scenario's overrides applied."""
+        """ProcessorConfig with this scenario's overrides applied.
+
+        Raises ValueError for a whole nested object or a dotted scalar key,
+        and TypeError for an unknown field at either level.
+        """
         if not self.config:
             return DEFAULT_CONFIG
-        return DEFAULT_CONFIG.with_changes(**self.config)
+        changes: Dict[str, Any] = {}
+        for key, value in self.config.items():
+            outer, dot, inner = key.partition(".")
+            if (outer in NESTED_CONFIG_FIELDS) != bool(dot):
+                raise ValueError(
+                    f"scenario {self.name!r}: config key {key!r}: nested "
+                    "objects take dotted keys ('memory.<field>', "
+                    "'technology.<field>'), other fields plain ones")
+            if dot:
+                changes.setdefault(outer, {})[inner] = value
+            else:
+                changes[key] = value
+        for outer in NESTED_CONFIG_FIELDS:
+            if outer in changes:
+                changes[outer] = replace(getattr(DEFAULT_CONFIG, outer),
+                                         **changes[outer])
+        return DEFAULT_CONFIG.with_changes(**changes)
 
     def build_plan(self, topology: Optional[Topology] = None,
                    technology: Optional[TechnologyParameters] = None
@@ -275,8 +254,9 @@ class Scenario:
         """Resolve every name and build everything but the trace.
 
         Raises KeyError (unknown topology, workload, policy or controller),
-        ValueError (bad slowdown or controller argument) or TypeError
-        (unknown config field) for a scenario that can never run --
+        ValueError (bad slowdown, controller argument or nested config key)
+        or TypeError (unknown config field) for a scenario that can never
+        run --
         without synthesising its workload or building a processor.
         """
         get_workload_entry(self.workload)
@@ -316,6 +296,28 @@ class Scenario:
     def from_json(cls, text: str) -> "Scenario":
         """Parse a scenario from JSON text."""
         return cls.from_dict(json.loads(text))
+
+
+#: ProcessorConfig fields holding a nested dataclass; ``Scenario.config``
+#: sets their fields with dotted keys.
+NESTED_CONFIG_FIELDS = ("memory", "technology")
+
+
+def config_overrides(config: ProcessorConfig) -> Dict[str, Any]:
+    """The ``Scenario.config`` dict that rebuilds ``config`` (the inverse of
+    :meth:`Scenario.build_config`): only fields that differ from
+    :data:`DEFAULT_CONFIG`, nested ones as dotted keys."""
+    overrides: Dict[str, Any] = {}
+    for name in ProcessorConfig.__dataclass_fields__:
+        value, default = getattr(config, name), getattr(DEFAULT_CONFIG, name)
+        if name in NESTED_CONFIG_FIELDS:
+            overrides.update(
+                (f"{name}.{inner}", getattr(value, inner))
+                for inner in type(default).__dataclass_fields__
+                if getattr(value, inner) != getattr(default, inner))
+        elif value != default:
+            overrides[name] = value
+    return overrides
 
 
 # ------------------------------------------------------------ scenario result
@@ -534,41 +536,21 @@ def sweep_scenarios(scenarios: Sequence[Union[Scenario, str]],
                     store: Any = None,
                     execution: Any = None,
                     **overrides) -> List[ScenarioResult]:
-    """Run many scenarios, fanned out over the experiment process pool.
+    """Run many scenarios through :func:`~repro.results.resume_sweep`.
 
-    Results come back in submission order and match the serial path exactly
-    (every scenario is self-contained and seed-deterministic).
-
-    With ``store`` set (see :func:`run_scenario`), the sweep is *resumable*:
-    scenarios already in the results store load from disk, only the missing
-    ones fan out over the pool, and each freshly computed result is stored
-    immediately -- a repeated sweep is served entirely from cache.
+    Results come back in submission order and equal per-scenario
+    :func:`run_scenario` calls.  Without ``store`` or ``execution`` the
+    sweep is uncached and runs on the local job backend (``jobs`` workers;
+    default ``REPRO_JOBS`` or the CPU count).  With ``store`` set (see
+    :func:`run_scenario`) the sweep is *resumable*: hits load from the
+    results store and each computed result is stored as it completes.
     ``execution`` (an :class:`~repro.exec.ExecutionConfig` or a job-backend
-    name) routes the sweep through :func:`~repro.results.resume_sweep` on
-    the selected backend.
+    name) selects the backend; its own ``store`` applies unless ``store``
+    is given.
     """
-    if execution is not None or (store is not None and store is not False):
-        from ..results import resume_sweep
-        keywords: dict = {"jobs": jobs, "execution": execution}
-        if store is not None:
-            keywords["store"] = store
-        return [run.outcome
-                for run in resume_sweep(scenarios, **keywords, **overrides)]
-    resolved = resolve_scenarios(scenarios, overrides)
-    # Warm-start: materialise the sweep's workloads in the parent (shared
-    # copy-on-write with fork-start workers, and a memo hit for the serial
-    # fallback) and hand the spec list to each worker's initializer for the
-    # spawn/forkserver start methods.
-    specs = workload_specs(resolved)
-    warm_worker(specs)
-    try:
-        return _run_jobs(run_scenario, [(scenario,) for scenario in resolved],
-                         jobs=jobs, initializer=warm_worker, initargs=(specs,))
-    except KeyError:
-        # A scenario references a registry entry added at runtime (e.g. a
-        # recommend_policy() registration): workers under the spawn /
-        # forkserver start methods re-import the package with fresh
-        # registries and cannot resolve it.  The parent's registries can,
-        # so fall back to running serially here; a name unknown to the
-        # parent as well re-raises with the registry's helpful message.
-        return [run_scenario(scenario) for scenario in resolved]
+    from ..results import resume_sweep
+    keywords: Dict[str, Any] = {"jobs": jobs, "execution": execution}
+    if store is not None or execution is None:
+        keywords["store"] = store
+    return [run.outcome
+            for run in resume_sweep(scenarios, **keywords, **overrides)]

@@ -8,7 +8,7 @@ talks to this protocol, so the execution fabric is swappable per call:
 * ``serial`` -- one scenario at a time, in-process (no pool, no forking;
   deterministic and debugger-friendly);
 * ``local`` -- the warm-started :class:`~concurrent.futures.ProcessPoolExecutor`
-  fan-out (bit-identical to the pre-backend sweep path, and the default).
+  fan-out (the default, and the only process pool in the package).
 
 Several sweep processes -- on one host or on hosts sharing a filesystem --
 may point at one results store: entries are published atomically and two
@@ -182,9 +182,8 @@ class SerialBackend(JobBackend):
 class LocalPoolBackend(JobBackend):
     """Warm-started ``ProcessPoolExecutor`` fan-out (the default backend).
 
-    Behaviour matches the pre-backend sweep path bit for bit: one worker per
-    job up to ``jobs``/``REPRO_JOBS``/CPU count, workers warm-started via the
-    pool initializer, and graceful degradation to in-process execution when
+    One worker per job up to ``jobs``/``REPRO_JOBS``/CPU count, workers
+    warm-started via the pool initializer, and graceful degradation to in-process execution when
     the pool infrastructure is unavailable (sandboxes without fork/sem
     support) or dies mid-sweep.  Real worker exceptions -- a scenario that
     raises -- propagate unchanged; only *pool-infrastructure* failures and

@@ -75,8 +75,8 @@ def resume_sweep(scenarios: Sequence[Union[Scenario, str]],
     """Sweep many scenarios, loading hits from the store, computing misses.
 
     Results come back in submission order either way, and computed slots are
-    bit-identical to a plain uncached :func:`sweep_scenarios` (every backend
-    funnels through :func:`run_scenario`).  With ``store=None`` every slot
+    bit-identical to per-scenario :func:`run_scenario` calls (every backend
+    funnels through it).  With ``store=None`` every slot
     is computed -- the per-scenario timing/status bookkeeping still applies,
     which is what the CLI prints for uncached sweeps.
 

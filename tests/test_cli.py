@@ -139,6 +139,17 @@ def test_run_unknown_config_field_fails_cleanly(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("assignment, message", [
+    ("memory=1", "'memory.<field>'"),
+    ("technology.no_such_field=1", "no_such_field"),
+], ids=["whole-nested-object", "unknown-nested-field"])
+def test_run_bad_nested_config_fails_cleanly(capsys, assignment, message):
+    code, _, err = run_cli(capsys, "run", "gals5", "--config", assignment,
+                           "--instructions", str(SMALL))
+    assert code == 2
+    assert err.startswith("error:") and message in err
+
+
 # ---------------------------------------------------------------------- sweep
 def test_sweep_prints_table_and_writes_json(tmp_path, capsys):
     dump = tmp_path / "sweep.json"
@@ -176,6 +187,18 @@ def test_report_dvfs_renders_table(capsys):
         "--jobs", "1")
     assert code == 0
     assert "perl/perl-fp3" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("sweep", "base"),
+    ("report", "baseline", "--benchmarks", "perl"),
+    ("report", "dvfs", "--benchmark", "perl", "--policies", "perl-fp3"),
+], ids=["sweep", "report-baseline", "report-dvfs"])
+def test_jobs_zero_is_refused_by_every_fan_out(capsys, argv):
+    code, _, err = run_cli(capsys, *argv, "--instructions", str(SMALL),
+                           "--jobs", "0")
+    assert code == 2
+    assert err == "error: jobs must be at least 1\n"
 
 
 # ---------------------------------------------------------------- results cache

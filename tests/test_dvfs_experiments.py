@@ -5,12 +5,14 @@ import pytest
 from repro.core.dvfs import (GCC_GALS_1, GCC_GALS_2, GENERIC_SLOWDOWN, IJPEG_SWEEP,
                              PERL_FP_BY_3, POLICIES, SlowdownPolicy, get_policy,
                              recommend_policy)
-from repro.core.experiments import (average_energy_increase,
+from repro.core.experiments import (DvfsResult, average_energy_increase,
                                     average_performance_drop, average_power_saving,
                                     baseline_comparison, phase_sensitivity,
-                                    run_pair, run_single)
-from repro.core.metrics import ComparisonRow
+                                    run_pair, run_single, slowdown_sweep)
+from repro.core.metrics import ComparisonRow, arithmetic_mean, compare
+from repro.core.scenario import Scenario, run_scenario, sweep_scenarios
 from repro.power.technology import DEFAULT_TECHNOLOGY
+from repro.power.voltage import ideal_synchronous_energy
 from repro.workloads.profiles import get_profile
 
 
@@ -132,3 +134,75 @@ def test_policy_projection_onto_topologies():
     plan = GENERIC_SLOWDOWN.plan_for(front_back, scale_voltages=True)
     assert plan.slowdowns == {"front": 1.10, "back": 1.50}
     assert plan.voltage_of("back") < plan.voltage_of("front")
+
+
+# --------------------------------------------------- drivers as scenario grids
+PIN_INSTRUCTIONS = 300
+
+
+def _result(topology, workload, **fields):
+    """One run built the way the scenario prototype builds it."""
+    return run_scenario(Scenario(
+        name="pin", topology=topology, workload=workload,
+        num_instructions=PIN_INSTRUCTIONS, **fields)).result
+
+
+def _baseline_case():
+    benchmarks = ("perl", "adpcm")
+    expected = [compare(_result("base", benchmark), _result("gals5", benchmark))
+                for benchmark in benchmarks]
+    return (lambda: baseline_comparison(
+        benchmarks, num_instructions=PIN_INSTRUCTIONS, jobs=2),
+        expected, 2 * len(benchmarks))
+
+
+def _slowdown_sweep_case():
+    policies = (GCC_GALS_1, GCC_GALS_2, IJPEG_SWEEP[0])
+    base = _result("base", "gcc")
+    expected = []
+    for policy in policies:
+        gals = _result("gals5", "gcc", slowdowns=dict(policy.slowdowns))
+        performance = base.elapsed_ns / gals.elapsed_ns
+        expected.append(DvfsResult(
+            "gcc", policy.name, performance,
+            gals.total_energy_nj / base.total_energy_nj,
+            gals.average_power_w / base.average_power_w,
+            ideal_synchronous_energy(min(1.0, performance),
+                                     DEFAULT_TECHNOLOGY),
+            gals, base))
+    return (lambda: slowdown_sweep(
+        "gcc", policies, num_instructions=PIN_INSTRUCTIONS, jobs=2),
+        expected, len(policies) + 1)
+
+
+def _phase_sensitivity_case():
+    phase_seeds = (0, 1, 2)
+    base = _result("base", "adpcm")
+    expected = {f"phase-{phase_seed}": base.elapsed_ns / _result(
+        "gals5", "adpcm", phase_seed=phase_seed).elapsed_ns
+        for phase_seed in phase_seeds}
+    values = list(expected.values())
+    expected["spread"] = (max(values) - min(values)) / arithmetic_mean(values)
+    return (lambda: phase_sensitivity(
+        "adpcm", phase_seeds, num_instructions=PIN_INSTRUCTIONS, jobs=2),
+        expected, len(phase_seeds) + 1)
+
+
+@pytest.mark.parametrize("case", [
+    _baseline_case, _slowdown_sweep_case, _phase_sensitivity_case,
+], ids=["baseline_comparison", "slowdown_sweep", "phase_sensitivity"])
+def test_fan_out_drivers_are_one_scenario_grid(monkeypatch, case):
+    """Each fan-out driver is one sweep_scenarios grid whose reduction equals
+    the same reduction over per-scenario run_scenario results."""
+    from repro.core import experiments
+
+    grids = []
+
+    def recording_sweep(scenarios, **keywords):
+        grids.append(len(scenarios))
+        return sweep_scenarios(scenarios, **keywords)
+
+    monkeypatch.setattr(experiments, "sweep_scenarios", recording_sweep)
+    run, expected, grid_size = case()
+    assert run() == expected
+    assert grids == [grid_size]

@@ -17,7 +17,7 @@ import pytest
 
 import repro
 from repro.core.scenario import (get_scenario, run_scenario,
-                                 scenario_result_json, sweep_scenarios)
+                                 scenario_result_json)
 from repro.exec import (JOB_BACKENDS, ExecutionConfig, JobHandle,
                         LocalPoolBackend, SerialBackend,
                         available_job_backends, make_job_backend,
@@ -102,7 +102,7 @@ def test_resolve_execution_defaults_and_overrides(store):
 # --------------------------------------------------------------- bit-identity
 def test_all_backends_bit_identical_to_uncached_sweep(tmp_path):
     names = ["base", "gals5"]
-    reference = sweep_scenarios(names, jobs=1, num_instructions=SMALL)
+    reference = [run_scenario(name, num_instructions=SMALL) for name in names]
     for backend in ("serial", "local"):
         store = ResultsStore(root=tmp_path / backend)
         runs = resume_sweep(names, store=store, jobs=2, execution=backend,

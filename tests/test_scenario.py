@@ -176,6 +176,33 @@ def test_config_overrides_reach_the_machine():
     assert narrow.result.elapsed_ns > wide.result.elapsed_ns
 
 
+def test_nested_config_keys_reach_the_machine():
+    poor_gating = run_scenario("base", num_instructions=SMALL,
+                               config={"technology.idle_power_fraction": 0.25})
+    small_l1 = run_scenario("base", num_instructions=SMALL,
+                            config={"memory.dl1_size": 1024})
+    default = run_scenario("base", num_instructions=SMALL)
+    assert poor_gating.result.total_energy_nj > default.result.total_energy_nj
+    assert small_l1.result.elapsed_ns > default.result.elapsed_ns
+
+
+def test_config_overrides_inverts_build_config():
+    from repro.core.config import DEFAULT_CONFIG, ProcessorConfig
+    from repro.core.scenario import config_overrides
+    from repro.memory.hierarchy import MemoryHierarchyConfig
+    from repro.power.technology import TechnologyParameters
+
+    config = ProcessorConfig(
+        fetch_width=2, memory=MemoryHierarchyConfig(l2_latency=9),
+        technology=TechnologyParameters(alpha=1.2, idle_power_fraction=0.0))
+    overrides = config_overrides(config)
+    assert overrides == {"fetch_width": 2, "memory.l2_latency": 9,
+                         "technology.alpha": 1.2,
+                         "technology.idle_power_fraction": 0.0}
+    assert Scenario(name="x", config=overrides).build_config() == config
+    assert config_overrides(DEFAULT_CONFIG) == {}
+
+
 def test_kernel_workload_scenario_runs():
     outcome = run_scenario("dotprod-gals5", kernel_size=16,
                            num_instructions=400)
@@ -184,19 +211,36 @@ def test_kernel_workload_scenario_runs():
 
 
 # ---------------------------------------------------------------------- sweep
-def test_sweep_falls_back_to_serial_when_workers_lack_registrations(monkeypatch):
+def _miss_registry_in_workers(scenario):
+    """timed_run_scenario as a spawn-start worker lacking a runtime
+    registration sees it: a KeyError in pool workers, a run in the parent."""
+    from repro.exec.backends import run_scenario
+    from repro.exec.faults import current_role
+
+    if current_role() == "worker":
+        raise KeyError(f"unknown DVFS policy 'auto-{scenario.workload}'")
+    return run_scenario(scenario), 0.0
+
+
+def test_sweep_falls_back_to_serial_when_workers_lack_registrations(
+        monkeypatch):
     """Runtime-registered registry entries are invisible to spawn/forkserver
-    pool workers; the sweep must recover by running in the parent process."""
-    from repro.core import scenario as scenario_module
+    pool workers; the local backend must rerun those scenarios in the
+    parent, which can resolve them."""
+    monkeypatch.setattr("repro.exec.backends.timed_run_scenario",
+                        _miss_registry_in_workers)
+    names = ["base", "gals5"]
+    results = sweep_scenarios(names, jobs=2, num_instructions=SMALL)
+    assert [item.scenario.name for item in results] == names
+    for item in results:
+        assert item.result == run_scenario(item.scenario).result
 
-    def exploding_run_jobs(function, argument_tuples, jobs=None,
-                           initializer=None, initargs=()):
-        raise KeyError("unknown DVFS policy 'auto-something'")
 
-    monkeypatch.setattr(scenario_module, "_run_jobs", exploding_run_jobs)
-    results = sweep_scenarios(["base"], jobs=4, num_instructions=SMALL)
-    assert len(results) == 1
-    assert results[0].result.committed_instructions == SMALL
+def test_uncached_sweep_writes_nothing_to_the_default_store(
+        monkeypatch, tmp_path):
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    sweep_scenarios(["base", "gals5"], jobs=2, num_instructions=SMALL)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sweep_matches_individual_runs_and_parallel_is_serial():

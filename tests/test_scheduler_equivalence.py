@@ -69,12 +69,12 @@ def test_parallel_baseline_comparison_equals_serial():
 
 
 def test_default_jobs_honours_environment(monkeypatch):
-    from repro.core import experiments
+    from repro.core.scenario import JOBS_ENV_VAR, default_jobs
 
-    monkeypatch.setenv(experiments.JOBS_ENV_VAR, "3")
-    assert experiments.default_jobs() == 3
-    monkeypatch.setenv(experiments.JOBS_ENV_VAR, "junk")
+    monkeypatch.setenv(JOBS_ENV_VAR, "3")
+    assert default_jobs() == 3
+    monkeypatch.setenv(JOBS_ENV_VAR, "junk")
     with pytest.raises(ValueError):
-        experiments.default_jobs()
-    monkeypatch.delenv(experiments.JOBS_ENV_VAR)
-    assert experiments.default_jobs() >= 1
+        default_jobs()
+    monkeypatch.delenv(JOBS_ENV_VAR)
+    assert default_jobs() >= 1

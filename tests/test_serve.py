@@ -160,8 +160,11 @@ def test_bad_field_and_missing_params_400(service):
     ({"slowdowns": '{"no-such-domain": 1.5}'}, 400),
     ({"slowdowns": '{"fetch": "abc"}'}, 400),
     ({"config": '{"no_such_field": 1}'}, 400),
+    ({"config": '{"technology": 1}'}, 400),
+    ({"config": '{"memory.no_such_field": 1}'}, 400),
 ], ids=["topology", "workload", "policy", "controller", "slowdown-domain",
-        "slowdown-value", "config-field"])
+        "slowdown-value", "config-field", "config-nested-object",
+        "config-nested-field"])
 def test_malformed_scenario_is_refused_not_queued(service, overrides, code):
     query = urlencode({"name": "gals5", "num_instructions": SMALL,
                        **overrides})
