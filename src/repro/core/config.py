@@ -13,6 +13,7 @@ from typing import Dict
 
 from ..memory.hierarchy import MemoryHierarchyConfig
 from ..power.technology import DEFAULT_TECHNOLOGY, TechnologyParameters
+from ..uarch.branch_predictor import PREDICTOR_KINDS
 
 
 @dataclass(frozen=True)
@@ -113,6 +114,10 @@ class ProcessorConfig:
         if self.wakeup_scheme not in ("event", "scan"):
             raise ValueError(f"unknown wakeup_scheme {self.wakeup_scheme!r}; "
                              "known: ('event', 'scan')")
+        if (not isinstance(self.predictor_kind, str)
+                or self.predictor_kind.lower() not in PREDICTOR_KINDS):
+            raise ValueError(f"unknown predictor_kind {self.predictor_kind!r}; "
+                             f"known: {tuple(PREDICTOR_KINDS)}")
         self.memory.validate()
 
     # ------------------------------------------------------------- utilities

@@ -3,8 +3,9 @@
 The second experiment set slows down selected clock domains of the GALS
 processor in an application-dependent way and lowers the corresponding supply
 voltages according to Equation 1.  This module defines the slowdown
-configurations the paper evaluates and turns them into
-:class:`~repro.core.domains.ClockPlan` objects.
+configurations the paper evaluates and projects them onto a topology's
+clock domains; :meth:`~repro.core.scenario.Scenario.build_plan` turns them
+into :class:`~repro.core.domains.ClockPlan` objects.
 
 Interpretation of the paper's wording (documented here because the prose is
 informal): "slowed down by X %" means the clock period is stretched by X %
@@ -20,7 +21,7 @@ from typing import Dict, Mapping, Optional, Tuple
 from ..power.technology import DEFAULT_TECHNOLOGY, TechnologyParameters
 from ..power.voltage import voltage_for_slowdown
 from .domains import (DOMAIN_FETCH, DOMAIN_FP, DOMAIN_MEMORY, GALS_DOMAINS,
-                      ClockPlan, Topology, slowdown_plan)
+                      Topology)
 
 
 @dataclass(frozen=True)
@@ -38,14 +39,6 @@ class SlowdownPolicy:
         if any(s < 1.0 for s in self.slowdowns.values()):
             raise ValueError(f"policy {self.name!r}: slowdowns must be >= 1.0")
 
-    def plan(self, base_period: float = 1.0, scale_voltages: bool = True,
-             phase_seed: int = 0,
-             technology: TechnologyParameters = DEFAULT_TECHNOLOGY) -> ClockPlan:
-        """Turn the policy into a concrete clock/voltage plan."""
-        return slowdown_plan(dict(self.slowdowns), base_period=base_period,
-                             scale_voltages=scale_voltages, phase_seed=phase_seed,
-                             technology=technology)
-
     def project_onto(self, topology: Topology) -> Dict[str, float]:
         """Per-domain slowdowns implied by this per-block policy.
 
@@ -62,18 +55,6 @@ class SlowdownPolicy:
             if slowdown > domain_slowdowns.get(domain, 1.0):
                 domain_slowdowns[domain] = slowdown
         return domain_slowdowns
-
-    def plan_for(self, topology: Topology, base_period: float = 1.0,
-                 scale_voltages: bool = True, phase_seed: int = 0,
-                 technology: TechnologyParameters = DEFAULT_TECHNOLOGY
-                 ) -> ClockPlan:
-        """Project the policy onto one topology (see :meth:`project_onto`)
-        and turn it into a concrete clock/voltage plan."""
-        return slowdown_plan(self.project_onto(topology),
-                             base_period=base_period,
-                             scale_voltages=scale_voltages,
-                             phase_seed=phase_seed, technology=technology,
-                             allowed_domains=topology.domain_names)
 
     def voltages(self, technology: TechnologyParameters = DEFAULT_TECHNOLOGY
                  ) -> Dict[str, float]:

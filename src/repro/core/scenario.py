@@ -26,7 +26,8 @@ from ..isa.trace import ListTraceSource
 from ..power.accounting import EnergyBreakdown
 from ..power.technology import TechnologyParameters
 from ..workloads.profiles import DEFAULT_INSTRUCTIONS
-from ..workloads.registry import build_workload, get_workload_entry
+from ..workloads.registry import (build_workload, get_workload_entry,
+                                  workload_key)
 from .config import DEFAULT_CONFIG, ProcessorConfig
 from .controllers import DvfsController, make_controller
 from .domains import ClockPlan, Topology, get_topology
@@ -52,19 +53,22 @@ def default_jobs() -> int:
 
 
 #: A workload build spec: (workload name, num_instructions, seed, kernel_size)
-#: -- exactly build_workload's memo key.
+#: -- build_workload's arguments.
 WorkloadSpec = Tuple[str, int, int, int]
 
 
 def workload_specs(scenarios: Sequence["Scenario"]) -> List[WorkloadSpec]:
-    """Distinct workload build specs of a sweep, in first-use order."""
-    specs: List[WorkloadSpec] = []
+    """Distinct workload build specs of a sweep, in first-use order.
+
+    Specs with one :func:`~repro.workloads.registry.workload_key` (kernels
+    at different seeds) build once, so only the first is kept.
+    """
+    specs: Dict[Any, WorkloadSpec] = {}
     for scenario in scenarios:
         spec = (scenario.workload, scenario.num_instructions,
                 scenario.seed, scenario.kernel_size)
-        if spec not in specs:
-            specs.append(spec)
-    return specs
+        specs.setdefault(workload_key(*spec), spec)
+    return list(specs.values())
 
 
 def warm_worker(specs: Sequence[WorkloadSpec] = ()) -> None:

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .cache import Cache, MainMemory
+from .replacement import REPLACEMENT_POLICIES
 
 
 @dataclass
@@ -33,13 +34,18 @@ class MemoryHierarchyConfig:
     replacement: str = "lru"
 
     def validate(self) -> None:
-        """Reject non-positive sizes/latencies early, with a field name in the error."""
+        """Reject non-positive sizes/latencies and an unknown replacement
+        policy early, with a field name in the error."""
         for name in ("il1_size", "dl1_size", "l2_size", "line_size"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         for name in ("il1_latency", "dl1_latency", "l2_latency", "memory_latency"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
+        if (not isinstance(self.replacement, str)
+                or self.replacement.lower() not in REPLACEMENT_POLICIES):
+            raise ValueError(f"unknown replacement {self.replacement!r}; "
+                             f"known: {tuple(REPLACEMENT_POLICIES)}")
 
 
 class MemoryHierarchy:

@@ -102,7 +102,9 @@ class RandomPolicy(ReplacementPolicy):
         return self._rng.randrange(self.associativity)
 
 
-_POLICIES = {
+#: Replacement policies by ``MemoryHierarchyConfig.replacement`` (matched
+#: in any case).
+REPLACEMENT_POLICIES = {
     "lru": LRUPolicy,
     "fifo": FIFOPolicy,
     "random": RandomPolicy,
@@ -112,7 +114,7 @@ _POLICIES = {
 def make_policy(name: str, associativity: int, seed: int = 0) -> ReplacementPolicy:
     """Factory for replacement policies by name ('lru', 'fifo', 'random')."""
     try:
-        cls = _POLICIES[name.lower()]
+        cls = REPLACEMENT_POLICIES[name.lower()]
     except KeyError as exc:
         raise ValueError(f"unknown replacement policy {name!r}") from exc
     if cls is RandomPolicy:

@@ -11,6 +11,9 @@ A :class:`ResultsService` wraps one results store and one
   (provenance rides in ``X-Repro-Status`` / ``X-Repro-Key`` headers, never
   in the body); a miss returns *202 Accepted* and queues the scenario for
   the background sweep thread, so a later repeat of the query is a hit.
+  A target that hit is recorded with its reply (``RESOLVED_TARGETS`` of
+  them): a repeat re-reads and verifies the entry but parses, keys and
+  splices nothing.
 * ``GET /compare?...`` -- the design-space grid of
   :func:`~repro.core.experiments.design_space_scenarios`, rendered as
   records + table once every cell is stored (*202* with the miss count
@@ -53,7 +56,8 @@ import threading
 import time
 from dataclasses import replace
 from http import HTTPStatus
-from typing import Any, Dict, List, Optional, Set, Tuple, Union
+from typing import (Any, Dict, List, NamedTuple, Optional, Set, Tuple,
+                    Union)
 from urllib.parse import parse_qs, urlsplit
 
 from ..core.experiments import design_space_scenarios
@@ -81,6 +85,10 @@ MAX_LINE_BYTES = 65536
 
 #: Most header lines a request may carry (more: 431).
 MAX_HEADER_LINES = 100
+
+#: Most answered ``/scenario`` targets whose resolution one service keeps
+#: (the oldest is dropped first).
+RESOLVED_TARGETS = 256
 
 
 def _parse_query_value(text: str) -> Any:
@@ -126,6 +134,34 @@ def _comma_list(params: Dict[str, List[str]], field: str,
         return default
     return [None if item == "none" else item
             for item in params[field][0].split(",") if item]
+
+
+def _encode_reply(code: int, body: str, status: str = "", key: str = "",
+                  retry_after: int = 0) -> bytes:
+    """One whole HTTP/1.0 reply: status line, headers and body."""
+    payload = body.encode("utf-8")
+    head = (f"HTTP/1.0 {code} {HTTPStatus(code).phrase}\r\n"
+            "Content-Type: application/json\r\n"
+            f"Content-Length: {len(payload)}\r\n")
+    if status:
+        head += f"X-Repro-Status: {status}\r\n"
+    if key:
+        head += f"X-Repro-Key: {key}\r\n"
+    if retry_after:
+        head += f"Retry-After: {retry_after}\r\n"
+    return head.encode("latin-1") + b"\r\n" + payload
+
+
+class _Resolved(NamedTuple):
+    """What one answered ``/scenario`` target resolved to."""
+
+    key: str
+    #: the scenario as requested (its fields are spliced into the body)
+    scenario: Scenario
+    #: the stored rendering the reply was spliced from
+    rendering: str
+    #: the whole 200 reply
+    reply: bytes
 
 
 class _BadRequest(Exception):
@@ -215,14 +251,23 @@ class _Handler(socketserver.BaseRequestHandler):
         self._dispatch(words[1].decode("iso-8859-1"))
 
     def _dispatch(self, target: str) -> None:
-        """Answer GET /health, /scenario and /compare."""
+        """Answer GET /health, /scenario and /compare.
+
+        A ``/scenario`` target the service has already answered with a hit
+        is sent its recorded reply (see :meth:`ResultsService.reply_for`)
+        without parsing the query again.
+        """
+        reply = self.service.reply_for(target)
+        if reply is not None:
+            self._send(200, reply)
+            return
         split = urlsplit(target)
         params = parse_qs(split.query)
         try:
             if split.path in ("/health", "/"):
                 self._reply_json(200, self.service.health())
             elif split.path == "/scenario":
-                self._reply_scenario(params)
+                self._reply_scenario(target, params)
             elif split.path == "/compare":
                 self._reply_compare(params)
             else:
@@ -235,9 +280,10 @@ class _Handler(socketserver.BaseRequestHandler):
     def _reply_error(self, code: int, message: str) -> None:
         self._reply_json(code, {"error": message})
 
-    def _reply_scenario(self, params: Dict[str, List[str]]) -> None:
+    def _reply_scenario(self, target: str,
+                        params: Dict[str, List[str]]) -> None:
         scenario = _scenario_from_query(params)
-        status, key, body = self.service.lookup(scenario)
+        status, key, body = self.service.resolve(target, scenario)
         if status == "hit":
             self._reply_raw(200, body, status, key)
         elif status == "failed":
@@ -274,17 +320,11 @@ class _Handler(socketserver.BaseRequestHandler):
     def _reply_raw(self, code: int, body: str, status: str = "",
                    key: str = "", retry_after: int = 0) -> None:
         """Write the status line, headers and body in one write."""
-        payload = body.encode("utf-8")
-        head = (f"HTTP/1.0 {code} {HTTPStatus(code).phrase}\r\n"
-                "Content-Type: application/json\r\n"
-                f"Content-Length: {len(payload)}\r\n")
-        if status:
-            head += f"X-Repro-Status: {status}\r\n"
-        if key:
-            head += f"X-Repro-Key: {key}\r\n"
-        if retry_after:
-            head += f"Retry-After: {retry_after}\r\n"
-        self.request.sendall(head.encode("latin-1") + b"\r\n" + payload)
+        self._send(code, _encode_reply(code, body, status, key, retry_after))
+
+    def _send(self, code: int, reply: bytes) -> None:
+        """Write one encoded reply and log it."""
+        self.request.sendall(reply)
         if self.service.verbose:
             request = self.request_line.decode("iso-8859-1").rstrip("\r\n")
             self.service.log(f'{self.client_address[0]} - "{request}" '
@@ -413,6 +453,7 @@ class ResultsService:
         self.verbose = verbose
         self._pending: Dict[str, Scenario] = {}
         self._failures: Dict[str, str] = {}
+        self._resolved: Dict[str, _Resolved] = {}  # oldest first
         self._lock = threading.Lock()
         self._wake = threading.Event()
         self._stop = threading.Event()
@@ -520,6 +561,62 @@ class ResultsService:
         rendering = self.store.get_rendering(key)
         if rendering is not None:
             return "hit", key, scenario_result_json(rendering, scenario)
+        return self._miss(key, scenario)
+
+    def resolve(self, target: str,
+                scenario: Scenario) -> Tuple[str, str, str]:
+        """:meth:`lookup` for one ``/scenario`` request target.
+
+        A hit is also recorded under ``target`` (up to
+        ``RESOLVED_TARGETS`` of them), so :meth:`reply_for` answers the
+        target's repeats without parsing, keying or splicing again.
+        """
+        key = self.store.key_for(scenario)
+        rendering = self.store.get_rendering(key)
+        if rendering is None:
+            return self._miss(key, scenario)
+        body = scenario_result_json(rendering, scenario)
+        self._record(target, key, scenario, rendering, body)
+        return "hit", key, body
+
+    def reply_for(self, target: str) -> Optional[bytes]:
+        """The 200 reply to a target :meth:`resolve` answered with a hit.
+
+        The entry is read and checksum-verified again on every call (a
+        corrupt one is quarantined): a changed rendering is spliced anew,
+        and a missing entry drops the record and returns None, as does a
+        target never resolved -- the caller then takes the full path.
+        """
+        with self._lock:
+            resolved = self._resolved.get(target)
+        if resolved is None:
+            return None
+        rendering = self.store.get_rendering(resolved.key)
+        if rendering is None:
+            with self._lock:
+                self._resolved.pop(target, None)
+            return None
+        if rendering != resolved.rendering:
+            return self._record(
+                target, resolved.key, resolved.scenario, rendering,
+                scenario_result_json(rendering, resolved.scenario))
+        return resolved.reply
+
+    def _record(self, target: str, key: str, scenario: Scenario,
+                rendering: str, body: str) -> bytes:
+        """Record a hit's 200 reply under ``target`` (oldest dropped first
+        at the bound) and return it."""
+        reply = _encode_reply(200, body, "hit", key)
+        with self._lock:
+            if (target not in self._resolved
+                    and len(self._resolved) >= RESOLVED_TARGETS):
+                del self._resolved[next(iter(self._resolved))]
+            self._resolved[target] = _Resolved(key, scenario, rendering,
+                                               reply)
+        return reply
+
+    def _miss(self, key: str, scenario: Scenario) -> Tuple[str, str, str]:
+        """Queue a scenario with no stored result (see :meth:`lookup`)."""
         scenario.validate()
         with self._lock:
             if key in self._failures:

@@ -11,7 +11,7 @@ drives the 13.8 % / 16.7 % mis-speculation numbers of Figure 8.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 
 def _saturate_up(counter: int, maximum: int = 3) -> int:
@@ -199,12 +199,19 @@ class BranchUnit:
         return self.predictor.stats.misprediction_rate
 
 
+#: Direction predictors by ``ProcessorConfig.predictor_kind`` (matched in
+#: any case): ``(entries, history_bits) -> predictor``.
+PREDICTOR_KINDS: Dict[str, Callable[[int, int], DirectionPredictor]] = {
+    "gshare": GSharePredictor,
+    "bimodal": lambda entries, history_bits: BimodalPredictor(entries),
+}
+
+
 def make_direction_predictor(kind: str, entries: int = 4096,
                              history_bits: int = 10) -> DirectionPredictor:
     """Factory: 'gshare' or 'bimodal'."""
-    kind = kind.lower()
-    if kind == "gshare":
-        return GSharePredictor(entries=entries, history_bits=history_bits)
-    if kind == "bimodal":
-        return BimodalPredictor(entries=entries)
-    raise ValueError(f"unknown predictor kind {kind!r}")
+    try:
+        build = PREDICTOR_KINDS[kind.lower()]
+    except KeyError as exc:
+        raise ValueError(f"unknown predictor kind {kind!r}") from exc
+    return build(entries, history_bits)

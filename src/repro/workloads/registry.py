@@ -109,14 +109,14 @@ for _name, _mix in WORKLOAD_MIXES.items():
         factory=_phased_factory(_name))
 
 
-#: Materialised-workload memo: (name, num_instructions, seed, kernel_size)
-#: -> (instruction list, workload-or-None, shared warm-plan cache).  Trace
+#: Materialised-workload memo: :func:`workload_key` -> (instruction list,
+#: workload-or-None, shared warm-plan cache).  Trace
 #: synthesis is deterministic and its records are immutable once built, so
 #: repeated runs of the same workload (benchmark repeats, sweeps fanning one
 #: workload over many topologies/policies) share one materialisation; every
 #: hit still gets a *fresh* ListTraceSource, because the source carries the
 #: fetch unit's consume position.
-_MEMO: Dict[Tuple[str, int, int, int], tuple] = {}
+_MEMO: Dict[Tuple[str, int, Optional[int], int], tuple] = {}
 _MEMO_LIMIT = 64
 
 
@@ -134,16 +134,25 @@ def available_workloads() -> Tuple[str, ...]:
     return tuple(sorted(WORKLOADS))
 
 
+def workload_key(name: str, num_instructions: int, seed: int,
+                 kernel_size: int) -> Tuple[str, int, Optional[int], int]:
+    """What one materialisation depends on: kernels ignore the seed."""
+    entry = WORKLOADS.get(name)
+    if entry is not None and entry.kind == WORKLOAD_KERNEL:
+        return (name, num_instructions, None, kernel_size)
+    return (name, num_instructions, seed, kernel_size)
+
+
 def build_workload(name: str, num_instructions: int, seed: int = 1,
                    kernel_size: int = 64
                    ) -> Tuple[ListTraceSource, Optional[SyntheticWorkload]]:
     """Materialize a registered workload into (trace, workload-or-None).
 
     Results are memoized per process: the (deterministic) synthesis runs once
-    per distinct ``(name, num_instructions, seed, kernel_size)`` and later
-    calls reuse the instruction records behind a fresh trace source.
+    per distinct :func:`workload_key` and later calls reuse the instruction
+    records behind a fresh trace source.
     """
-    key = (name, num_instructions, seed, kernel_size)
+    key = workload_key(name, num_instructions, seed, kernel_size)
     memo = _MEMO.get(key)
     if memo is None:
         trace, workload = get_workload_entry(name).factory(

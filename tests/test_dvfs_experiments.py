@@ -9,6 +9,7 @@ from repro.core.experiments import (DvfsResult, average_energy_increase,
                                     average_performance_drop, average_power_saving,
                                     baseline_comparison, phase_sensitivity,
                                     run_pair, run_single, slowdown_sweep)
+from repro.core.domains import slowdown_plan
 from repro.core.metrics import ComparisonRow, arithmetic_mean, compare
 from repro.core.scenario import Scenario, run_scenario, sweep_scenarios
 from repro.power.technology import DEFAULT_TECHNOLOGY
@@ -54,8 +55,10 @@ def test_policy_validation():
 
 
 def test_policy_plan_and_voltages():
-    plan = GENERIC_SLOWDOWN.plan()
+    plan = slowdown_plan(GENERIC_SLOWDOWN.slowdowns)
     assert plan.scale_voltages
+    assert plan.voltage_of("fp") < plan.voltage_of("fetch") < plan.voltage_of(
+        "integer") == DEFAULT_TECHNOLOGY.nominal_vdd
     voltages = GENERIC_SLOWDOWN.voltages()
     assert voltages["fp"] < voltages["fetch"] < DEFAULT_TECHNOLOGY.nominal_vdd
 
@@ -131,7 +134,8 @@ def test_policy_projection_onto_topologies():
     front_back = get_topology("frontback2")
     assert GENERIC_SLOWDOWN.project_onto(front_back) == {
         "front": 1.10, "back": 1.50}
-    plan = GENERIC_SLOWDOWN.plan_for(front_back, scale_voltages=True)
+    plan = Scenario(name="generic-frontback2", topology="frontback2",
+                    policy="generic").build_plan()
     assert plan.slowdowns == {"front": 1.10, "back": 1.50}
     assert plan.voltage_of("back") < plan.voltage_of("front")
 

@@ -186,6 +186,20 @@ def test_nested_config_keys_reach_the_machine():
     assert small_l1.result.elapsed_ns > default.result.elapsed_ns
 
 
+@pytest.mark.parametrize("config, field", [
+    ({"predictor_kind": "bogus"}, "predictor_kind"),
+    ({"memory.replacement": "bogus"}, "replacement"),
+], ids=["predictor-kind", "replacement"])
+def test_validate_refuses_what_the_machine_cannot_build(config, field):
+    """A scenario that validates, runs: component names the processor's
+    factories do not know are refused by validate(), not at run time."""
+    with pytest.raises(ValueError, match=field):
+        Scenario(name="bogus-component", config=config).validate()
+    # the names those factories do know (in any case) validate
+    Scenario(name="known", config={"predictor_kind": "GShare",
+                                   "memory.replacement": "fifo"}).validate()
+
+
 def test_config_overrides_inverts_build_config():
     from repro.core.config import DEFAULT_CONFIG, ProcessorConfig
     from repro.core.scenario import config_overrides

@@ -162,9 +162,12 @@ def test_bad_field_and_missing_params_400(service):
     ({"config": '{"no_such_field": 1}'}, 400),
     ({"config": '{"technology": 1}'}, 400),
     ({"config": '{"memory.no_such_field": 1}'}, 400),
+    ({"config": '{"predictor_kind": "bogus"}'}, 400),
+    ({"config": '{"memory.replacement": "bogus"}'}, 400),
 ], ids=["topology", "workload", "policy", "controller", "slowdown-domain",
         "slowdown-value", "config-field", "config-nested-object",
-        "config-nested-field"])
+        "config-nested-field", "config-predictor-kind",
+        "config-replacement"])
 def test_malformed_scenario_is_refused_not_queued(service, overrides, code):
     query = urlencode({"name": "gals5", "num_instructions": SMALL,
                        **overrides})
@@ -300,6 +303,224 @@ def test_bare_http10_request_gets_a_byte_identical_hit(service, scenario):
         "X-Repro-Status: hit",
         f"X-Repro-Key: {service.store.key_for(scenario)}",
     ]
+
+
+# ----------------------------------------------------------- resolved targets
+@pytest.fixture
+def fresh_service(tmp_path):
+    """A started service over an empty store (and no resolved targets)."""
+    instance = ResultsService(store=ResultsStore(root=tmp_path / "cache"),
+                              execution="serial", port=0,
+                              poll_interval=0.02)
+    instance.start()
+    yield instance
+    instance.stop()
+
+
+def scenario_target(scenario, form="scenario"):
+    """One /scenario request target: the scenario= or the name= spelling."""
+    if form == "name":
+        return (f"/scenario?name={scenario.name}&seed={scenario.seed}"
+                f"&num_instructions={scenario.num_instructions}")
+    return "/scenario?" + urlencode({"scenario": scenario.to_json(indent=None)})
+
+
+def get(service, target):
+    """Every byte of the reply to ``GET target``."""
+    return raw_request(service, f"GET {target} HTTP/1.0\r\n\r\n".encode())
+
+
+def converged(service, target):
+    """Repeat ``GET target`` until it is no longer 202; the last reply."""
+    deadline = time.monotonic() + WAIT
+    while True:
+        reply = get(service, target)
+        if (not reply.startswith(b"HTTP/1.0 202 ")
+                or time.monotonic() > deadline):
+            return reply
+        time.sleep(0.05)
+
+
+@pytest.mark.parametrize("form", ["scenario", "name"])
+def test_repeated_target_gets_a_byte_identical_reply(fresh_service, scenario,
+                                                     form, monkeypatch):
+    expected = run_cached(scenario, store=fresh_service.store).outcome
+    target = scenario_target(scenario, form)
+    logged = []
+    monkeypatch.setattr(fresh_service, "verbose", True)
+    monkeypatch.setattr(fresh_service, "log", logged.append)
+    first = get(fresh_service, target)
+    repeat = get(fresh_service, target)
+    assert target in fresh_service._resolved
+    assert repeat == first  # head and body
+    head, _, body = repeat.partition(b"\r\n\r\n")
+    assert body == expected.to_json().encode()
+    assert head.decode().split("\r\n") == [
+        "HTTP/1.0 200 OK",
+        "Content-Type: application/json",
+        f"Content-Length: {len(body)}",
+        "X-Repro-Status: hit",
+        f"X-Repro-Key: {fresh_service.store.key_for(scenario)}",
+    ]
+    # a repeat is logged like any reply
+    assert len(logged) == 2
+    assert all(f'"GET {target} HTTP/1.0" 200 -' in line for line in logged)
+
+
+def test_repeat_reads_and_verifies_the_entry_and_nothing_else(
+        fresh_service, scenario, monkeypatch):
+    """A repeat neither parses the query, nor hashes the key, nor splices:
+    it reads the entry once (firing the store.get fault site once)."""
+    from repro.results import store as store_module
+    from repro.serve import service as service_module
+
+    run_cached(scenario, store=fresh_service.store)
+    target = scenario_target(scenario)
+    first = get(fresh_service, target)
+    calls = {}
+
+    def counting(name, function):
+        def counted(*args, **kwargs):
+            label = args[0] if name == "inject" else name
+            calls[label] = calls.get(label, 0) + 1
+            return function(*args, **kwargs)
+        return counted
+
+    for module, name in ((service_module, "_scenario_from_query"),
+                         (service_module, "scenario_result_json"),
+                         (store_module, "inject"),
+                         (ResultsStore, "key_for"),
+                         (ResultsStore, "get_rendering")):
+        monkeypatch.setattr(module, name, counting(name,
+                                                   getattr(module, name)))
+    assert get(fresh_service, target) == first
+    assert calls == {"get_rendering": 1, "store.get": 1}
+    assert fresh_service.store.hits == 2
+
+
+def test_repeat_of_a_rewritten_entry_serves_the_new_result(fresh_service,
+                                                           scenario):
+    outcome = run_scenario(scenario)
+    fresh_service.store.put(outcome)
+    target = scenario_target(scenario)
+    get(fresh_service, target)
+    rewritten = ScenarioResult(scenario, replace(
+        outcome.result, elapsed_ns=outcome.result.elapsed_ns + 1.0))
+    fresh_service.store.put(rewritten)
+    for _ in range(2):  # spliced anew once, then answered from the record
+        reply = get(fresh_service, target)
+        body = reply.partition(b"\r\n\r\n")[2]
+        assert body == rewritten.to_json().encode()
+
+
+def test_repeat_after_the_entry_is_removed_requeues_it(fresh_service,
+                                                        scenario):
+    run_cached(scenario, store=fresh_service.store)
+    target = scenario_target(scenario)
+    first = get(fresh_service, target)
+    assert fresh_service.store.clear() == 1
+    assert get(fresh_service, target).startswith(b"HTTP/1.0 202 ")
+    assert target not in fresh_service._resolved
+    assert converged(fresh_service, target) == first
+
+
+def test_repeat_of_a_corrupt_entry_quarantines_it(fresh_service, scenario):
+    store = fresh_service.store
+    run_cached(scenario, store=store)
+    target = scenario_target(scenario)
+    first = get(fresh_service, target)
+    victim = store.entry_path(store.key_for(scenario))
+    data = bytearray(victim.read_bytes())
+    # silent bit-flip: the entry still parses, only the checksum can tell
+    digit = data.index(b'"elapsed_ns": ') + len(b'"elapsed_ns": ')
+    data[digit] = ord("1") if data[digit] != ord("1") else ord("2")
+    victim.write_bytes(bytes(data))
+    assert get(fresh_service, target).startswith(b"HTTP/1.0 202 ")
+    assert store.quarantine_count() == 1
+    assert converged(fresh_service, target) == first
+
+
+def test_only_scenario_hits_are_recorded_up_to_the_bound(fresh_service,
+                                                         scenario,
+                                                         monkeypatch):
+    from repro.serve import service as service_module
+
+    failed = replace(scenario, seed=77)
+    fresh_service._failures[fresh_service.store.key_for(failed)] = "boom"
+    replies = {
+        202: scenario_target(replace(scenario, seed=78)),
+        500: scenario_target(failed),
+        400: "/scenario?name=base&bogus=1",
+        404: "/scenario?name=no-such-scenario",
+    }
+    for code, target in replies.items():
+        assert get(fresh_service, target).startswith(f"HTTP/1.0 {code} "
+                                                     .encode())
+    assert get(fresh_service, "/health").startswith(b"HTTP/1.0 200 ")
+    assert get(fresh_service, "/compare?topologies=base&instructions="
+               f"{SMALL}").startswith(b"HTTP/1.0 202 ")
+    monkeypatch.setattr(fresh_service, "max_pending", 0)
+    assert get(fresh_service, scenario_target(replace(scenario, seed=79))
+               ).startswith(b"HTTP/1.0 429 ")
+    assert fresh_service._resolved == {}
+
+    monkeypatch.setattr(service_module, "RESOLVED_TARGETS", 2)
+    targets = []
+    for seed in (1, 2, 3):
+        stored = replace(scenario, seed=seed)
+        run_cached(stored, store=fresh_service.store)
+        targets.append(scenario_target(stored))
+        assert get(fresh_service, targets[-1]).startswith(b"HTTP/1.0 200 ")
+    assert list(fresh_service._resolved) == targets[1:]  # oldest dropped
+    fresh_service.drain_once()  # settle the queued misses before teardown
+
+
+def test_resolved_targets_hold_their_bound_under_contention(
+        offline_service, scenario, monkeypatch):
+    """Eight threads resolving and repeating 12 targets over a bound of 4:
+    the record never exceeds the bound, and every reply is the right one."""
+    import sys
+
+    from repro.serve import service as service_module
+
+    monkeypatch.setattr(service_module, "RESOLVED_TARGETS", 4)
+    scenarios = [replace(scenario, seed=seed) for seed in (1, 2)]
+    expected = []
+    for stored in scenarios:
+        outcome = run_scenario(stored)
+        offline_service.store.put(outcome)
+        expected.append(outcome.to_json().encode())
+    errors = []
+    sizes = []
+
+    def hammer(worker):
+        try:
+            for step in range(150):
+                index = (worker * 7 + step) % 12
+                target = f"/scenario?t={index}"
+                reply = offline_service.reply_for(target)
+                if reply is None:
+                    offline_service.resolve(target, scenarios[index % 2])
+                elif reply.partition(b"\r\n\r\n")[2] != expected[index % 2]:
+                    errors.append(f"wrong reply for {target}")
+                sizes.append(len(offline_service._resolved))
+        except Exception as exc:  # reported below, with the thread's name
+            errors.append(repr(exc))
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=hammer, args=(worker,))
+                   for worker in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=WAIT)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert len(sizes) == 8 * 150 and max(sizes) <= 4
 
 
 def trickle(conn, limit=WAIT):

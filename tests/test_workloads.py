@@ -191,6 +191,30 @@ def test_kernel_lookup_errors():
         get_kernel("fourier")
 
 
+def test_kernel_workloads_are_built_once_across_seeds():
+    """Kernels ignore the seed, so every seed shares one materialisation
+    (and a sweep warms it once); synthetic workloads keep one per seed."""
+    from repro.core.scenario import Scenario, workload_specs
+    from repro.workloads.registry import build_workload
+
+    first, _ = build_workload("kernel:dot_product", 300, seed=1,
+                              kernel_size=16)
+    second, _ = build_workload("kernel:dot_product", 300, seed=2,
+                               kernel_size=16)
+    # one memo entry: the records and the warm-plan cache are shared
+    assert all(a is b for a, b in zip(first, second))
+    assert first._warm_plans is second._warm_plans
+    assert (build_workload("perl", 300, seed=1)[0]._warm_plans
+            is not build_workload("perl", 300, seed=2)[0]._warm_plans)
+    scenarios = [Scenario(name=f"{workload}-{seed}", workload=workload,
+                          num_instructions=300, seed=seed, kernel_size=16)
+                 for workload in ("kernel:dot_product", "perl")
+                 for seed in (1, 2)]
+    assert workload_specs(scenarios) == [("kernel:dot_product", 300, 1, 16),
+                                         ("perl", 300, 1, 16),
+                                         ("perl", 300, 2, 16)]
+
+
 @settings(max_examples=15, deadline=None)
 @given(st.sampled_from(sorted(PROFILES)), st.integers(min_value=50, max_value=400))
 def test_property_any_profile_generates_valid_traces(name, length):
