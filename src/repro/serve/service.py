@@ -156,8 +156,6 @@ class _Resolved(NamedTuple):
     """What one answered ``/scenario`` target resolved to."""
 
     key: str
-    #: the scenario as requested (its fields are spliced into the body)
-    scenario: Scenario
     #: the stored rendering the reply was spliced from
     rendering: str
     #: the whole 200 reply
@@ -285,7 +283,7 @@ class _Handler(socketserver.BaseRequestHandler):
         scenario = _scenario_from_query(params)
         status, key, body = self.service.resolve(target, scenario)
         if status == "hit":
-            self._reply_raw(200, body, status, key)
+            self._send(200, body)
         elif status == "failed":
             self._reply_json(500, {"status": "failed", "key": key,
                                    "error": body}, status, key)
@@ -557,63 +555,63 @@ class ResultsService:
         :meth:`~repro.core.scenario.Scenario.validate`: a scenario that can
         never run raises (404/400) and is not queued.
         """
-        key = self.store.key_for(scenario)
-        rendering = self.store.get_rendering(key)
-        if rendering is not None:
-            return "hit", key, scenario_result_json(rendering, scenario)
-        return self._miss(key, scenario)
-
-    def resolve(self, target: str,
-                scenario: Scenario) -> Tuple[str, str, str]:
-        """:meth:`lookup` for one ``/scenario`` request target.
-
-        A hit is also recorded under ``target`` (up to
-        ``RESOLVED_TARGETS`` of them), so :meth:`reply_for` answers the
-        target's repeats without parsing, keying or splicing again.
-        """
-        key = self.store.key_for(scenario)
-        rendering = self.store.get_rendering(key)
+        key, rendering = self._probe(scenario)
         if rendering is None:
             return self._miss(key, scenario)
-        body = scenario_result_json(rendering, scenario)
-        self._record(target, key, scenario, rendering, body)
-        return "hit", key, body
+        return "hit", key, scenario_result_json(rendering, scenario)
+
+    def resolve(self, target: str,
+                scenario: Scenario) -> Tuple[str, str, Union[str, bytes]]:
+        """:meth:`lookup` for one ``/scenario`` request target.
+
+        A hit's third item is the whole encoded 200 reply, which is also
+        recorded under ``target`` (up to ``RESOLVED_TARGETS`` of them), so
+        :meth:`reply_for` answers the target's repeats without parsing,
+        keying or splicing again.
+        """
+        key, rendering = self._probe(scenario)
+        if rendering is None:
+            return self._miss(key, scenario)
+        reply = _encode_reply(200, scenario_result_json(rendering, scenario),
+                              "hit", key)
+        self._record(target, _Resolved(key, rendering, reply))
+        return "hit", key, reply
 
     def reply_for(self, target: str) -> Optional[bytes]:
         """The 200 reply to a target :meth:`resolve` answered with a hit.
 
         The entry is read and checksum-verified again on every call (a
-        corrupt one is quarantined): a changed rendering is spliced anew,
-        and a missing entry drops the record and returns None, as does a
-        target never resolved -- the caller then takes the full path.
+        corrupt one is quarantined).  When it is missing or its rendering
+        changed, the record is dropped and None returned, as for a target
+        never resolved: the caller then takes the full path.
         """
         with self._lock:
             resolved = self._resolved.get(target)
         if resolved is None:
             return None
-        rendering = self.store.get_rendering(resolved.key)
-        if rendering is None:
+        if self.store.get_rendering(resolved.key) != resolved.rendering:
             with self._lock:
                 self._resolved.pop(target, None)
             return None
-        if rendering != resolved.rendering:
-            return self._record(
-                target, resolved.key, resolved.scenario, rendering,
-                scenario_result_json(rendering, resolved.scenario))
         return resolved.reply
 
-    def _record(self, target: str, key: str, scenario: Scenario,
-                rendering: str, body: str) -> bytes:
-        """Record a hit's 200 reply under ``target`` (oldest dropped first
-        at the bound) and return it."""
-        reply = _encode_reply(200, body, "hit", key)
+    def _probe(self, scenario: Scenario) -> Tuple[str, Optional[str]]:
+        """A scenario's key and its verified stored rendering (or None)."""
+        key = self.store.key_for(scenario)
+        return key, self.store.get_rendering(key)
+
+    def _record(self, target: str, resolved: _Resolved) -> None:
+        """Record a hit under ``target``, the oldest dropped first at the
+        bound.  A target longer than its reply (padded with parameters
+        the query ignores) is not recorded, so a record holds about three
+        replies' worth of text at most."""
+        if len(target) > len(resolved.reply):
+            return
         with self._lock:
             if (target not in self._resolved
                     and len(self._resolved) >= RESOLVED_TARGETS):
                 del self._resolved[next(iter(self._resolved))]
-            self._resolved[target] = _Resolved(key, scenario, rendering,
-                                               reply)
-        return reply
+            self._resolved[target] = resolved
 
     def _miss(self, key: str, scenario: Scenario) -> Tuple[str, str, str]:
         """Queue a scenario with no stored result (see :meth:`lookup`)."""

@@ -407,7 +407,7 @@ def test_repeat_of_a_rewritten_entry_serves_the_new_result(fresh_service,
     rewritten = ScenarioResult(scenario, replace(
         outcome.result, elapsed_ns=outcome.result.elapsed_ns + 1.0))
     fresh_service.store.put(rewritten)
-    for _ in range(2):  # spliced anew once, then answered from the record
+    for _ in range(2):  # record dropped, full path, then from the record
         reply = get(fresh_service, target)
         body = reply.partition(b"\r\n\r\n")[2]
         assert body == rewritten.to_json().encode()
@@ -438,6 +438,28 @@ def test_repeat_of_a_corrupt_entry_quarantines_it(fresh_service, scenario):
     assert get(fresh_service, target).startswith(b"HTTP/1.0 202 ")
     assert store.quarantine_count() == 1
     assert converged(fresh_service, target) == first
+
+
+def test_first_hit_encodes_once_and_padded_targets_are_not_recorded(
+        fresh_service, scenario, monkeypatch):
+    """The recorded reply is the one sent; a target longer than its reply
+    (padded with a parameter the scenario= form ignores) is answered but
+    not recorded."""
+    from repro.serve import service as service_module
+
+    run_cached(scenario, store=fresh_service.store)
+    encoded = []
+    encode = service_module._encode_reply
+    monkeypatch.setattr(service_module, "_encode_reply",
+                        lambda *args, **kwargs: encoded.append(args)
+                        or encode(*args, **kwargs))
+    target = scenario_target(scenario)
+    first = get(fresh_service, target)
+    assert len(encoded) == 1
+    assert fresh_service._resolved[target].reply == first
+    padded = f"{target}&pad={'x' * len(first)}"
+    assert get(fresh_service, padded) == first
+    assert list(fresh_service._resolved) == [target]
 
 
 def test_only_scenario_hits_are_recorded_up_to_the_bound(fresh_service,
