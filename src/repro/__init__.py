@@ -34,7 +34,6 @@ __all__, __getattr__, __dir__ = lazy_exports(globals(), {
         "Scenario", "ScenarioResult", "SimulationResult", "SlowdownPolicy",
         "Topology", "available_controllers", "available_policies",
         "available_scenarios", "available_topologies", "baseline_comparison",
-        "build_base_processor", "build_gals_processor", "build_processor",
         "compare", "design_space_scenarios", "get_policy", "get_scenario",
         "get_topology", "make_controller", "phase_sensitivity",
         "register_controller", "register_scenario", "register_topology",

@@ -7,7 +7,7 @@ the benchmark harness can print directly comparable output.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from ..core.experiments import DvfsResult
 from ..core.metrics import ComparisonRow

@@ -23,7 +23,7 @@ the instruction slip.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Deque, List, Optional, Tuple
 
 from ..sim.channel import Channel
 from ..sim.clock import Clock

@@ -34,9 +34,7 @@ __all__, __getattr__, __dir__ = lazy_exports(globals(), {
     ".metrics": (
         "ComparisonRow", "SimulationResult", "SimulationStats",
         "arithmetic_mean", "compare", "geometric_mean"),
-    ".processor": (
-        "BASE_PROCESSOR", "GALS_PROCESSOR", "Processor",
-        "build_base_processor", "build_gals_processor", "build_processor"),
+    ".processor": ("BASE_PROCESSOR", "GALS_PROCESSOR", "Processor"),
     ".scenario": (
         "SCENARIOS", "Scenario", "ScenarioResult", "available_scenarios",
         "execute_run", "get_scenario", "register_scenario",

@@ -9,7 +9,6 @@ configurations used where the paper does not spell them out.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict
 
 from ..memory.hierarchy import MemoryHierarchyConfig
 from ..power.technology import DEFAULT_TECHNOLOGY, TechnologyParameters
@@ -53,12 +52,6 @@ class ProcessorConfig:
     #: pre-touch the trace's code and data lines so short traces measure
     #: steady-state (warm-cache) behaviour, as the paper's full SPEC runs do
     warm_caches: bool = True
-    #: issue-queue wakeup implementation: "event" keeps per-physical-register
-    #: waiter lists feeding an age-ordered per-queue ready list (the default,
-    #: no per-cycle window scan); "scan" is the legacy poll-based CAM scan,
-    #: kept selectable for the differential wakeup-equivalence tests.  Both
-    #: produce bit-identical simulation results.
-    wakeup_scheme: str = "event"
 
     # -- branch prediction
     predictor_kind: str = "bimodal"
@@ -111,9 +104,6 @@ class ProcessorConfig:
             raise ValueError("fifo_sync_cycles must be non-negative")
         if self.int_registers < 32 or self.fp_registers < 32:
             raise ValueError("physical registers must cover the 32+32 architectural state")
-        if self.wakeup_scheme not in ("event", "scan"):
-            raise ValueError(f"unknown wakeup_scheme {self.wakeup_scheme!r}; "
-                             "known: ('event', 'scan')")
         if (not isinstance(self.predictor_kind, str)
                 or self.predictor_kind.lower() not in PREDICTOR_KINDS):
             raise ValueError(f"unknown predictor_kind {self.predictor_kind!r}; "

@@ -16,7 +16,7 @@ multiplied by N.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Tuple
 
 from ..power.technology import DEFAULT_TECHNOLOGY, TechnologyParameters
 from ..power.voltage import voltage_for_slowdown

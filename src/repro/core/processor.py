@@ -14,9 +14,8 @@ what differs between machines -- exactly as in the paper -- is
 :class:`Processor` assembles one machine from composable per-block builders
 driven by the topology: the synchronous baseline is the degenerate one-domain
 topology, the paper's GALS machine is the registered five-domain topology,
-and every other registered partitioning builds the same way.
-:func:`build_processor` is the generic factory; :func:`build_base_processor`
-and :func:`build_gals_processor` remain as the two paper-configured shortcuts.
+and every other registered partitioning builds the same way:
+``Processor(trace, topology="base" | "gals5" | ...)``.
 """
 
 from __future__ import annotations
@@ -48,10 +47,9 @@ from ..uarch.rob import ReorderBuffer
 from ..power.voltage import voltage_for_slowdown
 from .config import DEFAULT_CONFIG, ProcessorConfig
 from .controllers import CONTROLLER_PRIORITY, DvfsController, EpochTelemetry
-from .domains import (BLOCK_LINKS, BLOCKS, DOMAIN_DECODE, DOMAIN_FETCH,
-                      DOMAIN_FP, DOMAIN_INTEGER, DOMAIN_MEMORY, GALS_DOMAINS,
-                      SYNC_DOMAIN, ClockPlan, Topology, base_block,
-                      get_topology, uniform_plan)
+from .domains import (BLOCK_LINKS, DOMAIN_DECODE, DOMAIN_FETCH, DOMAIN_FP,
+                      DOMAIN_INTEGER, DOMAIN_MEMORY, ClockPlan, Topology,
+                      base_block, get_topology, uniform_plan)
 from .metrics import SimulationResult, SimulationStats
 
 BASE_PROCESSOR = "base"
@@ -217,38 +215,35 @@ class _DvfsControllerDriver:
 
 
 class Processor:
-    """A fully assembled processor model ready to run one workload trace."""
+    """A fully assembled processor model ready to run one workload trace.
+
+    ``topology`` names the machine: a registered topology name ("base",
+    "gals5", "fem3", ...) or a :class:`Topology`; the default is the
+    paper's five-domain GALS machine.
+    """
 
     def __init__(
         self,
         trace: ListTraceSource,
         config: ProcessorConfig = DEFAULT_CONFIG,
         plan: Optional[ClockPlan] = None,
-        gals: bool = True,
         workload=None,
         name: Optional[str] = None,
-        engine: Optional[SimulationEngine] = None,
-        topology: Optional[Union[Topology, str]] = None,
+        topology: Union[Topology, str] = GALS_PROCESSOR,
         controller: Optional[DvfsController] = None,
         controller_epoch: float = 0.0,
     ) -> None:
-        if topology is None:
-            topology = get_topology(GALS_PROCESSOR if gals else BASE_PROCESSOR)
-        elif isinstance(topology, str):
+        if isinstance(topology, str):
             topology = get_topology(topology)
         self.trace = trace
         self.config = config
         self.plan = plan or uniform_plan()
         self.topology = topology
-        #: legacy flag: True whenever any block pair is asynchronous
-        self.gals = not topology.is_synchronous
         self.workload = workload
         self.kind = topology.kind
         self.name = name or f"{self.kind}-{trace.name}"
 
-        #: injectable for A/B testing scheduler implementations (the
-        #: wheel-vs-generic equivalence test and the perf benchmarks)
-        self.engine = engine if engine is not None else SimulationEngine()
+        self.engine = SimulationEngine()
         #: forwarding latencies are pure functions of the clock plan, which
         #: only changes through retime_domain (the online DVFS path); that
         #: method clears this cache -- and the per-unit copies in
@@ -479,8 +474,7 @@ class Processor:
                 name=unit_name,
                 domain_name=domain.name,
                 issue_queue=IssueQueue(queue_block, params["entries"],
-                                       domain.name,
-                                       scheme=config.wakeup_scheme),
+                                       domain.name),
                 input_channel=self.dispatch_channels[instance],
                 regfile=self.regfile,
                 forwarding_latency=self.forwarding_latency,
@@ -591,7 +585,7 @@ class Processor:
                     models[model_name],
                     name=model_name.replace(kind, instance, 1))
                 self.power.register_block(clone, block_domains[block])
-        if self.gals:
+        if not self.topology.is_synchronous:
             # Any machine with mixed-clock FIFOs pays their energy in the
             # commit/decode domain (where the probe ticks).  The stock model
             # is sized for the full 5-FIFO gals5 complex; a topology with a
@@ -852,33 +846,3 @@ class Processor:
             dvfs_trace=(self._controller_driver.trace
                         if self._controller_driver is not None else None),
         )
-
-
-# ------------------------------------------------------------------ factories
-def build_processor(trace: ListTraceSource,
-                    topology: Union[Topology, str] = GALS_PROCESSOR,
-                    config: ProcessorConfig = DEFAULT_CONFIG,
-                    plan: Optional[ClockPlan] = None,
-                    workload=None,
-                    engine: Optional[SimulationEngine] = None) -> Processor:
-    """Assemble a processor for any registered (or ad-hoc) topology."""
-    return Processor(trace, config=config, plan=plan, workload=workload,
-                     engine=engine, topology=topology)
-
-
-def build_base_processor(trace: ListTraceSource,
-                         config: ProcessorConfig = DEFAULT_CONFIG,
-                         plan: Optional[ClockPlan] = None,
-                         workload=None) -> Processor:
-    """The fully synchronous baseline (Figure 3a)."""
-    return Processor(trace, config=config, plan=plan, gals=False,
-                     workload=workload)
-
-
-def build_gals_processor(trace: ListTraceSource,
-                         config: ProcessorConfig = DEFAULT_CONFIG,
-                         plan: Optional[ClockPlan] = None,
-                         workload=None) -> Processor:
-    """The five-clock-domain GALS processor (Figure 3b)."""
-    return Processor(trace, config=config, plan=plan, gals=True,
-                     workload=workload)

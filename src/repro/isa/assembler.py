@@ -21,7 +21,7 @@ reproduction target itself (the paper used pre-compiled SPEC binaries).
 from __future__ import annotations
 
 import re
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from .instructions import Instruction, Opcode
 from .program import Program

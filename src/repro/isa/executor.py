@@ -9,9 +9,9 @@ timing models.  No timing is modelled here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, List, Optional
 
-from .instructions import Instruction, InstructionClass, Opcode
+from .instructions import Opcode
 from .program import INSTRUCTION_SIZE, Program
 from .registers import NUM_ARCH_REGS, ZERO_REG, is_fp_reg
 from .trace import ListTraceSource, TraceInstruction

@@ -11,7 +11,7 @@ timing models consume.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List
 
 from .instructions import Instruction, Opcode
 

@@ -11,7 +11,7 @@ after mispredictions, queue occupancies, and so on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional, Tuple
 
 from .._compat import SLOTS
@@ -89,11 +89,15 @@ class InstructionSource:
 
 
 class ListTraceSource(InstructionSource):
-    """An :class:`InstructionSource` backed by an in-memory list."""
+    """An :class:`InstructionSource` backed by an in-memory sequence.
+
+    The records are held as a tuple: a tuple passed in is kept as it is (so
+    memoized copies of one trace share it), anything else is copied.
+    """
 
     def __init__(self, instructions, name: str = "trace") -> None:
         super().__init__(name)
-        self._instructions = list(instructions)
+        self._instructions = tuple(instructions)
         self._position = 0
         #: cache-warming replay plans derived from the instructions, keyed by
         #: cache line size; shared between copies of a memoized trace (see

@@ -15,7 +15,7 @@ energy).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from .replacement import ReplacementPolicy, make_policy

@@ -8,7 +8,7 @@ default).  FIFO and random policies are provided for ablation studies.
 from __future__ import annotations
 
 import random
-from typing import List, Optional
+from typing import List
 
 
 class ReplacementPolicy:

@@ -16,7 +16,7 @@ sizes through :mod:`repro.power.capacitance`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 from . import capacitance
 from .technology import DEFAULT_TECHNOLOGY, TechnologyParameters

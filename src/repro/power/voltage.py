@@ -13,7 +13,6 @@ machine's energy advantage in the multiple-voltage experiments comes from.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .technology import DEFAULT_TECHNOLOGY, TechnologyParameters
 

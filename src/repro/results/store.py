@@ -280,13 +280,19 @@ class ResultsStore:
                          ) -> Optional[Tuple[ScenarioResult, float]]:
         """Like :meth:`get`, plus the original compute wall time recorded
         when the entry was stored (what a hit saves)."""
+        return self.get_by_key(self.key_for(scenario), scenario)
+
+    def get_by_key(self, key: str, scenario: Scenario
+                   ) -> Optional[Tuple[ScenarioResult, float]]:
+        """:meth:`get_with_seconds` for a caller that already holds
+        ``scenario``'s key, so the scenario is not hashed again."""
         def decode(header: Dict[str, Any], compact: bytes, rendering: bytes
                    ) -> Tuple[ScenarioResult, float]:
             """Rebuild the result from the entry's compact JSON."""
-            result =_result_from_dict(json.loads(compact))
+            result = _result_from_dict(json.loads(compact))
             return (ScenarioResult(scenario=scenario, result=result),
                     float(header.get("wall_seconds", 0.0)))
-        return self._load(self.key_for(scenario), decode)
+        return self._load(key, decode)
 
     def get_rendering(self, key: str) -> Optional[str]:
         """The stored result's canonical rendering, or None on a miss.

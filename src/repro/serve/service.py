@@ -645,10 +645,12 @@ class ResultsService:
                 missing += len(grid) - index
                 deadline_hit = True
                 break
-            hit = self.store.get_with_seconds(scenario)
+            # key each cell once: a miss is queued under the same key
+            key = self.store.key_for(scenario)
+            hit = self.store.get_by_key(key, scenario)
             if hit is None:
                 missing += 1
-                status, _, _ = self.lookup(scenario)  # enqueue the miss
+                status, _, _ = self._miss(key, scenario)
                 if status == "saturated":
                     saturated += 1
             else:

@@ -14,7 +14,7 @@ domain containing every component.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Protocol
 
 from .engine import SimulationEngine

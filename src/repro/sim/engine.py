@@ -31,11 +31,11 @@ single-element list cells (``_stop``, ``_events``, ``_current``,
 ``_wheel_state``); ``_now`` stays a plain attribute because the pipeline's
 edge closures read ``engine._now`` directly.
 
-Edge times are produced by the same repeated ``time += period`` float
-addition the generic heap path uses, so the two paths are bit-identical:
-identical seeds produce identical event orders, timestamps, and therefore
-identical ``SimulationResult`` statistics (``use_wheel=False`` forces the
-generic path; a regression test asserts the equivalence).
+Edge times are produced by repeated ``time += period`` float addition, and
+each next occurrence draws its tie-breaking sequence number after its
+callback, exactly as a heap that re-pushes the fired event would.  The wheel
+therefore reproduces a heap-only engine's event order and timestamps bit for
+bit; the regression tests pin the logs and results that engine produced.
 """
 
 from __future__ import annotations
@@ -44,8 +44,8 @@ import heapq
 from typing import Any, Callable, Iterable, List, Optional
 
 from .event import (CHAIN_CALLBACK, CHAIN_CANCELLED, CHAIN_HANDLE, CHAIN_NAME,
-                    CHAIN_PARAM, CHAIN_PERIOD, CHAIN_PRIORITY, CHAIN_SEQ,
-                    CHAIN_TIME, Event, SimulationError, _SEQUENCE)
+                    CHAIN_PARAM, CHAIN_PERIOD, CHAIN_SEQ, CHAIN_TIME, Event,
+                    SimulationError, _SEQUENCE)
 from .hotcore import run_wheel
 
 #: Compact the heap once at least this many cancelled events are rotting in it
@@ -57,19 +57,15 @@ class SimulationEngine:
     """Discrete-event simulator with support for periodic (clock) events.
 
     Time is a float in nanoseconds by convention throughout the library,
-    although the engine itself is unit-agnostic.
-
-    ``use_wheel=False`` disables the clock-wheel fast path and schedules
-    periodic events through the generic heap (the seed engine's behaviour);
-    both paths are deterministic and produce identical simulations.
+    although the engine itself is unit-agnostic.  Periodic events live on
+    the clock wheel, one-shots on the heap.
     """
 
-    def __init__(self, use_wheel: bool = True) -> None:
-        #: generic heap of (time, priority, seq, event) tuples
+    def __init__(self) -> None:
+        #: heap of one-shot (time, priority, seq, event) tuples
         self._queue: List[tuple] = []
         #: clock wheel: one chain record per periodic event (see event.py)
         self._wheel: List[list] = []
-        self._use_wheel = use_wheel
         self._now: float = 0.0
         self._running: bool = False
         self._cancelled_pending: int = 0
@@ -168,33 +164,25 @@ class SimulationEngine:
             )
         event = Event(time=start, priority=priority, callback=callback,
                       param=param, period=period, name=name)
-        if self._use_wheel:
-            chain = [start, priority, event.seq, callback, param, period,
-                     name, event, False]
-            event._chain = chain
-            self._wheel.append(chain)
-            self._wheel_state[0] += 1
-        else:
-            event._cancel_hook = self._note_cancelled
-            heapq.heappush(self._queue, (start, priority, event.seq, event))
+        chain = [start, priority, event.seq, callback, param, period,
+                 name, event, False]
+        event._chain = chain
+        self._wheel.append(chain)
+        self._wheel_state[0] += 1
         return event
 
     def next_chain_time(self, name: str) -> Optional[float]:
         """Pending fire time of the live periodic chain named ``name``.
 
-        Returns the earliest pending occurrence over both scheduler paths
-        (clock wheel and generic heap), or ``None`` when no live event with
-        that name is pending.  Used by mid-run DVFS retiming to anchor a
-        domain's new clock schedule on the edge that is already in flight.
+        Returns the earliest pending occurrence, or ``None`` when no live
+        chain with that name is on the wheel.  Used by mid-run DVFS retiming
+        to anchor a domain's new clock schedule on the edge that is already
+        in flight.
         """
         best: Optional[float] = None
         for chain in self._wheel:
             if chain[CHAIN_NAME] == name and not chain[CHAIN_CANCELLED]:
                 time = chain[CHAIN_TIME]
-                if best is None or time < best:
-                    best = time
-        for time, _, _, event in self._queue:
-            if event.name == name and not event.cancelled:
                 if best is None or time < best:
                     best = time
         return best
@@ -204,8 +192,7 @@ class SimulationEngine:
 
         Returns the number of events cancelled.  Used to stop clock domains.
         The chain occurrence currently firing is not pending and therefore not
-        cancelled (matching the generic path, where the firing event has
-        already been popped off the queue).
+        cancelled.
         """
         count = 0
         current = self._current[0]
@@ -303,8 +290,8 @@ class SimulationEngine:
             self._discard_chain(chain)
         else:
             # Fresh (seq, time) for the next occurrence, allocated after the
-            # callback -- exactly when the generic path allocates the
-            # rescheduled event -- so tie-breaking matches bit for bit.
+            # callback -- as a heap that re-pushes the fired event would --
+            # so tie-breaking is bit-identical to the pinned heap-only logs.
             chain[CHAIN_SEQ] = next(_SEQUENCE)
             chain[CHAIN_TIME] = time + chain[CHAIN_PERIOD]
             handle.seq = chain[CHAIN_SEQ]
@@ -319,16 +306,6 @@ class SimulationEngine:
         self._now = event.time
         event.callback(event.param)
         self._events[0] += 1
-        if event.period is not None and event.period > 0.0 and not event.cancelled:
-            # Re-arm the *same* event object (fresh time and seq, allocated
-            # after the callback exactly like the wheel path does), so the
-            # handle returned by schedule_periodic stays live: cancelling it
-            # stops the chain on both scheduler paths.
-            event.time = event.time + event.period
-            event.seq = next(_SEQUENCE)
-            event._cancel_hook = self._note_cancelled
-            heapq.heappush(self._queue,
-                           (event.time, event.priority, event.seq, event))
         return event
 
     def run(
@@ -354,8 +331,9 @@ class SimulationEngine:
         Returns the simulation time at which the run stopped.
 
         Wheel segments (periodic events only, no pending one-shots) are
-        delegated to :func:`~repro.sim.hotcore.run_wheel`; the generic heap
-        path interleaves through :meth:`step` exactly as before.
+        delegated to :func:`~repro.sim.hotcore.run_wheel`; while one-shots
+        are pending, the run interleaves wheel and heap through
+        :meth:`step`.
         """
         self._running = True
         stop = self._stop

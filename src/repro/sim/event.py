@@ -109,11 +109,6 @@ class Event:
         if hook is not None:
             hook(self)
 
-    @property
-    def is_periodic(self) -> bool:
-        """True when the event models a clock (it reschedules itself)."""
-        return self.period is not None and self.period > 0.0
-
     def fire(self) -> None:
         """Invoke the callback with its parameter.
 
@@ -125,19 +120,6 @@ class Event:
         if callback is None:
             raise SimulationError(f"event {self.name!r} has no callback")
         callback(self.param)
-
-    def next_occurrence(self) -> "Event":
-        """Return the follow-up event one period later (periodic events only)."""
-        if not self.is_periodic:
-            raise ValueError("next_occurrence() requires a periodic event")
-        return Event(
-            time=self.time + self.period,
-            priority=self.priority,
-            callback=self.callback,
-            param=self.param,
-            period=self.period,
-            name=self.name,
-        )
 
 
 class SimulationError(RuntimeError):

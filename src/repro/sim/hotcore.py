@@ -25,7 +25,7 @@ def run_wheel(engine, horizon, until, stop_condition, max_events, processed):
 
     Extracted verbatim (in behaviour) from the wheel fast path of
     :meth:`repro.sim.engine.SimulationEngine.run`.  The caller guarantees the
-    wheel is non-empty and the generic heap is empty on entry.  The segment
+    wheel is non-empty and the one-shot heap is empty on entry.  The segment
     ends when a one-shot is scheduled, the wheel membership changes, a
     cancelled chain is discarded, a stop is requested, the horizon is passed,
     the stop condition fires, or the event budget is exhausted.
@@ -99,8 +99,8 @@ def run_wheel(engine, horizon, until, stop_condition, max_events, processed):
                 return True, processed
             engine._now = time
             current_cell[0] = chain
-            # callbacks observe the pre-event count, exactly as on the
-            # generic path
+            # callbacks observe the pre-event count, exactly as under
+            # step()
             events_cell[0] = events_done
             chain[3](chain[4])      # CHAIN_CALLBACK(CHAIN_PARAM)
             current_cell[0] = None
@@ -134,8 +134,8 @@ def run_wheel(engine, horizon, until, stop_condition, max_events, processed):
             return True, processed
         engine._now = time
         current_cell[0] = chain
-        # callbacks observe the pre-event count, exactly as on the generic
-        # path (step() increments after fire)
+        # callbacks observe the pre-event count, exactly as under step()
+        # (which increments after fire)
         events_cell[0] = events_done
         chain[3](chain[4])          # CHAIN_CALLBACK(CHAIN_PARAM)
         current_cell[0] = None
@@ -162,7 +162,7 @@ def run_wheel(engine, horizon, until, stop_condition, max_events, processed):
 
 # ------------------------------------------------------------ event wakeup
 def wake_waiters(waiters):
-    """Writeback waiter walk for the event wakeup scheme.
+    """Writeback waiter walk of the event-driven wakeup.
 
     ``waiters`` is a physical register's waiter list: every issue-queue entry
     blocked on that value.  Each live waiter's pending-operand count drops by

@@ -15,10 +15,8 @@ in-flight count).
 
 from __future__ import annotations
 
-from typing import Callable, Optional
 
 from ..memory.hierarchy import MemoryHierarchy
-from .instruction import DynamicInstruction
 from .issue_queue import ForwardingLatency
 from .regfile import ALWAYS_READY as _ALWAYS_READY
 from .regfile import PhysicalRegisterFile

@@ -29,7 +29,7 @@ from ..sim.channel import Channel
 from ..sim.hotcore import wake_waiters
 from .branch_predictor import BranchUnit
 from .instruction import DynamicInstruction
-from .issue_queue import SCHEME_EVENT, ForwardingLatency, IssueQueue
+from .issue_queue import ForwardingLatency, IssueQueue
 from .regfile import PhysicalRegisterFile
 
 # Unpipelined classes (full-latency functional-unit occupancy) are flagged
@@ -152,14 +152,9 @@ class ExecutionUnit:
         #: folded into the eager counters on the next non-empty edge or an
         #: external read (integer run-length encoding, so totals are exact)
         self._idle_samples = 0
-        # per-unit fused stage closures (stable collaborators pre-bound),
-        # picked by the queue's wakeup scheme
-        if issue_queue.scheme == SCHEME_EVENT:
-            self._drain_input = self._make_drain_input_event()
-            self._issue_ready = self._make_issue_ready_event()
-        else:
-            self._drain_input = self._make_drain_input()
-            self._issue_ready = self._make_issue_ready()
+        # per-unit fused stage closures (stable collaborators pre-bound)
+        self._drain_input = self._make_drain_input()
+        self._issue_ready = self._make_issue_ready()
 
     # --------------------------------------------------------------- clocking
     def clock_edge(self, cycle: int, time: float) -> None:
@@ -212,7 +207,6 @@ class ExecutionUnit:
         channel = self.input_channel
         issue_queue = self.issue_queue
         is_fifo = channel.counts_as_fifo
-        event_mode = issue_queue.scheme == SCHEME_EVENT
         if probe is not None:
             gated_cells, state, active_edge = probe
         else:  # pragma: no cover - every processor domain carries a probe
@@ -230,12 +224,9 @@ class ExecutionUnit:
                 # while the FIFO head is still synchronizing
                 if ch_entries and (not is_fifo or ch_entries[0][2] <= time):
                     unit._drain_input(time)
-                # event scheme: skip the issue call outright while the ready
-                # list is empty or gated (nothing can become visible yet)
-                if event_mode:
-                    if issue_queue._ready and time >= issue_queue.ready_gate:
-                        unit._issue_ready(time)
-                elif issue_queue._entries:
+                # skip the issue call outright while the ready list is
+                # empty or gated (nothing can become visible yet)
+                if issue_queue._ready and time >= issue_queue.ready_gate:
                     unit._issue_ready(time)
                 idle = unit._idle_samples
                 if idle:
@@ -282,8 +273,7 @@ class ExecutionUnit:
         if len(finished) > 1:
             finished.sort(key=lambda i: i.seq)
         results = 0
-        regfile = self.regfile
-        registers = regfile._registers
+        registers = self.regfile._registers
         domain_name = self.domain_name
         for instr in finished:
             if instr.squashed:
@@ -293,15 +283,12 @@ class ExecutionUnit:
             self.completed_ops += 1
             phys_dest = instr.phys_dest
             if phys_dest is not None:
-                # inline regfile.mark_ready; the waiter walk (under the event
-                # wakeup scheme this writeback is what moves blocked
-                # consumers toward their queue's ready list; under the scan
-                # scheme the waiter list is always empty) is
-                # hotcore.wake_waiters
+                # inline regfile.mark_ready; the waiter walk (this writeback
+                # is what moves blocked consumers toward their queue's ready
+                # list) is hotcore.wake_waiters
                 reg = registers[phys_dest]
                 reg.ready_time = now
                 reg.producer_domain = domain_name
-                regfile.writes += 1
                 results += 1
                 waiters = reg.waiters
                 if waiters:
@@ -336,6 +323,11 @@ class ExecutionUnit:
         counter cells) as closure variables makes each access a local read
         instead of an attribute chain -- the same idiom the clock domains use
         for their edge closures.
+
+        Each accepted entry is registered on the waiter list of every source
+        operand whose producer has not written back yet; entries with no
+        pending producer go straight onto the queue's age-ordered ready list
+        (``IssueQueue.dispatch``, inlined).
         """
         unit = self
         channel = self.input_channel
@@ -344,6 +336,8 @@ class ExecutionUnit:
         queue = self.issue_queue
         capacity = queue.capacity
         queue_cell = self._queue_cell
+        registers = self.regfile._registers
+        push_ready = queue.push_ready
 
         def drain_input(now: float) -> None:
             # Writeback-side intake: drain the dispatch channel in bulk.
@@ -365,61 +359,8 @@ class ExecutionUnit:
                     if instr.squashed:
                         unit.dropped_squashed += 1
                         continue
-                    # inline IssueQueue.dispatch (the batch is bounded by the
-                    # window's free space, so the capacity check cannot
-                    # fire).  In-order appends land beyond the wakeup gate's
-                    # covered prefix, so the gate survives; an out-of-order
-                    # arrival scrambles the prefix and must invalidate it.
-                    if entries and instr.seq < entries[-1].seq:
-                        queue._needs_sort = True
-                        queue.gate_time = -1.0
-                    entries.append(instr)
-                    drained += 1
-                if len(batch) < space:
-                    break                 # channel exhausted: skip the re-probe
-            if drained:
-                queue.dispatches += drained
-                queue_cell[0] += drained
-
-        return drain_input
-
-    def _make_drain_input_event(self):
-        """Event-scheme intake: the scan drain plus inline waiter linking.
-
-        Each accepted entry is registered on the waiter list of every source
-        operand whose producer has not written back yet; entries with no
-        pending producer go straight onto the queue's age-ordered ready list
-        (``IssueQueue.link_waiters``, inlined).  The scan scheme's wakeup
-        gate is not maintained -- the event issue pass never reads it.
-        """
-        unit = self
-        channel = self.input_channel
-        pop_bulk = channel.pop_bulk
-        is_fifo = channel.counts_as_fifo
-        queue = self.issue_queue
-        capacity = queue.capacity
-        queue_cell = self._queue_cell
-        registers = self.regfile._registers
-        push_ready = queue.push_ready
-
-        def drain_input(now: float) -> None:
-            entries = queue._entries
-            drained = 0
-            while True:
-                space = capacity - len(entries)
-                if space <= 0:
-                    break
-                batch = pop_bulk(now, space)
-                if not batch:
-                    break
-                for instr, wait in batch:
-                    if is_fifo and wait > 0:
-                        instr.fifo_time += wait
-                    if instr.squashed:
-                        unit.dropped_squashed += 1
-                        continue
-                    if entries and instr.seq < entries[-1].seq:
-                        queue._needs_sort = True
+                    # the batch is bounded by the window's free space, so
+                    # the capacity check of IssueQueue.dispatch cannot fire
                     entries.append(instr)
                     drained += 1
                     # inline IssueQueue.link_waiters
@@ -445,185 +386,17 @@ class ExecutionUnit:
     def _make_issue_ready(self):
         """Build the per-unit wakeup/select + issue closure.
 
-        A single pass over the window models the CAM search of
-        ``IssueQueue.ready_instructions`` (every examined entry counts as
-        wakeup activity, the per-entry visibility caches and the queue-level
-        gate are maintained identically) and starts ready instructions on
-        free functional units as it finds them, oldest first, without
-        materialising an intermediate ready list.  All stable collaborators
-        are pre-bound as closure variables: the per-cycle setup of the scan
-        is a handful of local reads.
-        """
-        unit = self
-        issue_queue = self.issue_queue
-        regfile = self.regfile
-        registers = regfile._registers
-        fwd_cache = issue_queue._fwd_cache
-        forwarding_latency = self.forwarding_latency
-        functional_units = self.functional_units
-        busy = functional_units._busy_until
-        num_units = len(busy)
-        latency_by_op = self._latency_by_op
-        busy_by_op = self._busy_by_op
-        memory = self.memory
-        clock = self._clock
-        domain_name = issue_queue.domain_name
-        issue_width = self.issue_width
-        dcache_cell = self._dcache_cell
-        alu_cell = self._alu_cell
-        queue_cell = self._queue_cell
-
-        def issue_ready(now: float) -> None:
-            entries = issue_queue._entries
-            if not entries:
-                return
-            write_stamp = regfile.writes
-            # Queue-level wakeup gate: when the last complete scan proved
-            # nothing becomes visible before gate_time and no result has
-            # completed since (regfile.writes unchanged), the covered
-            # age-ordered prefix stays blocked -- only entries dispatched
-            # after that scan can be ready, so the pass restricts itself to
-            # the new tail (or skips entirely).
-            start = 0
-            if (issue_queue.gate_stamp == write_stamp
-                    and now < issue_queue.gate_time):
-                start = issue_queue.gate_len
-                if start >= len(entries):
-                    return
-            limit = 0
-            for busy_until in busy:
-                if busy_until <= now:
-                    limit += 1
-            if limit <= 0:
-                return
-            if limit > issue_width:
-                limit = issue_width
-            if issue_queue._needs_sort:
-                entries.sort(key=lambda i: i.seq)
-                issue_queue._needs_sort = False
-            period = clock.period
-            in_flight = unit._in_flight
-            next_completion = unit._next_completion
-            scan_complete = True
-            min_future = _INF
-            issued_instrs: List[DynamicInstruction] = []
-            searched = 0
-            issued = 0
-            loads = 0
-            for instr in entries[start:] if start else entries:
-                searched += 1
-                wakeup_after = instr.wakeup_after
-                if wakeup_after > now:
-                    if wakeup_after < _INF:
-                        if wakeup_after < min_future:
-                            min_future = wakeup_after
-                        continue              # visibility time known, still ahead
-                    if instr.wakeup_stamp == write_stamp:
-                        continue              # still blocked: no new completions
-                    probe = True
-                else:
-                    probe = wakeup_after < 0.0
-                if probe:
-                    # blocked entry with fresh completions, or never-checked
-                    # entry: probe every operand and refresh the cache
-                    visible_at = 0.0
-                    for phys in instr.phys_sources:
-                        reg = registers[phys]
-                        source_visible = reg.ready_time
-                        if source_visible == _INF:
-                            visible_at = _INF
-                            break
-                        producer_domain = reg.producer_domain
-                        if producer_domain and producer_domain != domain_name:
-                            extra = fwd_cache.get(producer_domain)
-                            if extra is None:
-                                extra = forwarding_latency(producer_domain,
-                                                           domain_name)
-                                fwd_cache[producer_domain] = extra
-                            source_visible += extra
-                        if source_visible > visible_at:
-                            visible_at = source_visible
-                    instr.wakeup_after = visible_at
-                    if visible_at > now:
-                        if visible_at == _INF:
-                            instr.wakeup_stamp = write_stamp
-                        elif visible_at < min_future:
-                            min_future = visible_at
-                        continue
-                # ---------------- issue (inline FunctionalUnitPool.try_claim)
-                opclass = instr.opclass
-                op_index = opclass.op_index
-                latency_cycles = latency_by_op[op_index]
-                if instr.is_load and memory is not None:
-                    latency_cycles += memory.load_access(instr.trace.mem_address or 0)
-                    loads += 1
-                claimed = False
-                for index in range(num_units):
-                    if busy[index] <= now:
-                        busy[index] = now + busy_by_op[op_index] * period
-                        functional_units.operations += 1
-                        claimed = True
-                        break
-                if not claimed:
-                    # Ready work is left behind: the gate must not skip it.
-                    functional_units.structural_stalls += 1
-                    scan_complete = False
-                    break
-                issued_instrs.append(instr)
-                instr.issued = True
-                instr.issue_time = now
-                completion_time = now + latency_cycles * period
-                instr.fu_done = completion_time
-                if completion_time < next_completion:
-                    next_completion = completion_time
-                in_flight.append(instr)
-                issued += 1
-                if issued >= limit:
-                    scan_complete = False     # tail not examined this cycle
-                    break
-            unit._next_completion = next_completion
-            issue_queue.wakeup_searches += searched
-            if loads:
-                dcache_cell[0] += loads
-            if issued:
-                for instr in issued_instrs:
-                    entries.remove(instr)
-                issue_queue.issues += issued
-                unit.issued_ops += issued
-                alu_cell[0] += issued
-                queue_cell[0] += issued
-            if scan_complete:
-                # A partial (gated) pass keeps the earlier gate time: the old
-                # prefix stays blocked at least until then, and the new tail
-                # adds its own earliest-visibility bound.
-                if start:
-                    gate_time = issue_queue.gate_time
-                    if gate_time < min_future:
-                        min_future = gate_time
-                issue_queue.gate_time = min_future
-                issue_queue.gate_stamp = write_stamp
-                issue_queue.gate_len = len(entries)
-            else:
-                issue_queue.gate_time = -1.0
-
-        return issue_ready
-
-    def _make_issue_ready_event(self):
-        """Build the event-scheme wakeup/select + issue closure.
-
         The pass walks only the queue's age-ordered ready list (entries
         whose producers have all written back), pricing cross-domain
-        visibility lazily with the same per-entry ``wakeup_after`` cache the
-        scan uses.  Selection is bit-identical to the scan closure: oldest
-        first over the same candidate set, the same structural-stall and
-        issue-width break conditions, and the same ``memory.load_access``
-        call sequence (the visibility probe fires on the same edge in both
-        schemes -- the first pass after the last producer's writeback).
+        visibility lazily with a per-entry ``wakeup_after`` cache, and
+        starts visible entries on free functional units as it finds them,
+        oldest first, without materialising an intermediate ready list --
+        the selection ``IssueQueue.ready_instructions`` makes.  All stable
+        collaborators are pre-bound as closure variables.
         """
         unit = self
         issue_queue = self.issue_queue
-        regfile = self.regfile
-        registers = regfile._registers
+        registers = self.regfile._registers
         fwd_cache = issue_queue._fwd_cache
         forwarding_latency = self.forwarding_latency
         functional_units = self.functional_units

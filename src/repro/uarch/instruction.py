@@ -32,7 +32,7 @@ class DynamicInstruction:
         "dispatch_time", "issue_time", "complete_time", "commit_time",
         "fifo_time", "fu_done",
         "squashed", "completed", "issued",
-        "wakeup_after", "wakeup_stamp", "pending_ops", "wakeup_queue",
+        "wakeup_after", "pending_ops", "wakeup_queue",
     )
 
     def __init__(self, trace: TraceInstruction, epoch: int,
@@ -81,15 +81,13 @@ class DynamicInstruction:
         self.issued: bool = False
 
         #: wakeup cache (issue queue): earliest time the operands can all be
-        #: visible, or +inf while a producer has not completed yet
+        #: visible, or -1.0 until priced after the last producer's writeback
         self.wakeup_after: float = -1.0
-        #: regfile write-counter stamp at the last failed +inf wakeup check
-        self.wakeup_stamp: int = -1
-        #: event-driven wakeup: number of source operands whose producers
-        #: have not completed yet (maintained by the waiter lists)
+        #: number of source operands whose producers have not completed yet
+        #: (maintained by the waiter lists)
         self.pending_ops: int = 0
-        #: event-driven wakeup: the IssueQueue holding this entry, so a
-        #: producer's writeback can move it onto that queue's ready list
+        #: the IssueQueue holding this entry, so a producer's writeback can
+        #: move it onto that queue's ready list
         self.wakeup_queue = None
 
     # --------------------------------------------------------------- queries

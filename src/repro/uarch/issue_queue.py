@@ -13,7 +13,7 @@ operands); :meth:`IssueQueue.sample_occupancy` feeds those numbers.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Optional
+from typing import Callable, Iterable, List
 
 from .instruction import DynamicInstruction
 from .regfile import PhysicalRegisterFile
@@ -23,61 +23,35 @@ ForwardingLatency = Callable[[str, str], float]
 
 _INF = float("inf")
 
-#: event-driven wakeup (per-register waiter lists + a per-queue ready list)
-SCHEME_EVENT = "event"
-#: legacy poll-based wakeup (full CAM scan per cycle, covered-prefix gate)
-SCHEME_SCAN = "scan"
-
-WAKEUP_SCHEMES = (SCHEME_EVENT, SCHEME_SCAN)
-
 
 class IssueQueue:
     """One instruction window feeding one set of functional units.
 
-    ``scheme`` selects the wakeup implementation: ``"event"`` keeps a
-    per-physical-register waiter list (entries blocked on that value) and an
-    age-ordered per-queue ready list fed by writebacks, so the per-cycle
-    wakeup pass touches only awake entries; ``"scan"`` is the legacy
-    poll-based CAM scan over the whole window.  Both produce bit-identical
-    issue decisions (the differential wakeup tests pin this).
+    Wakeup is event-driven: each physical register keeps a waiter list of
+    the entries blocked on its value, and writebacks move fully produced
+    entries onto an age-ordered per-queue ready list, so the per-cycle
+    wakeup pass touches only awake entries.  The selections are those of a
+    CAM search over the whole window (``test_golden_regression.PINS`` holds
+    the results that search produced).
     """
 
-    def __init__(self, name: str, capacity: int, domain_name: str = "",
-                 scheme: str = SCHEME_SCAN) -> None:
+    def __init__(self, name: str, capacity: int,
+                 domain_name: str = "") -> None:
         if capacity <= 0:
             raise ValueError("issue queue capacity must be positive")
-        if scheme not in WAKEUP_SCHEMES:
-            raise ValueError(f"unknown wakeup scheme {scheme!r}; "
-                             f"known: {WAKEUP_SCHEMES}")
         self.name = name
         self.capacity = capacity
         self.domain_name = domain_name
-        self.scheme = scheme
         self._entries: List[DynamicInstruction] = []
-        #: event scheme: entries whose source operands have all been
-        #: *produced* (writeback happened; cross-domain visibility may still
-        #: be in the future), kept in age (seq) order.  Always a subset of
-        #: ``_entries``.
+        #: entries whose source operands have all been *produced* (writeback
+        #: happened; cross-domain visibility may still be in the future),
+        #: kept in age (seq) order.  Always a subset of ``_entries``.
         self._ready: List[DynamicInstruction] = []
-        # Entries arrive in program (seq) order from the in-order front end,
-        # so the list is kept age-sorted without re-sorting every wakeup; the
-        # flag flips if an out-of-order dispatch is ever observed.
-        self._needs_sort = False
-        # Queue-level wakeup gate: after a complete scan that issued every
-        # ready entry, nothing can issue before ``gate_time`` unless a new
-        # result completes (``regfile.writes`` moves past ``gate_stamp``) or
-        # the queue contents change.  ``gate_time`` < 0 means invalid.
-        # ``gate_len`` is the length of the age-ordered prefix the gate
-        # covers: entries dispatched after the scan sit beyond it and are
-        # the only ones a gated wakeup pass still needs to examine.
-        self.gate_time = -1.0
-        self.gate_stamp = -1
-        self.gate_len = 0
-        # Event-scheme issue gate: after a complete pass over the ready list
-        # that issued everything visible, no remaining entry becomes visible
-        # before ``ready_gate``.  Only a new push can add an earlier
-        # candidate (it resets the gate); entries leaving the list can never
-        # lower the minimum, so squash/remove keep the gate valid.
+        # Issue gate: after a complete pass over the ready list that issued
+        # everything visible, no remaining entry becomes visible before
+        # ``ready_gate``.  Only a new push can add an earlier candidate (it
+        # resets the gate); entries leaving the list can never lower the
+        # minimum, so squash/remove keep the gate valid.
         self.ready_gate = -1.0
         # producer-domain -> forwarding latency into this queue's domain.
         # Clock periods are immutable once domains are bound (see
@@ -120,28 +94,20 @@ class IssueQueue:
 
     # ------------------------------------------------------------ operations
     def dispatch(self, instr: DynamicInstruction,
-                 regfile: Optional[PhysicalRegisterFile] = None) -> None:
+                 regfile: PhysicalRegisterFile) -> None:
         """Insert a renamed instruction into the window.
 
-        Under the event wakeup scheme, ``regfile`` is required: the entry is
-        linked onto the waiter list of every not-yet-produced source operand
-        (or straight onto the ready list when none is pending).
+        The entry is linked onto the waiter list of every not-yet-produced
+        source operand (or straight onto the ready list when none is
+        pending).
         """
         entries = self._entries
         if len(entries) >= self.capacity:
             self.full_stalls += 1
             raise OverflowError(f"issue queue {self.name!r} is full")
-        if entries and instr.seq < entries[-1].seq:
-            # an out-of-order arrival scrambles the gate's covered prefix
-            self._needs_sort = True
-            self.gate_time = -1.0
         entries.append(instr)
         self.dispatches += 1
-        if self.scheme == SCHEME_EVENT:
-            if regfile is None:
-                raise ValueError("event-scheme dispatch needs the regfile "
-                                 "to link waiters")
-            self.link_waiters(instr, regfile)
+        self.link_waiters(instr, regfile)
 
     def link_waiters(self, instr: DynamicInstruction,
                      regfile: PhysicalRegisterFile) -> None:
@@ -172,7 +138,7 @@ class IssueQueue:
         walks from the tail to the entry's seq slot (the list is short and
         mostly-ordered, so the walk is usually zero or one step).  Age order
         is the bit-identity rule: the issue pass must attempt ready entries
-        oldest first, exactly as the legacy whole-window scan did.
+        oldest first, exactly as a whole-window search does.
         """
         ready = self._ready
         seq = instr.seq
@@ -195,107 +161,14 @@ class IssueQueue:
     ) -> List[DynamicInstruction]:
         """Oldest-first list of instructions whose operands are all visible.
 
-        Under the legacy scan scheme this models the wakeup/select CAM
-        search: every entry is examined (counted as wakeup activity), and up
-        to ``limit`` ready entries are returned in age order.  Under the
-        event scheme only the ready list (entries already woken by their
-        producers' writebacks) is examined; the selection is bit-identical.
+        Only the ready list (entries already woken by their producers'
+        writebacks) is examined, counted as wakeup activity; up to ``limit``
+        entries are returned in age order.  The pass prices cross-domain
+        visibility lazily and caches it per entry in ``wakeup_after``; a
+        retime leaves that cache stale, as the pinned results require.
         """
         if limit <= 0:
             return []
-        if self.scheme == SCHEME_EVENT:
-            return self._ready_event(now, regfile, forwarding_latency, limit)
-        if self._needs_sort:
-            self._entries.sort(key=lambda i: i.seq)
-            self._needs_sort = False
-        ready: List[DynamicInstruction] = []
-        searched = 0
-        domain_name = self.domain_name
-        registers = regfile._registers
-        fwd_cache = self._fwd_cache
-        # Result visibility is monotonic: once a register value is visible in
-        # this domain it stays visible, and a register waiting on an
-        # incomplete producer cannot become visible before some
-        # ``mark_ready`` bumps ``regfile.writes``.  Each entry therefore
-        # caches the time its operands become visible (``wakeup_after``) --
-        # or, while a producer is still in flight, the write-counter value it
-        # last checked against (``wakeup_stamp``) -- and the wakeup search
-        # skips it with one comparison instead of re-probing every operand
-        # every cycle.
-        write_stamp = regfile.writes
-        scan_complete = True
-        min_future = _INF
-        for instr in self._entries:
-            searched += 1
-            wakeup_after = instr.wakeup_after
-            if wakeup_after > now:
-                if wakeup_after < _INF:
-                    if wakeup_after < min_future:
-                        min_future = wakeup_after
-                    continue              # visibility time known, still ahead
-                if instr.wakeup_stamp == write_stamp:
-                    continue              # still blocked: no new completions
-            elif wakeup_after >= 0.0:
-                # known ready: operands were visible at an earlier check
-                ready.append(instr)
-                if len(ready) >= limit:
-                    scan_complete = False
-                    break
-                continue
-            # blocked entry with fresh completions, or never-checked entry
-            # (wakeup_after < 0): probe every operand and refresh the cache
-            visible_at = 0.0
-            for phys in instr.phys_sources:
-                reg = registers[phys]
-                source_visible = reg.ready_time
-                if source_visible == _INF:
-                    visible_at = _INF
-                    break
-                producer_domain = reg.producer_domain
-                if producer_domain and producer_domain != domain_name:
-                    extra = fwd_cache.get(producer_domain)
-                    if extra is None:
-                        extra = forwarding_latency(producer_domain,
-                                                   domain_name)
-                        fwd_cache[producer_domain] = extra
-                    source_visible += extra
-                if source_visible > visible_at:
-                    visible_at = source_visible
-            instr.wakeup_after = visible_at
-            if visible_at > now:
-                if visible_at == _INF:
-                    instr.wakeup_stamp = write_stamp
-                elif visible_at < min_future:
-                    min_future = visible_at
-                continue
-            ready.append(instr)
-            if len(ready) >= limit:
-                scan_complete = False     # tail not examined this cycle
-                break
-        self.wakeup_searches += searched
-        if scan_complete:
-            self.gate_time = min_future
-            self.gate_stamp = write_stamp
-            self.gate_len = len(self._entries)
-        else:
-            self.gate_time = -1.0
-        return ready
-
-    def _ready_event(
-        self,
-        now: float,
-        regfile: PhysicalRegisterFile,
-        forwarding_latency: ForwardingLatency,
-        limit: int,
-    ) -> List[DynamicInstruction]:
-        """Event-scheme wakeup: pick visible entries off the ready list.
-
-        Entries on the ready list have every operand produced; the pass
-        prices cross-domain visibility lazily with the same per-entry
-        ``wakeup_after`` cache the scan scheme uses (including its
-        stale-across-retime semantics), which is what keeps the two schemes
-        bit-identical.
-        """
         if now < self.ready_gate:
             return []                     # nothing becomes visible before then
         ready: List[DynamicInstruction] = []
@@ -339,9 +212,9 @@ class IssueQueue:
                 pass_complete = False     # tail not examined this pass
                 break
         self.wakeup_searches += searched
-        # The contract mirrors the scan gate: returned entries are expected
-        # to issue (the caller removes them), so on a complete pass nothing
-        # left can become visible before ``min_future``.
+        # Returned entries are expected to issue (the caller removes them),
+        # so on a complete pass nothing left can become visible before
+        # ``min_future``.
         self.ready_gate = min_future if pass_complete else -1.0
         return ready
 
@@ -355,17 +228,13 @@ class IssueQueue:
             except ValueError:
                 pass
         self.issues += 1
-        self.gate_time = -1.0
-        # clamp the covered-prefix length: it must never exceed the window
-        if self.gate_len > len(self._entries):
-            self.gate_len = len(self._entries)
 
     def squash_younger_than(self, branch_seq: int) -> List[DynamicInstruction]:
         """Drop wrong-path instructions after a misprediction.
 
-        Under the event scheme the squashed entries also leave the ready
-        list; waiter-list links are unlinked lazily (the producer's
-        writeback skips squashed entries), which the recovery tests pin.
+        The squashed entries also leave the ready list; waiter-list links
+        are unlinked lazily (the producer's writeback skips squashed
+        entries), which the recovery tests pin.
         """
         squashed = [i for i in self._entries if i.seq > branch_seq]
         if squashed:
@@ -375,9 +244,4 @@ class IssueQueue:
                                if i.seq <= branch_seq]
             for instr in squashed:
                 instr.squashed = True
-            self.gate_time = -1.0
-            # clamp the covered prefix so a stale length can never outrun
-            # the shrunken window (the gate itself is invalid already)
-            if self.gate_len > len(self._entries):
-                self.gate_len = len(self._entries)
         return squashed

@@ -12,7 +12,7 @@ results from one queue to another through FIFOs", Section 5.1).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from .._compat import SLOTS
 from ..isa.registers import is_fp_reg
@@ -80,13 +80,10 @@ class PhysicalRegisterFile:
                 (self._free_fp if reg.is_fp else self._free_int).append(reg.index)
         # statistics
         #: reads counts explicit is_ready() probes only; the issue queue's
-        #: inlined wakeup scan does not pass through it (see
+        #: inlined wakeup pass does not pass through it (see
         #: IssueQueue.ready_instructions -- wakeup traffic is tracked by
         #: IssueQueue.wakeup_searches instead)
         self.reads = 0
-        #: writes counts produced results (mark_ready and the execution
-        #: unit's inlined equivalent); it doubles as the wakeup-cache stamp
-        self.writes = 0
         self.allocation_failures = 0
 
     # ----------------------------------------------------------- allocation
@@ -159,7 +156,6 @@ class PhysicalRegisterFile:
         reg = self._registers[index]
         reg.ready_time = time
         reg.producer_domain = domain
-        self.writes += 1
         waiters = reg.waiters
         if waiters:
             for waiter in waiters:

@@ -10,7 +10,7 @@ which in the GALS machine means crossing a FIFO).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..isa.registers import FP_BASE as _FP_BASE
 from ..isa.registers import ZERO_REG, is_fp_reg

@@ -9,7 +9,7 @@ instructions.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Iterable, List, Optional
+from typing import Deque, Iterable, List, Optional
 
 from .instruction import DynamicInstruction
 

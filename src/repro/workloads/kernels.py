@@ -14,7 +14,7 @@ Each kernel is parameterised by a problem size and returns both the assembled
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, Tuple
 
 from ..isa.assembler import assemble
 from ..isa.executor import execute_program

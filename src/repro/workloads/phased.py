@@ -29,8 +29,7 @@ from typing import List, Optional, Tuple
 
 from ..isa.trace import ListTraceSource, TraceInstruction
 from .kernels import KERNELS
-from .profiles import (PHASE_HOTSET, PHASE_OSCILLATING, PHASE_STATIC,
-                       PhasedMix, get_profile)
+from .profiles import PHASE_OSCILLATING, PHASE_STATIC, PhasedMix, get_profile
 from .synthetic import SyntheticWorkload
 
 

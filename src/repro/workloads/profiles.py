@@ -22,7 +22,7 @@ these suites from the same era.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 SUITE_SPECINT = "specint95"

@@ -109,13 +109,14 @@ for _name, _mix in WORKLOAD_MIXES.items():
         factory=_phased_factory(_name))
 
 
-#: Materialised-workload memo: :func:`workload_key` -> (instruction list,
-#: workload-or-None, shared warm-plan cache).  Trace
+#: Materialised-workload memo: :func:`workload_key` -> (instruction tuple,
+#: trace name, workload-or-None, shared warm-plan cache).  Trace
 #: synthesis is deterministic and its records are immutable once built, so
 #: repeated runs of the same workload (benchmark repeats, sweeps fanning one
 #: workload over many topologies/policies) share one materialisation; every
 #: hit still gets a *fresh* ListTraceSource, because the source carries the
-#: fetch unit's consume position.
+#: fetch unit's consume position, but the source shares the memoized tuple
+#: instead of copying it.
 _MEMO: Dict[Tuple[str, int, Optional[int], int], tuple] = {}
 _MEMO_LIMIT = 64
 

@@ -29,14 +29,14 @@ from __future__ import annotations
 
 import random
 import zlib
-from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
 
 from .._compat import SLOTS
 from ..isa.instructions import InstructionClass
 from ..isa.program import INSTRUCTION_SIZE, TEXT_BASE
-from ..isa.registers import FP_BASE, NUM_INT_ARCH_REGS, fp_reg, int_reg
-from ..isa.trace import InstructionSource, ListTraceSource, TraceInstruction
+from ..isa.registers import fp_reg, int_reg
+from ..isa.trace import ListTraceSource, TraceInstruction
 from .profiles import BenchmarkProfile, get_profile
 
 #: Base of the synthetic data segment.

@@ -8,7 +8,7 @@ shared by every test that only needs to *inspect* results.
 import pytest
 
 from repro.core.config import ProcessorConfig
-from repro.core.experiments import run_pair, run_single, selective_slowdown
+from repro.core.experiments import run_pair, selective_slowdown
 from repro.core.dvfs import GCC_GALS_1
 
 #: Small but representative trace length for integration tests.

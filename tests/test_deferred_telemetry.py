@@ -15,7 +15,7 @@ from dataclasses import asdict
 
 import pytest
 
-from repro.core.processor import build_gals_processor
+from repro.core.processor import Processor
 from repro.core.scenario import run_scenario
 from repro.power.accounting import PowerAccountant
 from repro.power.activity import ActivityCounters
@@ -37,7 +37,7 @@ def _run(flush_times=(), retimes=(), retime_flush=False, instructions=SMALL):
     retime-then-flush case).
     """
     trace, workload = build_workload("perl", instructions, seed=1)
-    machine = build_gals_processor(trace, workload=workload)
+    machine = Processor(trace, workload=workload, topology="gals5")
 
     def observe(_):
         machine.power.total_energy()
@@ -76,7 +76,7 @@ def test_interleaved_flushes_never_change_the_result():
 
 def test_flush_is_idempotent_and_total_energy_is_monotone_nondecreasing():
     trace, workload = build_workload("perl", SMALL, seed=1)
-    machine = build_gals_processor(trace, workload=workload)
+    machine = Processor(trace, workload=workload, topology="gals5")
     seen = []
 
     def observe(_):
@@ -111,39 +111,15 @@ def test_retimes_with_interleaved_observation_storm_bit_equal():
     assert _comparable(noisy) == _comparable(plain)
 
 
-def test_retime_and_flush_storm_is_wakeup_scheme_invariant():
+def test_retime_and_flush_storm_matches_pinned_wakeup_result():
     """The flush-point invariance contract extends to the wakeup state: a
     retime landing between a producer's writeback and the consumer's issue
-    pass (with telemetry reads racing both) must leave the event scheme's
-    waiter/ready-list bookkeeping producing the exact result of the legacy
-    scan -- cached visibility prices go stale identically in both."""
-    from repro.core.config import DEFAULT_CONFIG
-    from repro.core.processor import Processor
-
-    def run(scheme):
-        trace, workload = build_workload("perl", SMALL, seed=1)
-        machine = Processor(
-            trace, workload=workload, topology="gals5",
-            config=DEFAULT_CONFIG.with_changes(wakeup_scheme=scheme))
-        machine.engine.schedule_periodic(
-            4.1, 13.7, lambda _: (machine.power.total_energy(),
-                                  machine.flush_telemetry()),
-            priority=9, name="observe")
-
-        def make_retime(domain, slowdown):
-            return lambda _: machine.retime_domain(
-                domain, machine.plan.base_period * slowdown)
-
-        for at, domain, slowdown in ((31.9, "fp", 1.4),
-                                     (58.3, "integer", 1.2),
-                                     (95.7, "fp", 1.0)):
-            machine.engine.schedule(at, make_retime(domain, slowdown),
-                                    priority=8, name="retime")
-        result = machine.run()
-        assert result.recoveries > 0           # branch squashes exercised
-        return result
-
-    assert _comparable(run("event")) == _comparable(run("scan"))
+    pass (with telemetry reads racing both) must leave the waiter/ready-list
+    bookkeeping producing the result the legacy scan produced, pinned in
+    ``test_golden_regression``: cached visibility prices go stale exactly as
+    they did there."""
+    from test_golden_regression import assert_pinned
+    assert_pinned("retime-flush-storm")
 
 
 def test_controller_epochs_with_extra_reads_leave_trace_and_result_unchanged():
@@ -151,7 +127,6 @@ def test_controller_epochs_with_extra_reads_leave_trace_and_result_unchanged():
     # identical scenario, but the driver's epochs race extra observations
     trace, workload = build_workload("perl", SMALL, seed=1)
     from repro.core.controllers import make_controller
-    from repro.core.processor import Processor
     from repro.core.scenario import get_scenario
 
     scenario = get_scenario("gals5-perl-occupancy")
@@ -175,7 +150,7 @@ def test_controller_epochs_with_extra_reads_leave_trace_and_result_unchanged():
 
 def test_occupancy_counters_flush_on_read_matches_domain_cycles():
     trace, workload = build_workload("perl", SMALL, seed=1)
-    machine = build_gals_processor(trace, workload=workload)
+    machine = Processor(trace, workload=workload, topology="gals5")
     result = machine.run()
     # every cluster samples its window once per domain cycle; the deferred
     # run-length counters must reconstruct the exact sample count

@@ -6,9 +6,10 @@ from repro.core.dvfs import (GCC_GALS_1, GCC_GALS_2, GENERIC_SLOWDOWN, IJPEG_SWE
                              PERL_FP_BY_3, POLICIES, SlowdownPolicy, get_policy,
                              recommend_policy)
 from repro.core.experiments import (DvfsResult, average_energy_increase,
-                                    average_performance_drop, average_power_saving,
-                                    baseline_comparison, phase_sensitivity,
-                                    run_pair, run_single, slowdown_sweep)
+                                    average_performance_drop,
+                                    average_power_saving, baseline_comparison,
+                                    phase_sensitivity, run_single,
+                                    slowdown_sweep)
 from repro.core.domains import slowdown_plan
 from repro.core.metrics import ComparisonRow, arithmetic_mean, compare
 from repro.core.scenario import Scenario, run_scenario, sweep_scenarios

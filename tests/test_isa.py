@@ -3,9 +3,8 @@
 import pytest
 
 from repro.isa import (AssemblerError, FunctionalExecutor, Instruction,
-                       InstructionClass, Opcode, Program, assemble,
-                       execute_program, fp_reg, int_reg, latency_of, parse_reg,
-                       reg_name)
+                       InstructionClass, Opcode, assemble, execute_program,
+                       fp_reg, int_reg, latency_of, parse_reg, reg_name)
 from repro.isa.program import INSTRUCTION_SIZE, TEXT_BASE
 from repro.isa.registers import ZERO_REG, is_fp_reg, is_int_reg
 

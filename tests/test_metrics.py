@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.metrics import (ComparisonRow, SimulationResult, SimulationStats,
+from repro.core.metrics import (SimulationResult, SimulationStats,
                                 arithmetic_mean, compare, geometric_mean)
 from repro.isa.instructions import InstructionClass
 from repro.isa.trace import TraceInstruction

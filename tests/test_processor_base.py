@@ -3,8 +3,7 @@
 import pytest
 
 from repro.core.config import ProcessorConfig
-from repro.core.processor import build_base_processor
-from repro.isa.instructions import InstructionClass
+from repro.core.processor import Processor
 from repro.workloads.kernels import kernel_trace
 from repro.workloads.synthetic import make_workload
 
@@ -12,8 +11,8 @@ from repro.workloads.synthetic import make_workload
 def run_base(benchmark="perl", instructions=600, config=None, **kwargs):
     workload = make_workload(benchmark, seed=1)
     trace = workload.trace(instructions)
-    processor = build_base_processor(trace, workload=workload,
-                                     config=config or ProcessorConfig(), **kwargs)
+    processor = Processor(trace, workload=workload, topology="base",
+                          config=config or ProcessorConfig(), **kwargs)
     return processor, processor.run()
 
 
@@ -68,7 +67,7 @@ def test_processor_cannot_run_twice():
 
 def test_base_runs_kernel_traces():
     trace = kernel_trace("vector_sum", 40)
-    processor = build_base_processor(trace)
+    processor = Processor(trace, topology="base")
     result = processor.run()
     assert result.committed_instructions == len(trace)
     assert result.ipc > 0.3
@@ -78,7 +77,7 @@ def test_base_runs_kernel_traces():
 
 def test_base_fp_kernel_uses_fp_cluster():
     trace = kernel_trace("saxpy", 30)
-    processor = build_base_processor(trace)
+    processor = Processor(trace, topology="base")
     result = processor.run()
     assert result.committed_instructions == len(trace)
     assert processor.exec_units["fp"].issued_ops > 0

@@ -4,16 +4,16 @@ import pytest
 
 from repro.core.config import ProcessorConfig
 from repro.core.domains import GALS_DOMAINS, uniform_plan
-from repro.core.processor import build_gals_processor
+from repro.core.processor import Processor
 from repro.workloads.synthetic import make_workload
 
 
 def run_gals(benchmark="perl", instructions=600, plan=None, config=None):
     workload = make_workload(benchmark, seed=1)
     trace = workload.trace(instructions)
-    processor = build_gals_processor(trace, workload=workload,
-                                     plan=plan or uniform_plan(),
-                                     config=config or ProcessorConfig())
+    processor = Processor(trace, workload=workload, topology="gals5",
+                          plan=plan or uniform_plan(),
+                          config=config or ProcessorConfig())
     return processor, processor.run()
 
 

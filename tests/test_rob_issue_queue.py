@@ -74,12 +74,13 @@ def test_rob_invalid_capacity():
 
 # --------------------------------------------------------------- issue queues
 def test_issue_queue_dispatch_and_capacity():
+    regfile = PhysicalRegisterFile()
     queue = IssueQueue("iq_int", capacity=2, domain_name="integer")
-    queue.dispatch(make_instr())
-    queue.dispatch(make_instr())
+    queue.dispatch(make_instr(), regfile)
+    queue.dispatch(make_instr(), regfile)
     assert queue.is_full
     with pytest.raises(OverflowError):
-        queue.dispatch(make_instr())
+        queue.dispatch(make_instr(), regfile)
     assert queue.full_stalls == 1
 
 
@@ -92,8 +93,8 @@ def test_ready_instructions_respect_operand_readiness():
     waiting.phys_sources = (pending,)
     ready = make_instr(sources=())
     ready.phys_sources = (3,)  # architectural value, always ready
-    queue.dispatch(waiting)
-    queue.dispatch(ready)
+    queue.dispatch(waiting, regfile)
+    queue.dispatch(ready, regfile)
     selected = queue.ready_instructions(0.0, regfile, no_forwarding, limit=4)
     assert selected == [ready]
     regfile.mark_ready(pending, 5.0, "integer")
@@ -107,18 +108,19 @@ def test_ready_instructions_oldest_first_and_limited():
     instrs = [make_instr() for _ in range(4)]
     for instr in instrs:
         instr.phys_sources = ()
-        queue.dispatch(instr)
+        queue.dispatch(instr, regfile)
     selected = queue.ready_instructions(0.0, regfile, no_forwarding, limit=2)
     assert selected == instrs[:2]
     assert queue.ready_instructions(0.0, regfile, no_forwarding, limit=0) == []
 
 
 def test_issue_queue_remove_and_squash():
+    regfile = PhysicalRegisterFile()
     queue = IssueQueue("iq_int", capacity=8, domain_name="integer")
     keep = make_instr()
     drop = make_instr()
-    queue.dispatch(keep)
-    queue.dispatch(drop)
+    queue.dispatch(keep, regfile)
+    queue.dispatch(drop, regfile)
     squashed = queue.squash_younger_than(keep.seq)
     assert squashed == [drop] and drop.squashed
     queue.remove(keep)
@@ -128,7 +130,7 @@ def test_issue_queue_remove_and_squash():
 
 def test_issue_queue_occupancy_stats():
     queue = IssueQueue("iq_int", capacity=8, domain_name="integer")
-    queue.dispatch(make_instr())
+    queue.dispatch(make_instr(), PhysicalRegisterFile())
     queue.sample_occupancy()
     queue.sample_occupancy()
     assert queue.mean_occupancy == pytest.approx(1.0)
@@ -138,28 +140,3 @@ def test_issue_queue_occupancy_stats():
 def test_issue_queue_invalid_capacity():
     with pytest.raises(ValueError):
         IssueQueue("iq", capacity=0)
-
-
-def test_scan_gate_len_clamped_by_squash_inside_covered_prefix():
-    """Regression: a squash or remove that shrinks the window below the
-    wakeup gate's covered-prefix length must clamp ``gate_len`` -- a stale
-    length would make a later gated scan trust a prefix that no longer
-    exists (legacy scan scheme)."""
-    regfile = PhysicalRegisterFile()
-    queue = IssueQueue("iq_int", capacity=8, domain_name="integer")
-    pending = regfile.allocate(for_fp=False)
-    instrs = [make_instr() for _ in range(5)]
-    for instr in instrs:
-        instr.phys_sources = (pending,)        # all blocked: nothing issues
-        queue.dispatch(instr)
-    queue.ready_instructions(0.0, regfile, no_forwarding, limit=8)
-    assert queue.gate_len == 5                 # complete scan covers everything
-    queue.squash_younger_than(instrs[1].seq)   # squash inside the prefix
-    assert queue.occupancy == 2
-    assert queue.gate_len == 2                 # clamped, not stale at 5
-    queue.remove(instrs[0])
-    assert queue.gate_len == 1
-    # the shrunken window still scans correctly once the operand lands
-    regfile.mark_ready(pending, 3.0, "integer")
-    selected = queue.ready_instructions(3.0, regfile, no_forwarding, limit=8)
-    assert selected == [instrs[1]]

@@ -10,9 +10,8 @@ from dataclasses import asdict, replace
 
 import pytest
 
-from repro.core.scenario import (SCENARIOS, Scenario, ScenarioResult,
-                                 available_scenarios, get_scenario,
-                                 register_scenario, run_scenario,
+from repro.core.scenario import (Scenario, ScenarioResult, available_scenarios,
+                                 get_scenario, register_scenario, run_scenario,
                                  sweep_scenarios)
 from tests.test_golden_regression import GOLDEN
 

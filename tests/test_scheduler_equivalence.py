@@ -1,53 +1,23 @@
-"""Determinism regression guard for the clock-wheel scheduler rework.
+"""Determinism regression guard for the clock-wheel scheduler.
 
-The fast-path contract is that a processor simulated on the clock-wheel
-scheduler produces *bit-identical* results to the generic heap scheduler
-(the seed engine's event loop), and that the parallel experiment runner
-produces results equal to the serial path.
+A processor simulated on the clock wheel must reproduce the results the
+all-heap scheduler gave (pinned in ``test_golden_regression.PINS`` before that
+path was deleted), and the parallel experiment runner must produce results
+equal to the serial path.
 """
 
 import pytest
 
 from repro.core.experiments import baseline_comparison
-from repro.workloads.registry import build_workload
-from repro.core.processor import Processor
-from repro.sim.engine import SimulationEngine
-
-EQUIV_INSTRUCTIONS = 500
-
-
-def _run(gals: bool, use_wheel: bool):
-    trace, workload = build_workload("perl", EQUIV_INSTRUCTIONS, seed=1)
-    machine = Processor(trace, gals=gals, workload=workload,
-                        engine=SimulationEngine(use_wheel=use_wheel))
-    return machine.run()
-
-
-def _assert_identical(wheel, generic):
-    assert wheel.committed_instructions == generic.committed_instructions
-    assert wheel.elapsed_ns == generic.elapsed_ns
-    assert wheel.reference_cycles == generic.reference_cycles
-    assert wheel.ipc == generic.ipc
-    assert wheel.mean_slip_ns == generic.mean_slip_ns
-    assert wheel.mean_fifo_time_ns == generic.mean_fifo_time_ns
-    assert wheel.fetched_instructions == generic.fetched_instructions
-    assert wheel.wrong_path_fetched == generic.wrong_path_fetched
-    assert wheel.domain_cycles == generic.domain_cycles
-    assert wheel.recoveries == generic.recoveries
-    assert wheel.mean_rob_occupancy == generic.mean_rob_occupancy
-    assert wheel.mean_iq_occupancy == generic.mean_iq_occupancy
-    assert wheel.total_energy_nj == generic.total_energy_nj
-    assert wheel.energy.by_block == generic.energy.by_block
+from test_golden_regression import assert_pinned
 
 
 def test_gals_wheel_equals_generic_scheduler():
-    _assert_identical(_run(gals=True, use_wheel=True),
-                      _run(gals=True, use_wheel=False))
+    assert_pinned("machine-gals5")
 
 
 def test_base_wheel_equals_generic_scheduler():
-    _assert_identical(_run(gals=False, use_wheel=True),
-                      _run(gals=False, use_wheel=False))
+    assert_pinned("machine-base")
 
 
 # ------------------------------------------------------------ parallel runner

@@ -164,10 +164,12 @@ def test_bad_field_and_missing_params_400(service):
     ({"config": '{"memory.no_such_field": 1}'}, 400),
     ({"config": '{"predictor_kind": "bogus"}'}, 400),
     ({"config": '{"memory.replacement": "bogus"}'}, 400),
+    # the deleted scan wakeup's knob: a stale override must not be queued
+    ({"config": '{"wakeup_scheme": "scan"}'}, 400),
 ], ids=["topology", "workload", "policy", "controller", "slowdown-domain",
         "slowdown-value", "config-field", "config-nested-object",
         "config-nested-field", "config-predictor-kind",
-        "config-replacement"])
+        "config-replacement", "config-stale-wakeup-scheme"])
 def test_malformed_scenario_is_refused_not_queued(service, overrides, code):
     query = urlencode({"name": "gals5", "num_instructions": SMALL,
                        **overrides})
@@ -647,6 +649,42 @@ def test_compare_cold_202_then_complete(service):
     assert "base" in payload["table"] and "gals5" in payload["table"]
     # warm repeat answers 200 immediately (no queue involved)
     assert query_compare(service.url, params).code == 200
+
+
+def test_compare_keys_and_reads_each_cell_once(tmp_path, monkeypatch):
+    """A two-cell grid costs 2 key_for and 2 entry reads, cold or warm."""
+    from repro.analysis.report import design_space_records, design_space_table
+    from repro.core.experiments import design_space_scenarios
+
+    store = ResultsStore(root=tmp_path / "cache")
+    service = ResultsService(store=store, execution="serial", port=0)
+    calls = {"key_for": 0, "_load": 0}
+
+    def counted(name):
+        original = getattr(store, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(store, name, wrapper)
+
+    counted("key_for")
+    counted("_load")
+    grid = {"topologies": ["base", "gals5"], "workloads": ["perl"],
+            "num_instructions": SMALL}
+    cold = service.compare(**grid)
+    assert calls == {"key_for": 2, "_load": 2}
+    assert cold == {"status": "pending", "missing": 2, "total": 2}
+
+    service.drain_once()
+    calls.update(key_for=0, _load=0)
+    warm = service.compare(**grid)
+    assert calls == {"key_for": 2, "_load": 2}
+    outcomes = [store.get(cell) for cell in design_space_scenarios(**grid)]
+    assert json.dumps(warm) == json.dumps({
+        "status": "complete", "total": 2,
+        "records": design_space_records(outcomes),
+        "table": design_space_table(outcomes)})
 
 
 # ------------------------------------------------------------- query URL parse

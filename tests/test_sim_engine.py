@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.engine import SimulationEngine
-from repro.sim.event import Event, SimulationError
+from repro.sim.event import SimulationError
 
 
 def test_events_fire_in_time_order():
@@ -121,12 +121,6 @@ def test_reset_clears_engine():
     engine.reset()
     assert engine.now == 0.0
     assert engine.pending_events == 0
-
-
-def test_periodic_event_requires_period_for_next_occurrence():
-    event = Event(time=1.0, callback=lambda _: None)
-    with pytest.raises(ValueError):
-        event.next_occurrence()
 
 
 @settings(max_examples=50, deadline=None)

@@ -4,17 +4,15 @@ from dataclasses import asdict
 
 import pytest
 
-from repro.core.domains import (BLOCK_LINKS, BLOCKS, DOMAIN_DECODE,
-                                DOMAIN_FETCH, DOMAIN_FP, DOMAIN_INTEGER,
-                                DOMAIN_MEMORY, GALS_DOMAINS, SYNC_DOMAIN,
+from repro.core.domains import (BLOCK_LINKS, BLOCKS, DOMAIN_FETCH, DOMAIN_FP,
+                                DOMAIN_INTEGER, GALS_DOMAINS, SYNC_DOMAIN,
                                 Topology, available_topologies, base_block,
                                 get_topology, make_cluster_topology,
-                                register_topology, uniform_plan)
+                                register_topology)
 from repro.core.experiments import run_single
-from repro.core.processor import Processor, build_processor
-from repro.core.scenario import Scenario, run_scenario
-from repro.sim.engine import SimulationEngine
+from repro.core.processor import Processor
 from repro.workloads import make_workload
+from test_golden_regression import assert_pinned
 
 SMALL = 250
 
@@ -117,8 +115,8 @@ def test_adhoc_single_domain_topology_matches_base_bit_for_bit():
                      {block: SYNC_DOMAIN for block in BLOCKS},
                      random_phases=False, kind="base")
     workload = make_workload("perl", seed=1)
-    machine = build_processor(workload.trace(SMALL), topology=adhoc,
-                              workload=workload)
+    machine = Processor(workload.trace(SMALL), topology=adhoc,
+                        workload=workload)
     result = machine.run()
     reference = run_single("perl", "base", num_instructions=SMALL, seed=1)
     assert result.elapsed_ns == reference.elapsed_ns
@@ -133,17 +131,17 @@ def test_unknown_processor_kind_still_raises_value_error():
 
 def test_synchronous_topology_has_no_fifo_machinery():
     workload = make_workload("perl", seed=1)
-    machine = build_processor(workload.trace(10), topology="base",
-                              workload=workload)
+    machine = Processor(workload.trace(10), topology="base",
+                        workload=workload)
     assert not any(ch.counts_as_fifo for ch in machine.all_channels)
     assert machine.kind == "base"
-    assert not machine.gals
+    assert machine.topology.is_synchronous
 
 
 def test_multi_domain_topology_builds_fifos_on_edges_only():
     workload = make_workload("perl", seed=1)
-    machine = build_processor(workload.trace(10), topology="fem3",
-                              workload=workload)
+    machine = Processor(workload.trace(10), topology="fem3",
+                        workload=workload)
     topo = get_topology("fem3")
     edge_names = {name for name, _, _ in topo.edges()}
     for link_name, channel in machine.channels.items():
@@ -163,8 +161,8 @@ def test_fifo_power_model_scales_with_crossing_count():
     workload = make_workload("perl", seed=1)
     ports = {}
     for name in ("gals5", "memsplit2", "frontback2"):
-        machine = build_processor(workload.trace(10), topology=name,
-                                  workload=workload)
+        machine = Processor(workload.trace(10), topology=name,
+                            workload=workload)
         ports[name] = _fifo_power_ports(machine)
     # gals5 keeps the stock full-complex model (all 5 links are FIFOs)
     full = ports["gals5"]
@@ -257,16 +255,16 @@ def test_cluster_goldens_bit_identical():
 def test_cluster_machine_replicates_execution_resources():
     """The builder materialises per-replica queues, channels and power models."""
     workload = make_workload("perl", seed=1)
-    machine = build_processor(workload.trace(10), topology="cluster2",
-                              workload=workload)
+    machine = Processor(workload.trace(10), topology="cluster2",
+                        workload=workload)
     assert set(machine.exec_units) == {"int", "fp", "mem", "int2", "fp2"}
     assert set(machine.dispatch_channels) == {"int", "fp", "mem", "int2", "fp2"}
     # 7 links, every one a crossing on the identity-assignment cluster machine
     assert len(machine.all_channels) == 7
     assert all(ch.counts_as_fifo for ch in machine.all_channels)
     # the FIFO power complex scales UP beyond the paper's five crossings
-    full_machine = build_processor(workload.trace(10), topology="gals5",
-                                   workload=make_workload("perl", seed=1))
+    full_machine = Processor(workload.trace(10), topology="gals5",
+                             workload=make_workload("perl", seed=1))
     full = _fifo_power_ports(full_machine)
     assert _fifo_power_ports(machine) == max(1, round(full * 7 / 5))
     # replicas carry their own (renamed) energy models in their own domains
@@ -286,27 +284,6 @@ def test_replicas_actually_receive_work():
 
 
 def test_cluster_scenario_equivalent_on_wheel_and_heap_schedulers():
-    scenario = Scenario(name="eq", topology="cluster2", workload="perl",
-                        num_instructions=SMALL)
-
-    def run(use_wheel):
-        topology = scenario.build_topology()
-        config = scenario.build_config()
-        plan = scenario.build_plan(topology, config.technology)
-        trace, workload = scenario.build_trace()
-        machine = Processor(trace, config=config, plan=plan,
-                            workload=workload, topology=topology,
-                            engine=SimulationEngine(use_wheel=use_wheel))
-        return machine.run()
-
-    assert asdict(run(True)) == asdict(run(False))
-
-
-def test_cluster_scenario_event_wakeup_bit_identical_to_scan():
-    event = run_scenario(Scenario(name="w", topology="cluster2",
-                                  workload="perl", num_instructions=SMALL,
-                                  config={"wakeup_scheme": "event"}))
-    scan = run_scenario(Scenario(name="w", topology="cluster2",
-                                 workload="perl", num_instructions=SMALL,
-                                 config={"wakeup_scheme": "scan"}))
-    assert asdict(event.result) == asdict(scan.result)
+    """cluster2 reproduces the result pinned while the heap scheduler and
+    the scan wakeup still agreed with the defaults."""
+    assert_pinned("cluster2")

@@ -1,6 +1,5 @@
 """Targeted unit tests for the fetch and decode/rename pipeline stages."""
 
-import pytest
 
 from repro.isa.instructions import InstructionClass
 from repro.isa.registers import int_reg

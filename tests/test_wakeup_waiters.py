@@ -1,29 +1,26 @@
-"""Event-driven wakeup: waiter lists, ready list, and scan/event parity.
+"""Event-driven wakeup: waiter lists, the ready list, and pinned full runs.
 
-The event scheme (per-physical-register waiter lists + an age-ordered
-per-queue ready list) must produce *bit-identical* simulations to the legacy
-poll-based scan -- same issue decisions, same telemetry, same energy.  These
-tests pin the mechanism (linking, wakeup on writeback, lazy unlink on squash,
-ready-list age order, the push-invalidated ready gate) and the end-to-end
-contract: differential full runs across topologies, controller scenarios,
-branch-recovery-heavy random programs, and scripted mid-run ``retime_domain``
-calls that land between a producer's writeback and the consumer's issue.
+Wakeup keeps a waiter list per physical register and an age-ordered ready
+list per queue.  It replaced a poll-based scan of the whole issue window and
+had to reproduce that scan's simulations *bit for bit*: same issue
+decisions, same telemetry, same energy.  These tests check the mechanism
+(linking, wakeup on writeback, lazy unlink on squash, ready-list age order,
+the push-invalidated ready gate) and the end-to-end contract: full runs
+across topologies, controller scenarios, branch-recovery-heavy programs, and
+scripted mid-run ``retime_domain`` calls that land between a producer's
+writeback and the consumer's issue.  The full runs assert the results the
+scan produced, recorded in ``test_golden_regression.PINS`` before the scan
+was deleted.
 """
-
-from dataclasses import asdict
 
 import pytest
 
-from repro.core.processor import Processor
-from repro.core.scenario import run_scenario
 from repro.isa.instructions import InstructionClass
 from repro.isa.trace import TraceInstruction
 from repro.uarch.instruction import DynamicInstruction
-from repro.uarch.issue_queue import (SCHEME_EVENT, SCHEME_SCAN, IssueQueue)
+from repro.uarch.issue_queue import IssueQueue
 from repro.uarch.regfile import PhysicalRegisterFile
-from repro.workloads.registry import build_workload
-
-SMALL = 500
+from test_golden_regression import assert_pinned
 
 
 def make_instr(opclass=InstructionClass.INT_ALU, sources=()):
@@ -37,22 +34,15 @@ def no_forwarding(producer, consumer):
 
 
 # ------------------------------------------------------------ queue mechanics
-def test_unknown_wakeup_scheme_rejected():
-    with pytest.raises(ValueError, match="unknown wakeup scheme"):
-        IssueQueue("iq", capacity=4, scheme="psychic")
-
-
 def test_event_dispatch_requires_the_regfile():
-    queue = IssueQueue("iq", capacity=4, domain_name="integer",
-                       scheme=SCHEME_EVENT)
-    with pytest.raises(ValueError, match="needs the regfile"):
-        queue.dispatch(make_instr())
+    queue = IssueQueue("iq", capacity=4, domain_name="integer")
+    with pytest.raises(TypeError):
+        queue.dispatch(make_instr())           # nowhere to link waiters
 
 
 def test_dispatch_links_waiters_and_writeback_wakes():
     regfile = PhysicalRegisterFile()
-    queue = IssueQueue("iq", capacity=8, domain_name="integer",
-                       scheme=SCHEME_EVENT)
+    queue = IssueQueue("iq", capacity=8, domain_name="integer")
     pending = regfile.allocate(for_fp=False)
     waiting = make_instr()
     waiting.phys_sources = (pending, 3)        # one pending, one arch-ready
@@ -73,8 +63,7 @@ def test_dispatch_links_waiters_and_writeback_wakes():
 
 def test_no_pending_operands_goes_straight_to_the_ready_list():
     regfile = PhysicalRegisterFile()
-    queue = IssueQueue("iq", capacity=8, domain_name="integer",
-                       scheme=SCHEME_EVENT)
+    queue = IssueQueue("iq", capacity=8, domain_name="integer")
     instr = make_instr()
     instr.phys_sources = (3,)                  # architectural, always ready
     queue.dispatch(instr, regfile)
@@ -83,8 +72,7 @@ def test_no_pending_operands_goes_straight_to_the_ready_list():
 
 
 def test_push_ready_keeps_age_order_and_invalidates_the_gate():
-    queue = IssueQueue("iq", capacity=8, domain_name="integer",
-                       scheme=SCHEME_EVENT)
+    queue = IssueQueue("iq", capacity=8, domain_name="integer")
     a, b, c = make_instr(), make_instr(), make_instr()   # ascending seq
     queue.ready_gate = 99.0
     for instr in (c, a, b):                    # writeback order != age order
@@ -96,8 +84,7 @@ def test_push_ready_keeps_age_order_and_invalidates_the_gate():
 
 def test_squashed_waiter_is_skipped_on_writeback():
     regfile = PhysicalRegisterFile()
-    queue = IssueQueue("iq", capacity=8, domain_name="integer",
-                       scheme=SCHEME_EVENT)
+    queue = IssueQueue("iq", capacity=8, domain_name="integer")
     pending = regfile.allocate(for_fp=False)
     older = make_instr()
     older.phys_sources = (pending,)
@@ -117,8 +104,7 @@ def test_squashed_waiter_is_skipped_on_writeback():
 
 def test_squash_drops_ready_list_entries():
     regfile = PhysicalRegisterFile()
-    queue = IssueQueue("iq", capacity=8, domain_name="integer",
-                       scheme=SCHEME_EVENT)
+    queue = IssueQueue("iq", capacity=8, domain_name="integer")
     instrs = [make_instr() for _ in range(3)]
     for instr in instrs:
         instr.phys_sources = ()
@@ -141,8 +127,7 @@ def test_freeing_a_register_clears_stale_waiters():
 
 def test_ready_gate_suppresses_passes_until_the_visibility_horizon():
     regfile = PhysicalRegisterFile()
-    queue = IssueQueue("iq", capacity=8, domain_name="integer",
-                       scheme=SCHEME_EVENT)
+    queue = IssueQueue("iq", capacity=8, domain_name="integer")
     pending = regfile.allocate(for_fp=False)
     instr = make_instr()
     instr.phys_sources = (pending,)
@@ -161,47 +146,30 @@ def test_ready_gate_suppresses_passes_until_the_visibility_horizon():
 
 
 def test_event_and_scan_make_identical_selections():
-    def build(scheme):
-        regfile = PhysicalRegisterFile()
-        queue = IssueQueue("iq", capacity=8, domain_name="integer",
-                           scheme=scheme)
-        pending = regfile.allocate(for_fp=False)
-        blocked = make_instr()
-        blocked.phys_sources = (pending,)
-        awake = [make_instr() for _ in range(3)]
-        for instr in [blocked, *awake]:
-            if instr is not blocked:
-                instr.phys_sources = (3,)
-            queue.dispatch(instr, regfile)
-        regfile.mark_ready(pending, 6.0, "fp")
-        return regfile, queue, blocked, awake
+    """The picks the scan made on this window, oldest awake entries first."""
+    regfile = PhysicalRegisterFile()
+    queue = IssueQueue("iq", capacity=8, domain_name="integer")
+    pending = regfile.allocate(for_fp=False)
+    blocked = make_instr()
+    blocked.phys_sources = (pending,)
+    awake = [make_instr() for _ in range(3)]
+    for instr in awake:
+        instr.phys_sources = (3,)
+    window = [blocked, *awake]                 # dispatch (age) order
+    for instr in window:
+        queue.dispatch(instr, regfile)
+    regfile.mark_ready(pending, 6.0, "fp")
 
     def fwd(producer, consumer):
         return 2.0
 
-    picks = {}
-    for scheme in (SCHEME_EVENT, SCHEME_SCAN):
-        regfile, queue, blocked, awake = build(scheme)
-        window = [blocked, *awake]             # dispatch (age) order
-        rounds = []
-        for now in (0.0, 7.0, 8.0):
-            rounds.append([window.index(i) for i in
-                           queue.ready_instructions(now, regfile, fwd, 2)])
-        picks[scheme] = rounds
-    assert picks[SCHEME_EVENT] == picks[SCHEME_SCAN]
-    assert picks[SCHEME_EVENT][0] == [1, 2]    # oldest awake entries first
+    rounds = [[window.index(i)
+               for i in queue.ready_instructions(now, regfile, fwd, 2)]
+              for now in (0.0, 7.0, 8.0)]
+    assert rounds == [[1, 2], [1, 2], [0, 1]]
 
 
-# ------------------------------------------------------- differential full runs
-def _differential(scenario, instructions=SMALL, **overrides):
-    event = run_scenario(scenario, num_instructions=instructions,
-                         config={"wakeup_scheme": "event"}, **overrides)
-    scan = run_scenario(scenario, num_instructions=instructions,
-                        config={"wakeup_scheme": "scan"}, **overrides)
-    assert asdict(event.result) == asdict(scan.result)
-    return event.result
-
-
+# ------------------------------------------------------------ pinned full runs
 @pytest.mark.parametrize("scenario", [
     "base",                    # synchronous: no forwarding latency at all
     "gals5",                   # the paper's 5-domain machine
@@ -210,72 +178,24 @@ def _differential(scenario, instructions=SMALL, **overrides):
     "dotprod-gals5",           # assembled kernel workload
 ])
 def test_event_wakeup_is_bit_identical_to_scan(scenario):
-    result = _differential(scenario)
-    assert result.committed_instructions > 0
+    assert_pinned(scenario)
 
 
 def test_event_wakeup_bit_identical_on_long_program_with_recoveries():
-    result = _differential("gals5", instructions=2500)
-    # the differential is only meaningful if the run exercised branch
-    # recoveries (waiter unlink on squash) -- the perl workload does
-    assert result.recoveries > 0
-    assert result.branch_misprediction_rate > 0.0
+    # the pin only means something if the run exercised branch recoveries
+    # (waiter unlink on squash); the case checks that it did
+    assert_pinned("gals5-2500")
 
 
 def test_event_wakeup_bit_identical_under_online_dvfs_controller():
     # the occupancy controller retimes domains mid-run: cached visibility
-    # prices must go stale identically in both schemes
-    result = _differential("gals5-perl-occupancy", instructions=800)
-    assert result.dvfs_trace                  # the controller actually acted
-
-
-# ------------------------------------------- scripted mid-run retime parity
-def _scripted_retime_run(scheme, retimes, instructions=SMALL):
-    """One gals5 run with ``retime_domain`` calls at scripted times.
-
-    The retime callbacks run at priority 8, after the execution units'
-    clock edges at the same instant -- so a retime can land *between* a
-    producer's writeback and the consumer's issue pass, the window where a
-    stale cached ``wakeup_after`` must behave identically in both schemes.
-    """
-    from repro.core.config import DEFAULT_CONFIG
-
-    trace, workload = build_workload("perl", instructions, seed=1)
-    machine = Processor(trace,
-                        config=DEFAULT_CONFIG.with_changes(
-                            wakeup_scheme=scheme),
-                        workload=workload, topology="gals5")
-
-    def make_retime(domain, slowdown):
-        def do_retime(_):
-            machine.retime_domain(domain,
-                                  machine.plan.base_period * slowdown)
-        return do_retime
-
-    for at, domain, slowdown in retimes:
-        machine.engine.schedule(at, make_retime(domain, slowdown),
-                                priority=8, name="retime")
-    return machine.run()
+    # prices must go stale exactly as they did under the scan
+    assert_pinned("gals5-perl-occupancy-800")
 
 
 def test_mid_run_retime_between_writeback_and_issue_is_scheme_invariant():
-    # odd, non-edge-aligned times: the retimes interleave arbitrarily with
-    # writebacks and issue passes across all five domains
-    retimes = ((23.7, "fp", 1.5), (41.3, "integer", 1.3),
-               (67.9, "memory", 1.2), (88.1, "fp", 1.0),
-               (104.513, "integer", 1.0))
-    event = _scripted_retime_run("event", retimes)
-    scan = _scripted_retime_run("scan", retimes)
-    assert asdict(event) == asdict(scan)
-    # the retimes visibly slowed clocks, so the parity is not vacuous
-    assert event.domain_cycles["fp"] < event.domain_cycles["decode"]
+    assert_pinned("retime")
 
 
 def test_mid_run_retime_storm_is_scheme_invariant():
-    retimes = tuple((7.0 + 9.77 * i,
-                     ("integer", "fp", "memory")[i % 3],
-                     (1.4, 1.1, 1.25, 1.0)[i % 4])
-                    for i in range(12))
-    event = _scripted_retime_run("event", retimes)
-    scan = _scripted_retime_run("scan", retimes)
-    assert asdict(event) == asdict(scan)
+    assert_pinned("retime-storm")

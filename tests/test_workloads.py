@@ -215,6 +215,22 @@ def test_kernel_workloads_are_built_once_across_seeds():
                                          ("perl", 300, 2, 16)]
 
 
+def test_memo_hits_share_the_trace_records():
+    """A memo hit hands out a fresh source over the *same* record tuple;
+    a list passed in by a caller is still copied."""
+    from repro.isa.trace import ListTraceSource
+    from repro.workloads.registry import build_workload
+
+    build_workload("perl", 200, seed=11)
+    first, _ = build_workload("perl", 200, seed=11)
+    second, _ = build_workload("perl", 200, seed=11)
+    assert first is not second
+    assert first._instructions is second._instructions
+    records = list(first)
+    assert ListTraceSource(records)._instructions is not records
+    assert list(ListTraceSource(records)) == records
+
+
 @settings(max_examples=15, deadline=None)
 @given(st.sampled_from(sorted(PROFILES)), st.integers(min_value=50, max_value=400))
 def test_property_any_profile_generates_valid_traces(name, length):
