@@ -26,8 +26,7 @@ from ..isa.trace import ListTraceSource
 from ..power.accounting import EnergyBreakdown
 from ..power.technology import TechnologyParameters
 from ..workloads.profiles import DEFAULT_INSTRUCTIONS
-from ..workloads.registry import (build_workload, get_workload_entry,
-                                  workload_key)
+from ..workloads.registry import build_workload, get_workload_entry
 from .config import DEFAULT_CONFIG, ProcessorConfig
 from .controllers import DvfsController, make_controller
 from .domains import ClockPlan, Topology, get_topology
@@ -50,48 +49,6 @@ def default_jobs() -> int:
         except ValueError:
             raise ValueError(f"{JOBS_ENV_VAR} must be an integer, got {value!r}")
     return os.cpu_count() or 1
-
-
-#: A workload build spec: (workload name, num_instructions, seed, kernel_size)
-#: -- build_workload's arguments.
-WorkloadSpec = Tuple[str, int, int, int]
-
-
-def workload_specs(scenarios: Sequence["Scenario"]) -> List[WorkloadSpec]:
-    """Distinct workload build specs of a sweep, in first-use order.
-
-    Specs with one :func:`~repro.workloads.registry.workload_key` (kernels
-    at different seeds) build once, so only the first is kept.
-    """
-    specs: Dict[Any, WorkloadSpec] = {}
-    for scenario in scenarios:
-        spec = (scenario.workload, scenario.num_instructions,
-                scenario.seed, scenario.kernel_size)
-        specs.setdefault(workload_key(*spec), spec)
-    return list(specs.values())
-
-
-def warm_worker(specs: Sequence[WorkloadSpec] = ()) -> None:
-    """Warm-start one sweep worker (a ``ProcessPoolExecutor`` initializer).
-
-    Importing this module has already paid the simulation-package imports by
-    the time the initializer runs, so the remaining per-worker start-up cost
-    is trace synthesis: pre-build the sweep's workload materialisations into
-    the :func:`~repro.workloads.registry.build_workload` memo once per
-    worker instead of once per scenario run.  Called in the *parent* before
-    the pool forks, the same warm memo is shared copy-on-write with every
-    fork-start worker, making the initializer's own pass memo hits.
-
-    Workload names unknown to this process (registered at runtime in the
-    parent, invisible to a spawn-start worker's re-imported registry) are
-    skipped; the local job backend reruns those scenarios in the parent.
-    """
-    for name, num_instructions, seed, kernel_size in specs:
-        try:
-            build_workload(name, num_instructions, seed=seed,
-                           kernel_size=kernel_size)
-        except KeyError:
-            pass
 
 
 # ------------------------------------------------------------- single run path

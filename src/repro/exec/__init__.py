@@ -2,11 +2,11 @@
 
 This package decouples *what* a sweep runs (scenarios) from *how* it runs
 them.  :class:`~repro.exec.config.ExecutionConfig` is the single spelling of
-the execution knobs (backend, jobs, store, warm-start, retry policy)
+the execution knobs (backend, jobs, store, retry policy)
 threaded through every sweep entry point;
 :class:`~repro.exec.backends.JobBackend` is the fabric protocol with two
-implementations -- ``serial`` (in-process) and ``local`` (the warm-started
-process pool, the default).  The ``repro serve`` results service
+implementations -- ``serial`` (in-process) and ``local`` (the process
+pool, the default).  The ``repro serve`` results service
 (:mod:`repro.serve`) drains its miss queue through the same protocol.
 :mod:`repro.exec.faults` provides the deterministic fault-injection harness
 (seeded :class:`~repro.exec.faults.FaultPlan` activated via

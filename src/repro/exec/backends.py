@@ -7,8 +7,14 @@ talks to this protocol, so the execution fabric is swappable per call:
 
 * ``serial`` -- one scenario at a time, in-process (no pool, no forking;
   deterministic and debugger-friendly);
-* ``local`` -- the warm-started :class:`~concurrent.futures.ProcessPoolExecutor`
-  fan-out (the default, and the only process pool in the package).
+* ``local`` -- the :class:`~concurrent.futures.ProcessPoolExecutor` fan-out
+  (the default, and the only process pool in the package).
+
+Each job builds its workload in the process that runs it:
+:func:`~repro.core.scenario.run_scenario` goes through the per-process
+:func:`~repro.workloads.registry.build_workload` memo, so a pool worker
+synthesises each trace once, on its first job that needs it, and the sweep's
+parent builds none.
 
 Several sweep processes -- on one host or on hosts sharing a filesystem --
 may point at one results store: entries are published atomically and two
@@ -33,8 +39,8 @@ from typing import (TYPE_CHECKING, Callable, Dict, List, Optional, Sequence,
 from ..core.controllers import CONTROLLERS
 from ..core.domains import TOPOLOGIES
 from ..core.dvfs import POLICIES
-from ..core.scenario import (Scenario, ScenarioResult, WorkloadSpec,
-                             default_jobs, run_scenario, warm_worker)
+from ..core.scenario import (Scenario, ScenarioResult, default_jobs,
+                             run_scenario)
 from ..workloads.registry import WORKLOADS
 from .config import ExecutionConfig
 from .faults import inject, set_role
@@ -114,22 +120,18 @@ class JobHandle:
 class JobBackend:
     """Protocol of a sweep execution fabric (duck-typed base class).
 
-    The contract: ``warm(specs)`` may pre-build workloads, ``submit(
-    scenarios)`` returns one :class:`JobHandle` per scenario, repeated
-    ``poll()`` calls each return at least one newly completed handle while
-    any job is pending (blocking as needed) and ``[]`` once none are, and
-    ``cancel()`` abandons outstanding work and releases resources (always
-    called, including after errors).  Scenario execution funnels through
+    The contract: ``submit(scenarios)`` returns one :class:`JobHandle`
+    per scenario, repeated ``poll()`` calls each return at least one newly
+    completed handle while any job is pending (blocking as needed) and
+    ``[]`` once none are, and ``cancel()`` abandons outstanding work and
+    releases resources (always called, including after errors).  Scenario
+    execution funnels through
     :func:`~repro.core.scenario.run_scenario`, so every backend produces
     bit-identical results for the same scenario.
     """
 
     #: registry name (overridden per implementation)
     name = "abstract"
-
-    def warm(self, specs: Sequence[WorkloadSpec]) -> None:
-        """Pre-build the sweep's workloads (default: in this process)."""
-        warm_worker(specs)
 
     def submit(self, scenarios: Sequence[Scenario]) -> List[JobHandle]:
         """Queue the scenarios; returns their handles in submission order."""
@@ -180,17 +182,22 @@ class SerialBackend(JobBackend):
 
 # --------------------------------------------------------- local pool backend
 class LocalPoolBackend(JobBackend):
-    """Warm-started ``ProcessPoolExecutor`` fan-out (the default backend).
+    """``ProcessPoolExecutor`` fan-out (the default backend).
 
-    One worker per job up to ``jobs``/``REPRO_JOBS``/CPU count, workers
-    warm-started via the pool initializer, and graceful degradation to in-process execution when
-    the pool infrastructure is unavailable (sandboxes without fork/sem
-    support) or dies mid-sweep.  Real worker exceptions -- a scenario that
-    raises -- propagate unchanged; only *pool-infrastructure* failures and
-    spawn-worker registry misses divert jobs to the in-process fallback.
+    One worker per job up to ``jobs``/``REPRO_JOBS``/CPU count, and graceful
+    degradation to in-process execution when the pool infrastructure is
+    unavailable (sandboxes without fork/sem support) or dies mid-sweep.
+    Real worker exceptions -- a scenario that raises -- propagate unchanged;
+    only *pool-infrastructure* failures and spawn-worker registry misses
+    divert jobs to the in-process fallback.
     """
 
     name = "local"
+
+    #: There is no warm pass: workers build their own workloads.  The name
+    #: stays resolvable only because ``perfbench/tracing.py`` wraps
+    #: ``LocalPoolBackend.warm`` by name; nothing calls it.
+    warm = None
 
     def __init__(self, config: ExecutionConfig,
                  store: Optional[ResultsStore] = None) -> None:
@@ -200,13 +207,7 @@ class LocalPoolBackend(JobBackend):
         self._futures: Dict[object, JobHandle] = {}
         self._executor: Optional[ProcessPoolExecutor] = None
         self._serial: List[JobHandle] = []
-        self._specs: Tuple[WorkloadSpec, ...] = ()
         self._rebuilds = 0
-
-    def warm(self, specs: Sequence[WorkloadSpec]) -> None:
-        """Warm the parent's workload memo and remember the specs for workers."""
-        self._specs = tuple(specs)
-        warm_worker(self._specs)
 
     def submit(self, scenarios: Sequence[Scenario]) -> List[JobHandle]:
         """Fan the scenarios out over the pool (or queue them in-process)."""
@@ -230,8 +231,7 @@ class LocalPoolBackend(JobBackend):
         workers = min(max(1, jobs), max(len(handles), 1))
         try:
             self._executor = ProcessPoolExecutor(
-                max_workers=workers, initializer=_start_pool_worker,
-                initargs=(self._specs,))
+                max_workers=workers, initializer=_start_pool_worker)
             self._futures = {
                 self._executor.submit(timed_run_scenario, handle.scenario):
                 handle for handle in handles}
@@ -300,10 +300,9 @@ class LocalPoolBackend(JobBackend):
             self._executor = None
 
 
-def _start_pool_worker(specs: Sequence[WorkloadSpec]) -> None:
-    """Pool initializer: declare the fault role ``worker``, then warm up."""
+def _start_pool_worker() -> None:
+    """Pool initializer: declare the fault role ``worker``."""
     set_role("worker")
-    warm_worker(specs)
 
 
 def _parent_can_resolve(scenario: Scenario) -> bool:
@@ -370,4 +369,4 @@ register_job_backend(
     "one scenario at a time, in-process (no pool; sandbox/debug-friendly)")
 register_job_backend(
     "local", LocalPoolBackend,
-    "warm-started ProcessPoolExecutor fan-out on this machine (default)")
+    "ProcessPoolExecutor fan-out on this machine (default)")

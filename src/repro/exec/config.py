@@ -4,8 +4,8 @@
 sweep entry points used to take piecemeal (``store=``, ``jobs=``, implicit
 pool behaviour): which :mod:`job backend
 <repro.exec.backends>` runs the missing scenarios, how many workers it may
-use, which results store serves hits and receives freshly computed results,
-and whether workers are warm-started.  Every sweep entry point
+use, and which results store serves hits and receives freshly computed
+results.  Every sweep entry point
 (:func:`~repro.results.runner.run_cached`,
 :func:`~repro.results.runner.resume_sweep`,
 :func:`~repro.core.scenario.sweep_scenarios`,
@@ -29,15 +29,14 @@ UNSET: Any = object()
 
 @dataclass(frozen=True)
 class ExecutionConfig:
-    """How a sweep executes: backend, parallelism, store, warm-start.
+    """How a sweep executes: backend, parallelism, store, retry policy.
 
     ``backend`` names a registered job backend (``serial``, ``local``,
     ...); ``jobs`` bounds its worker count (``None`` = ``REPRO_JOBS`` or
     the CPU count); ``store`` is anything
     :func:`~repro.results.store.resolve_store` accepts (``True`` = the
     default store, a path, a :class:`~repro.results.store.ResultsStore`,
-    ``None``/``False`` = uncached); ``warm_start`` pre-builds the sweep's
-    workloads in every worker.  ``max_retries`` bounds how often an
+    ``None``/``False`` = uncached).  ``max_retries`` bounds how often an
     *infrastructure* failure (``OSError``, a broken process pool) is
     retried with exponential backoff before the work is degraded or given
     up on -- deterministic simulation exceptions are never retried; they
@@ -49,7 +48,6 @@ class ExecutionConfig:
     backend: str = "local"
     jobs: Optional[int] = None
     store: Any = True
-    warm_start: bool = True
     max_retries: int = 3
     retry_backoff: float = 0.05
 

@@ -3,10 +3,12 @@
 :func:`resume_sweep` is the sweep engine behind ``repro sweep --cache`` and
 ``repro report compare``: scenarios already in the store load from disk, only
 the missing ones fan out over a pluggable :class:`~repro.exec.JobBackend`
-(the warm-started local process pool by default; ``serial`` is one
+(the local process pool by default; ``serial`` is one
 :class:`~repro.exec.ExecutionConfig` away), and every freshly computed
 result is stored immediately -- so an interrupted sweep resumes where it
-stopped, and a repeated sweep is served entirely from cache.
+stopped, and a repeated sweep is served entirely from cache.  Each cell's
+scenario is hashed once: the probe's key is the one a hit reports and a
+computed result is stored under.
 """
 
 from __future__ import annotations
@@ -14,8 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
-from ..core.scenario import (Scenario, ScenarioResult, resolve_scenarios,
-                             workload_specs)
+from ..core.scenario import Scenario, ScenarioResult, resolve_scenarios
 from ..exec import (ExecutionConfig, UNSET, make_job_backend,
                     resolve_execution, timed_run_scenario)
 from .store import ResultsStore, resolve_store
@@ -54,16 +55,16 @@ def run_cached(scenario: Union[Scenario, str],
     """
     (scenario,) = resolve_scenarios([scenario], overrides)
     resolved_store = resolve_store(store)
-    if resolved_store is not None:
-        hit = resolved_store.get_with_seconds(scenario)
-        if hit is not None:
-            return SweepRun(outcome=hit[0], cached=True,
-                            key=resolved_store.key_for(scenario),
-                            seconds=hit[1])
-    outcome, seconds = timed_run_scenario(scenario)
     key = ""
     if resolved_store is not None:
-        key = resolved_store.put(outcome, wall_seconds=seconds)
+        key = resolved_store.key_for(scenario)
+        hit = resolved_store.get_by_key(key, scenario)
+        if hit is not None:
+            return SweepRun(outcome=hit[0], cached=True, key=key,
+                            seconds=hit[1])
+    outcome, seconds = timed_run_scenario(scenario)
+    if resolved_store is not None:
+        resolved_store.put_by_key(key, outcome, wall_seconds=seconds)
     return SweepRun(outcome=outcome, cached=False, key=key, seconds=seconds)
 
 
@@ -91,17 +92,17 @@ def resume_sweep(scenarios: Sequence[Union[Scenario, str]],
     resolved_store = config.resolve_store()
 
     slots: List[Optional[SweepRun]] = [None] * len(resolved)
-    missing: List[Tuple[int, Scenario]] = []
+    missing: List[Tuple[int, str, Scenario]] = []
     for index, scenario in enumerate(resolved):
+        key = ""
         if resolved_store is not None:
-            hit = resolved_store.get_with_seconds(scenario)
+            key = resolved_store.key_for(scenario)
+            hit = resolved_store.get_by_key(key, scenario)
             if hit is not None:
-                slots[index] = SweepRun(
-                    outcome=hit[0], cached=True,
-                    key=resolved_store.key_for(scenario),
-                    seconds=hit[1])
+                slots[index] = SweepRun(outcome=hit[0], cached=True, key=key,
+                                        seconds=hit[1])
                 continue
-        missing.append((index, scenario))
+        missing.append((index, key, scenario))
 
     if missing:
         _compute_and_store(missing, slots, resolved_store, config)
@@ -109,7 +110,7 @@ def resume_sweep(scenarios: Sequence[Union[Scenario, str]],
     return [slot for slot in slots if slot is not None]
 
 
-def _compute_and_store(missing: Sequence[Tuple[int, Scenario]],
+def _compute_and_store(missing: Sequence[Tuple[int, str, Scenario]],
                        slots: List[Optional[SweepRun]],
                        store: Optional[ResultsStore],
                        execution: ExecutionConfig) -> None:
@@ -123,11 +124,8 @@ def _compute_and_store(missing: Sequence[Tuple[int, Scenario]],
     worker-side registry misses are retried in-process by the backends.
     """
     backend = make_job_backend(execution, store)
-    scenarios = [scenario for _, scenario in missing]
     try:
-        if execution.warm_start:
-            backend.warm(workload_specs(scenarios))
-        handles = backend.submit(scenarios)
+        handles = backend.submit([scenario for _, _, scenario in missing])
         remaining = len(handles)
         while remaining:
             completed = backend.poll()
@@ -135,11 +133,10 @@ def _compute_and_store(missing: Sequence[Tuple[int, Scenario]],
                     not handle.done for handle in handles):
                 break  # defensive: backend reports nothing left pending
             for handle in completed:
-                index = missing[handle.index][0]
-                key = ""
+                index, key, _ = missing[handle.index]
                 if store is not None:
-                    key = store.put(handle.outcome,
-                                    wall_seconds=handle.seconds)
+                    store.put_by_key(key, handle.outcome,
+                                     wall_seconds=handle.seconds)
                 slots[index] = SweepRun(outcome=handle.outcome, cached=False,
                                         key=key, seconds=handle.seconds)
                 remaining -= 1

@@ -340,9 +340,15 @@ class ResultsStore:
         verified on every read -- a torn or bit-rotted entry is quarantined
         and treated as a miss instead of being served.
         """
+        return self.put_by_key(self.key_for(outcome.scenario), outcome,
+                               wall_seconds)
+
+    def put_by_key(self, key: str, outcome: ScenarioResult,
+                   wall_seconds: float = 0.0) -> str:
+        """:meth:`put` for a caller that already holds the outcome's
+        scenario key, so the scenario is not hashed again."""
         fault = inject("store.put")
         scenario = outcome.scenario
-        key = self.key_for(scenario)
         path = self.entry_path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         data = encode_entry({

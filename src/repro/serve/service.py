@@ -22,8 +22,8 @@ A :class:`ResultsService` wraps one results store and one
 Misses are *batched*: the drain thread collects everything queued during
 one poll interval and runs it as a single
 :func:`~repro.results.resume_sweep` over the service's job backend, so a
-burst of cold queries warms the store with one warm-started sweep instead
-of one process pool per request.  Failures are classified like the rest of
+burst of cold queries fills the store with one sweep instead of one
+process pool per request.  Failures are classified like the rest of
 the fabric: infrastructure errors (``OSError``, a broken pool) are retried
 with backoff so a transient hiccup never becomes a lasting *500*, while a
 scenario whose computation fails deterministically is remembered as a

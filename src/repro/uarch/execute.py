@@ -283,9 +283,8 @@ class ExecutionUnit:
             self.completed_ops += 1
             phys_dest = instr.phys_dest
             if phys_dest is not None:
-                # inline regfile.mark_ready; the waiter walk (this writeback
-                # is what moves blocked consumers toward their queue's ready
-                # list) is hotcore.wake_waiters
+                # writeback: the waiter walk (what moves blocked consumers
+                # toward their queue's ready list) is hotcore.wake_waiters
                 reg = registers[phys_dest]
                 reg.ready_time = now
                 reg.producer_domain = domain_name
@@ -326,8 +325,7 @@ class ExecutionUnit:
 
         Each accepted entry is registered on the waiter list of every source
         operand whose producer has not written back yet; entries with no
-        pending producer go straight onto the queue's age-ordered ready list
-        (``IssueQueue.dispatch``, inlined).
+        pending producer go straight onto the queue's age-ordered ready list.
         """
         unit = self
         channel = self.input_channel
@@ -359,11 +357,10 @@ class ExecutionUnit:
                     if instr.squashed:
                         unit.dropped_squashed += 1
                         continue
-                    # the batch is bounded by the window's free space, so
-                    # the capacity check of IssueQueue.dispatch cannot fire
+                    # the batch is bounded by the window's free space
                     entries.append(instr)
                     drained += 1
-                    # inline IssueQueue.link_waiters
+                    # link the entry on each pending operand's waiter list
                     pending = 0
                     for phys in instr.phys_sources:
                         reg = registers[phys]
@@ -390,9 +387,8 @@ class ExecutionUnit:
         whose producers have all written back), pricing cross-domain
         visibility lazily with a per-entry ``wakeup_after`` cache, and
         starts visible entries on free functional units as it finds them,
-        oldest first, without materialising an intermediate ready list --
-        the selection ``IssueQueue.ready_instructions`` makes.  All stable
-        collaborators are pre-bound as closure variables.
+        oldest first, without materialising an intermediate ready list.
+        All stable collaborators are pre-bound as closure variables.
         """
         unit = self
         issue_queue = self.issue_queue

@@ -79,10 +79,9 @@ class PhysicalRegisterFile:
             else:
                 (self._free_fp if reg.is_fp else self._free_int).append(reg.index)
         # statistics
-        #: reads counts explicit is_ready() probes only; the issue queue's
-        #: inlined wakeup pass does not pass through it (see
-        #: IssueQueue.ready_instructions -- wakeup traffic is tracked by
-        #: IssueQueue.wakeup_searches instead)
+        #: reads counts explicit is_ready() probes only; the issue pass
+        #: (ExecutionUnit._issue_ready) does not pass through it -- wakeup
+        #: traffic is tracked by IssueQueue.wakeup_searches instead
         self.reads = 0
         self.allocation_failures = 0
 
@@ -143,30 +142,6 @@ class PhysicalRegisterFile:
         reg = self._registers[index]
         reg.ready_time = float("inf")
         reg.producer_domain = ""
-
-    def mark_ready(self, index: int, time: float, domain: str) -> None:
-        """Record that the value was produced at ``time`` in ``domain``.
-
-        This is the event-driven wakeup source: the register's waiter list
-        (issue-queue entries blocked on this value) is walked once, each
-        live waiter's not-ready operand count drops by one, and entries
-        whose last operand this was move onto their queue's age-ordered
-        ready list.  Squashed waiters are dropped without a wakeup.
-        """
-        reg = self._registers[index]
-        reg.ready_time = time
-        reg.producer_domain = domain
-        waiters = reg.waiters
-        if waiters:
-            for waiter in waiters:
-                if not waiter.squashed and waiter.pending_ops:
-                    pending = waiter.pending_ops - 1
-                    waiter.pending_ops = pending
-                    if pending == 0:
-                        queue = waiter.wakeup_queue
-                        if queue is not None:
-                            queue.push_ready(waiter)
-            waiters.clear()
 
     def ready_time(self, index: int) -> float:
         """Absolute time the register's value is ready in its producing domain."""

@@ -107,97 +107,124 @@ class SyntheticWorkload:
 
     # ------------------------------------------------------------ static CFG
     def _build_static_program(self) -> None:
+        """Synthesise every basic block of the static CFG.
+
+        Per block: the body length, then each slot's class, memory region
+        and destination, then each slot's sources (dependence distances
+        follow the profile), then the terminator.  Traces are pinned byte
+        for byte, so every draw keeps its order and arguments; the loop only
+        hoists the profile cuts and the bound RNG methods out of it.
+        """
         profile = self.profile
         rng = self._rng
+        random_ = rng.random
+        choice = rng.choice
+        uniform = rng.uniform
+        randrange = rng.randrange
+        expovariate = rng.expovariate
+        gauss = rng.gauss
         num_blocks = profile.static_blocks
         mean_len = profile.mean_block_length
+        len_sigma = mean_len * 0.3
+        load_cut = profile.load_fraction
+        store_cut = load_cut + profile.store_fraction
+        mem_cut = max(load_cut, store_cut)
+        fp_cut = store_cut + profile.fp_fraction
+        fp_div_cut = profile.fp_div_share
+        fp_mul_cut = profile.fp_div_share + profile.fp_mul_share
+        int_mul_share = profile.int_mul_share
+        working_set_bytes = profile.working_set_kb * 1024
+        hot_region_bytes = min(working_set_bytes, 8 * 1024)
+        access_stride = profile.access_stride
+        hot_min_span = access_stride * 4
+        cold_min_span = access_stride * 8
+        exp_rate = 1.0 / profile.dependence_distance
+        LOAD = InstructionClass.LOAD
+        STORE = InstructionClass.STORE
+        FP_ALU = InstructionClass.FP_ALU
+        FP_MUL = InstructionClass.FP_MUL
+        FP_DIV = InstructionClass.FP_DIV
+        INT_ALU = InstructionClass.INT_ALU
+        INT_MUL = InstructionClass.INT_MUL
+        int_pool = _INT_REG_POOL
+        fp_pool = _FP_REG_POOL
+        blocks = self._blocks
         pc = TEXT_BASE
         for block_index in range(num_blocks):
-            body_len = max(1, int(rng.gauss(mean_len, mean_len * 0.3)))
+            body_len = max(1, int(gauss(mean_len, len_sigma)))
             body_len = min(body_len, 120)
-            slots = [self._make_slot(rng) for _ in range(body_len)]
-            self._wire_dependences(slots, rng)
+            slots: List[_StaticSlot] = []
+            for _ in range(body_len):
+                draw = random_()
+                if draw < mem_cut:
+                    opclass = LOAD if draw < load_cut else STORE
+                    # Most accesses hit a small hot region (stack / current
+                    # record), giving the high temporal locality real
+                    # programs exhibit; a minority of slots stream over the
+                    # full working set and produce the capacity misses that
+                    # grow with working_set_kb.
+                    if random_() < 0.85:
+                        region_span = max(hot_min_span, int(
+                            hot_region_bytes * uniform(0.1, 0.5)))
+                        region_base = DATA_BASE + randrange(
+                            0, hot_region_bytes, 8)
+                    else:
+                        region_span = max(cold_min_span, int(
+                            working_set_bytes * uniform(0.2, 0.8)))
+                        region_base = DATA_BASE + randrange(
+                            0, working_set_bytes, 8)
+                    stride = (access_stride if random_() < 0.8
+                              else access_stride * choice((2, 4, 8)))
+                    dest = choice(int_pool) if opclass is LOAD else None
+                    slots.append(_StaticSlot(opclass, dest, (), region_base,
+                                             region_span, stride))
+                elif draw < fp_cut:
+                    sub = random_()
+                    if sub < fp_div_cut:
+                        opclass = FP_DIV
+                    elif sub < fp_mul_cut:
+                        opclass = FP_MUL
+                    else:
+                        opclass = FP_ALU
+                    slots.append(_StaticSlot(opclass, choice(fp_pool), ()))
+                else:
+                    opclass = (INT_MUL if random_() < int_mul_share
+                               else INT_ALU)
+                    slots.append(_StaticSlot(opclass, choice(int_pool), ()))
+            # Sources: each draws from the last 16 destinations of its
+            # register file in this block, at the profile's mean distance.
+            recent_int: List[int] = []
+            recent_fp: List[int] = []
+            for slot in slots:
+                opclass = slot.opclass
+                is_fp = (opclass is FP_ALU or opclass is FP_MUL
+                         or opclass is FP_DIV)
+                if is_fp:
+                    pool, fallback = recent_fp, fp_pool
+                else:
+                    pool, fallback = recent_int, int_pool
+                sources: List[int] = []
+                # a load reads its address base; a store its value + base
+                for _ in range(1 if opclass is LOAD else 2):
+                    if pool and random_() < 0.75:
+                        distance = int(expovariate(exp_rate)) + 1
+                        if distance > len(pool):
+                            distance = len(pool)
+                        sources.append(pool[-distance])
+                    else:
+                        sources.append(choice(fallback))
+                slot.sources = tuple(sources)
+                dest = slot.dest
+                if dest is not None:
+                    recent = recent_fp if is_fp else recent_int
+                    recent.append(dest)
+                    if len(recent) > 16:
+                        del recent[0]
             terminator = self._make_terminator(block_index, num_blocks, rng)
             block = _StaticBlock(index=block_index, start_pc=pc, slots=slots,
                                  terminator=terminator)
-            self._blocks.append(block)
+            blocks.append(block)
             pc += block.length * INSTRUCTION_SIZE
-
-    def _make_slot(self, rng: random.Random) -> _StaticSlot:
-        profile = self.profile
-        draw = rng.random()
-        load_cut = profile.load_fraction
-        store_cut = load_cut + profile.store_fraction
-        fp_cut = store_cut + profile.fp_fraction
-        working_set_bytes = profile.working_set_kb * 1024
-
-        if draw < load_cut or draw < store_cut:
-            opclass = (InstructionClass.LOAD if draw < load_cut
-                       else InstructionClass.STORE)
-            # Most accesses hit a small hot region (stack / current record),
-            # giving the high temporal locality real programs exhibit; a
-            # minority of slots stream over the full working set and produce
-            # the capacity misses that grow with working_set_kb.
-            hot_region_bytes = min(working_set_bytes, 8 * 1024)
-            if rng.random() < 0.85:
-                region_span = max(profile.access_stride * 4,
-                                  int(hot_region_bytes * rng.uniform(0.1, 0.5)))
-                region_base = DATA_BASE + rng.randrange(0, hot_region_bytes, 8)
-            else:
-                region_span = max(profile.access_stride * 8,
-                                  int(working_set_bytes * rng.uniform(0.2, 0.8)))
-                region_base = DATA_BASE + rng.randrange(0, working_set_bytes, 8)
-            stride = profile.access_stride if rng.random() < 0.8 else \
-                profile.access_stride * rng.choice((2, 4, 8))
-            dest = rng.choice(_INT_REG_POOL) if opclass is InstructionClass.LOAD else None
-            return _StaticSlot(opclass=opclass, dest=dest, sources=(),
-                               region_base=region_base, region_span=region_span,
-                               stride=stride)
-        if draw < fp_cut:
-            sub = rng.random()
-            if sub < profile.fp_div_share:
-                opclass = InstructionClass.FP_DIV
-            elif sub < profile.fp_div_share + profile.fp_mul_share:
-                opclass = InstructionClass.FP_MUL
-            else:
-                opclass = InstructionClass.FP_ALU
-            return _StaticSlot(opclass=opclass, dest=rng.choice(_FP_REG_POOL),
-                               sources=())
-        opclass = (InstructionClass.INT_MUL
-                   if rng.random() < self.profile.int_mul_share
-                   else InstructionClass.INT_ALU)
-        return _StaticSlot(opclass=opclass, dest=rng.choice(_INT_REG_POOL),
-                           sources=())
-
-    def _wire_dependences(self, slots: List[_StaticSlot], rng: random.Random) -> None:
-        """Assign source registers so dependence distances follow the profile."""
-        mean_distance = self.profile.dependence_distance
-        recent_int: List[int] = []
-        recent_fp: List[int] = []
-        for position, slot in enumerate(slots):
-            sources: List[int] = []
-            wants_fp = slot.opclass.is_fp
-            pool = recent_fp if wants_fp else recent_int
-            fallback = _FP_REG_POOL if wants_fp else _INT_REG_POOL
-            num_sources = 2 if slot.opclass not in (InstructionClass.LOAD,) else 1
-            if slot.opclass is InstructionClass.STORE:
-                num_sources = 2  # value + address base
-                pool = recent_int
-                fallback = _INT_REG_POOL
-            for _ in range(num_sources):
-                if pool and rng.random() < 0.75:
-                    distance = min(len(pool),
-                                   max(1, int(rng.expovariate(1.0 / mean_distance)) + 1))
-                    sources.append(pool[-distance])
-                else:
-                    sources.append(rng.choice(fallback))
-            slot.sources = tuple(sources)
-            if slot.dest is not None:
-                if slot.opclass.is_fp:
-                    recent_fp.append(slot.dest)
-                else:
-                    recent_int.append(slot.dest)
-            del recent_int[:-16], recent_fp[:-16]
 
     def _make_terminator(self, block_index: int, num_blocks: int,
                          rng: random.Random) -> _StaticBranch:

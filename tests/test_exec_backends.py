@@ -126,6 +126,22 @@ def test_local_backend_pool_failure_falls_back_in_process(store, monkeypatch):
                              num_instructions=SMALL)) is not None
 
 
+def test_pool_workers_build_their_own_workloads():
+    """The parent of a pool sweep synthesises nothing: each worker builds
+    the trace its job runs, and the results equal a serial sweep's."""
+    from repro.core.scenario import Scenario
+    from repro.workloads import registry
+
+    grid = [Scenario(name=f"osc@{topology}", topology=topology,
+                     workload="phased:intfp-osc", num_instructions=SMALL,
+                     seed=9041) for topology in ("base", "gals5")]
+    before = dict(registry._MEMO)
+    pooled = resume_sweep(grid, store=None, execution="local", jobs=2)
+    assert registry._MEMO == before
+    serial = resume_sweep(grid, store=None, execution="serial")
+    assert [run.outcome for run in pooled] == [run.outcome for run in serial]
+
+
 # --------------------------------------------------- narrowed worker failures
 def _raising_factory(num_instructions, seed, kernel_size):
     raise ValueError("synthetic workload failure")
@@ -139,8 +155,7 @@ def test_real_worker_exception_surfaces_from_pool(store, monkeypatch):
         factory=_raising_factory))
     bad = replace(get_scenario("base"), workload="raising",
                   num_instructions=SMALL)
-    config = ExecutionConfig(backend="local", jobs=2, store=store,
-                             warm_start=False)
+    config = ExecutionConfig(backend="local", jobs=2, store=store)
     with pytest.raises(ValueError, match="synthetic workload failure"):
         resume_sweep([bad, "gals5"], execution=config,
                      num_instructions=SMALL)
@@ -150,8 +165,7 @@ def test_unknown_registry_name_surfaces_as_keyerror(store):
     """A name nobody can resolve is a real error, not a fallback case."""
     bad = replace(get_scenario("base"), workload="no-such-workload",
                   num_instructions=SMALL)
-    config = ExecutionConfig(backend="local", jobs=2, store=store,
-                             warm_start=False)
+    config = ExecutionConfig(backend="local", jobs=2, store=store)
     with pytest.raises(KeyError, match="no-such-workload"):
         resume_sweep([bad], execution=config)
 

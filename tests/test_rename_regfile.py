@@ -10,6 +10,7 @@ from repro.isa.trace import TraceInstruction
 from repro.uarch.instruction import DynamicInstruction
 from repro.uarch.regfile import ALWAYS_READY, PhysicalRegisterFile
 from repro.uarch.rename import RegisterAliasTable, RenameError
+from test_wakeup_waiters import write_back
 
 
 def make_instr(dest=None, sources=(), opclass=InstructionClass.INT_ALU, pc=0x400000):
@@ -62,7 +63,7 @@ def test_readiness_same_domain_and_cross_domain():
         return 1.5 if producer != consumer else 0.0
 
     assert not regfile.is_ready(phys, 100.0, "integer", forwarding)
-    regfile.mark_ready(phys, 10.0, "memory")
+    write_back(regfile, phys, 10.0, domain="memory")
     # same domain: ready at the produce time
     assert regfile.is_ready(phys, 10.0, "memory", forwarding)
     # cross domain: ready only after the forwarding latency

@@ -171,6 +171,43 @@ def test_repeated_sweep_is_fully_cached_and_faster(store):
         f"warm sweep took {warm_seconds:.3f}s vs cold {cold_seconds:.3f}s")
 
 
+def test_sweep_and_run_cached_hash_each_scenario_once(store, monkeypatch):
+    """One ``key_for`` per cell, cold and warm: the probe's key is the one
+    a hit reports and a computed result is stored under."""
+    calls = []
+    key_for = ResultsStore.key_for
+
+    def counted(self, scenario):
+        calls.append(scenario.name)
+        return key_for(self, scenario)
+    monkeypatch.setattr(ResultsStore, "key_for", counted)
+    names = ["base", "gals5"]
+    for status in ("computed", "cached"):
+        calls.clear()
+        runs = resume_sweep(names, store=store, execution="serial",
+                            num_instructions=SMALL)
+        assert [run.status for run in runs] == [status, status]
+        assert calls == names
+        assert [run.key for run in runs] == [
+            key_for(store, run.outcome.scenario) for run in runs]
+    for status in ("computed", "cached"):
+        calls.clear()
+        run = run_cached("fem3", store=store, num_instructions=SMALL)
+        assert (run.status, calls) == (status, ["fem3"])
+
+
+def test_put_by_key_writes_the_bytes_put_writes(tmp_path, scenario,
+                                                monkeypatch):
+    monkeypatch.setattr(time, "strftime", lambda *_: "2026-01-01T00:00:00")
+    outcome = run_scenario(scenario)
+    by_put, by_key = (ResultsStore(root=tmp_path / name)
+                      for name in ("put", "put_by_key"))
+    key = by_put.put(outcome, wall_seconds=1.5)
+    assert by_key.put_by_key(key, outcome, wall_seconds=1.5) == key
+    assert (by_key.entry_path(key).read_bytes()
+            == by_put.entry_path(key).read_bytes())
+
+
 def test_sweep_statuses_and_hit_rate(store):
     from repro.results import hit_rate
     resume_sweep(["base"], store=store, jobs=1, num_instructions=SMALL)

@@ -6,18 +6,14 @@ from repro.isa.instructions import InstructionClass
 from repro.isa.trace import TraceInstruction
 from repro.uarch.instruction import DynamicInstruction
 from repro.uarch.issue_queue import IssueQueue
-from repro.uarch.regfile import PhysicalRegisterFile
 from repro.uarch.rob import ReorderBuffer, ReorderBufferFullError
+from test_wakeup_waiters import dispatch, issue, make_unit, write_back
 
 
 def make_instr(opclass=InstructionClass.INT_ALU, sources=()):
     trace = TraceInstruction(index=0, pc=0x400000, opclass=opclass, dest=1,
                              sources=tuple(sources))
     return DynamicInstruction(trace, epoch=0)
-
-
-def no_forwarding(producer, consumer):
-    return 0.0
 
 
 # ----------------------------------------------------------------------- ROB
@@ -74,63 +70,52 @@ def test_rob_invalid_capacity():
 
 # --------------------------------------------------------------- issue queues
 def test_issue_queue_dispatch_and_capacity():
-    regfile = PhysicalRegisterFile()
-    queue = IssueQueue("iq_int", capacity=2, domain_name="integer")
-    queue.dispatch(make_instr(), regfile)
-    queue.dispatch(make_instr(), regfile)
+    unit, queue, _ = make_unit(capacity=2)
+    dispatch(unit, make_instr(), make_instr(), make_instr())
     assert queue.is_full
-    with pytest.raises(OverflowError):
-        queue.dispatch(make_instr(), regfile)
-    assert queue.full_stalls == 1
+    assert queue.dispatches == 2
+    assert unit.input_channel.occupancy == 1   # waits for a free entry
 
 
-def test_ready_instructions_respect_operand_readiness():
-    regfile = PhysicalRegisterFile()
-    queue = IssueQueue("iq_int", capacity=8, domain_name="integer")
+def test_issue_respects_operand_readiness():
+    unit, _, regfile = make_unit()
     pending = regfile.allocate(for_fp=False)
     regfile.mark_pending(pending)
     waiting = make_instr(sources=())
     waiting.phys_sources = (pending,)
     ready = make_instr(sources=())
     ready.phys_sources = (3,)  # architectural value, always ready
-    queue.dispatch(waiting, regfile)
-    queue.dispatch(ready, regfile)
-    selected = queue.ready_instructions(0.0, regfile, no_forwarding, limit=4)
-    assert selected == [ready]
-    regfile.mark_ready(pending, 5.0, "integer")
-    selected = queue.ready_instructions(5.0, regfile, no_forwarding, limit=4)
-    assert waiting in selected and ready in selected
+    dispatch(unit, waiting, ready)
+    assert issue(unit, 0.0) == [ready]
+    write_back(regfile, pending, 5.0)
+    assert issue(unit, 5.0) == [waiting]
 
 
-def test_ready_instructions_oldest_first_and_limited():
-    regfile = PhysicalRegisterFile()
-    queue = IssueQueue("iq_int", capacity=8, domain_name="integer")
+def test_issue_is_oldest_first_and_limited_by_width():
+    unit, queue, _ = make_unit(issue_width=2)
     instrs = [make_instr() for _ in range(4)]
     for instr in instrs:
         instr.phys_sources = ()
-        queue.dispatch(instr, regfile)
-    selected = queue.ready_instructions(0.0, regfile, no_forwarding, limit=2)
-    assert selected == instrs[:2]
-    assert queue.ready_instructions(0.0, regfile, no_forwarding, limit=0) == []
+    dispatch(unit, *instrs)
+    assert issue(unit, 0.0) == instrs[:2]
+    assert queue._entries == instrs[2:]
 
 
 def test_issue_queue_remove_and_squash():
-    regfile = PhysicalRegisterFile()
-    queue = IssueQueue("iq_int", capacity=8, domain_name="integer")
+    unit, queue, _ = make_unit()
     keep = make_instr()
     drop = make_instr()
-    queue.dispatch(keep, regfile)
-    queue.dispatch(drop, regfile)
+    dispatch(unit, keep, drop)
     squashed = queue.squash_younger_than(keep.seq)
     assert squashed == [drop] and drop.squashed
-    queue.remove(keep)
+    assert issue(unit, 0.0) == [keep]          # issue removes the entry
     assert queue.occupancy == 0
     assert queue.issues == 1
 
 
 def test_issue_queue_occupancy_stats():
-    queue = IssueQueue("iq_int", capacity=8, domain_name="integer")
-    queue.dispatch(make_instr(), PhysicalRegisterFile())
+    unit, queue, _ = make_unit()
+    dispatch(unit, make_instr())
     queue.sample_occupancy()
     queue.sample_occupancy()
     assert queue.mean_occupancy == pytest.approx(1.0)

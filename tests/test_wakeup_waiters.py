@@ -17,6 +17,9 @@ import pytest
 
 from repro.isa.instructions import InstructionClass
 from repro.isa.trace import TraceInstruction
+from repro.power.activity import ActivityCounters
+from repro.sim.channel import SyncQueue
+from repro.uarch.execute import ExecutionUnit, FunctionalUnitPool
 from repro.uarch.instruction import DynamicInstruction
 from repro.uarch.issue_queue import IssueQueue
 from repro.uarch.regfile import PhysicalRegisterFile
@@ -33,42 +36,81 @@ def no_forwarding(producer, consumer):
     return 0.0
 
 
+# ------------------------------------------------- one cluster, driven by hand
+def make_unit(regfile=None, domain="integer", capacity=8, issue_width=4,
+              forwarding=no_forwarding):
+    """An execution cluster on a 1 ns clock, its window and its regfile.
+
+    The tests drive the stage bodies a run executes: ``_drain_input``
+    (dispatch into the window), ``_complete_finished`` (writeback and
+    wakeup) and ``_issue_ready`` (select and issue).
+    """
+    regfile = regfile if regfile is not None else PhysicalRegisterFile()
+    queue = IssueQueue(f"iq_{domain}", capacity, domain_name=domain)
+    unit = ExecutionUnit(
+        name=f"{domain}-cluster", domain_name=domain, issue_queue=queue,
+        input_channel=SyncQueue(f"dispatch->{domain}", capacity=64),
+        regfile=regfile, forwarding_latency=forwarding,
+        clock_period=lambda: 1.0,
+        functional_units=FunctionalUnitPool("alu", 8),
+        issue_width=issue_width, activity=ActivityCounters(),
+        alu_block="alu_int", queue_block=f"iq_{domain}")
+    return unit, queue, regfile
+
+
+def dispatch(unit, *instrs, now=0.0):
+    """Send ``instrs`` down the unit's dispatch channel and drain it."""
+    for instr in instrs:
+        unit.input_channel.push(instr, now)
+    unit._drain_input(now)
+
+
+def issue(unit, now):
+    """One issue pass at ``now``; returns the entries it started."""
+    started = len(unit._in_flight)
+    unit._issue_ready(now)
+    return unit._in_flight[started:]
+
+
+def write_back(regfile, phys, now, domain="integer"):
+    """Complete a producer of ``phys`` at ``now`` in ``domain``."""
+    unit, _, _ = make_unit(regfile, domain)
+    producer = make_instr()
+    producer.phys_dest = phys
+    producer.fu_done = now
+    unit._in_flight.append(producer)
+    unit._next_completion = now
+    unit._complete_finished(now)
+
+
 # ------------------------------------------------------------ queue mechanics
-def test_event_dispatch_requires_the_regfile():
-    queue = IssueQueue("iq", capacity=4, domain_name="integer")
-    with pytest.raises(TypeError):
-        queue.dispatch(make_instr())           # nowhere to link waiters
-
-
 def test_dispatch_links_waiters_and_writeback_wakes():
-    regfile = PhysicalRegisterFile()
-    queue = IssueQueue("iq", capacity=8, domain_name="integer")
+    unit, queue, regfile = make_unit()
     pending = regfile.allocate(for_fp=False)
     waiting = make_instr()
     waiting.phys_sources = (pending, 3)        # one pending, one arch-ready
-    queue.dispatch(waiting, regfile)
+    dispatch(unit, waiting)
     assert waiting.pending_ops == 1
     assert waiting.wakeup_queue is queue
     assert regfile._registers[pending].waiters == [waiting]
     assert queue._ready == []                  # not woken yet
-    assert queue.ready_instructions(0.0, regfile, no_forwarding, 4) == []
+    assert issue(unit, 0.0) == []
 
-    regfile.mark_ready(pending, 5.0, "integer")
+    write_back(regfile, pending, 5.0)
     assert waiting.pending_ops == 0
     assert regfile._registers[pending].waiters == []
     assert queue._ready == [waiting]
-    assert queue.ready_instructions(2.0, regfile, no_forwarding, 4) == []
-    assert queue.ready_instructions(5.0, regfile, no_forwarding, 4) == [waiting]
+    assert issue(unit, 2.0) == []
+    assert issue(unit, 5.0) == [waiting]
 
 
 def test_no_pending_operands_goes_straight_to_the_ready_list():
-    regfile = PhysicalRegisterFile()
-    queue = IssueQueue("iq", capacity=8, domain_name="integer")
+    unit, queue, _ = make_unit()
     instr = make_instr()
     instr.phys_sources = (3,)                  # architectural, always ready
-    queue.dispatch(instr, regfile)
+    dispatch(unit, instr)
     assert queue._ready == [instr]
-    assert queue.ready_instructions(0.0, regfile, no_forwarding, 4) == [instr]
+    assert issue(unit, 0.0) == [instr]
 
 
 def test_push_ready_keeps_age_order_and_invalidates_the_gate():
@@ -83,32 +125,29 @@ def test_push_ready_keeps_age_order_and_invalidates_the_gate():
 
 
 def test_squashed_waiter_is_skipped_on_writeback():
-    regfile = PhysicalRegisterFile()
-    queue = IssueQueue("iq", capacity=8, domain_name="integer")
+    unit, queue, regfile = make_unit()
     pending = regfile.allocate(for_fp=False)
     older = make_instr()
     older.phys_sources = (pending,)
     wrong_path = make_instr()
     wrong_path.phys_sources = (pending,)
-    queue.dispatch(older, regfile)
-    queue.dispatch(wrong_path, regfile)
+    dispatch(unit, older, wrong_path)
     squashed = queue.squash_younger_than(older.seq)
     assert squashed == [wrong_path] and wrong_path.squashed
     # the waiter link survives the squash (lazy unlink) ...
     assert wrong_path in regfile._registers[pending].waiters
-    regfile.mark_ready(pending, 4.0, "integer")
+    write_back(regfile, pending, 4.0)
     # ... but the writeback drops it without a wakeup
     assert queue._ready == [older]
     assert regfile._registers[pending].waiters == []
 
 
 def test_squash_drops_ready_list_entries():
-    regfile = PhysicalRegisterFile()
-    queue = IssueQueue("iq", capacity=8, domain_name="integer")
+    unit, queue, _ = make_unit()
     instrs = [make_instr() for _ in range(3)]
     for instr in instrs:
         instr.phys_sources = ()
-        queue.dispatch(instr, regfile)
+    dispatch(unit, *instrs)
     assert queue._ready == instrs
     queue.squash_younger_than(instrs[0].seq)
     assert queue._ready == [instrs[0]]
@@ -126,47 +165,44 @@ def test_freeing_a_register_clears_stale_waiters():
 
 
 def test_ready_gate_suppresses_passes_until_the_visibility_horizon():
-    regfile = PhysicalRegisterFile()
-    queue = IssueQueue("iq", capacity=8, domain_name="integer")
-    pending = regfile.allocate(for_fp=False)
-    instr = make_instr()
-    instr.phys_sources = (pending,)
-    queue.dispatch(instr, regfile)
-    regfile.mark_ready(pending, 10.0, "fp")    # cross-domain producer
-
     def fwd(producer, consumer):
         return 3.0
 
-    assert queue.ready_instructions(5.0, regfile, fwd, 4) == []
+    unit, queue, regfile = make_unit(forwarding=fwd)
+    pending = regfile.allocate(for_fp=False)
+    instr = make_instr()
+    instr.phys_sources = (pending,)
+    dispatch(unit, instr)
+    write_back(regfile, pending, 10.0, domain="fp")   # cross-domain producer
+
+    assert issue(unit, 5.0) == []
     assert queue.ready_gate == pytest.approx(13.0)   # 10.0 ready + 3.0 fwd
     before = queue.wakeup_searches
-    assert queue.ready_instructions(12.0, regfile, fwd, 4) == []
+    assert issue(unit, 12.0) == []
     assert queue.wakeup_searches == before     # gated: no entry examined
-    assert queue.ready_instructions(13.0, regfile, fwd, 4) == [instr]
+    assert issue(unit, 13.0) == [instr]
 
 
 def test_event_and_scan_make_identical_selections():
     """The picks the scan made on this window, oldest awake entries first."""
-    regfile = PhysicalRegisterFile()
-    queue = IssueQueue("iq", capacity=8, domain_name="integer")
-    pending = regfile.allocate(for_fp=False)
-    blocked = make_instr()
-    blocked.phys_sources = (pending,)
-    awake = [make_instr() for _ in range(3)]
-    for instr in awake:
-        instr.phys_sources = (3,)
-    window = [blocked, *awake]                 # dispatch (age) order
-    for instr in window:
-        queue.dispatch(instr, regfile)
-    regfile.mark_ready(pending, 6.0, "fp")
-
     def fwd(producer, consumer):
         return 2.0
 
-    rounds = [[window.index(i)
-               for i in queue.ready_instructions(now, regfile, fwd, 2)]
-              for now in (0.0, 7.0, 8.0)]
-    assert rounds == [[1, 2], [1, 2], [0, 1]]
+    def selection(now):
+        unit, _, regfile = make_unit(issue_width=2, forwarding=fwd)
+        pending = regfile.allocate(for_fp=False)
+        blocked = make_instr()
+        blocked.phys_sources = (pending,)
+        awake = [make_instr() for _ in range(3)]
+        for instr in awake:
+            instr.phys_sources = (3,)
+        window = [blocked, *awake]             # dispatch (age) order
+        dispatch(unit, *window)
+        write_back(regfile, pending, 6.0, domain="fp")
+        return [window.index(i) for i in issue(unit, now)]
+
+    assert [selection(now) for now in (0.0, 7.0, 8.0)] \
+        == [[1, 2], [1, 2], [0, 1]]
 
 
 # ------------------------------------------------------------ pinned full runs

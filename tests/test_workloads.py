@@ -1,5 +1,7 @@
 """Unit tests for benchmark profiles, synthetic workloads and kernels."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,7 +10,8 @@ from repro.isa.instructions import InstructionClass
 from repro.workloads import (DEFAULT_BENCHMARKS, KERNELS, PROFILES, get_kernel,
                              get_profile, kernel_trace, make_trace, make_workload,
                              profiles_in_suite)
-from repro.workloads.profiles import BenchmarkProfile
+from repro.workloads.phased import PhasedWorkload
+from repro.workloads.profiles import WORKLOAD_MIXES, BenchmarkProfile
 
 
 # ------------------------------------------------------------------- profiles
@@ -150,6 +153,94 @@ def test_trace_requires_positive_length():
         make_workload("perl").trace(0)
 
 
+# ------------------------------------------------------ synthesis, byte-pinned
+#: Seeds and lengths of the synthesis pins below.
+PIN_SEEDS = (1, 2)
+PIN_PROFILE_LENGTH = 3000
+PIN_PHASED_LENGTHS = (777, 5000)
+
+
+def records_digest(records):
+    """sha256 over every record's dataclass repr (each field by name and
+    value, nested records included), in order."""
+    digest = hashlib.sha256()
+    for record in records:
+        digest.update(repr(record).encode())
+    return digest.hexdigest()[:16]
+
+
+def profile_digest(name, seed):
+    """Static program, correct-path trace and 50 wrong-path samples."""
+    workload = make_workload(name, seed=seed)
+    wrong_path = [workload.wrong_path_instruction(0x400000 + 28 * k, k)
+                  for k in range(50)]
+    return records_digest([*workload.blocks,
+                           *workload.trace(PIN_PROFILE_LENGTH), *wrong_path])
+
+
+def phased_digest(mix, seed, length):
+    return records_digest(
+        PhasedWorkload(WORKLOAD_MIXES[mix], seed=seed).trace(length))
+
+
+#: Recorded before the static-program builder was fused into one loop;
+#: any change to the order or arguments of a synthesis draw moves them.
+PROFILE_PINS = {'adpcm': {1: '5b5273977333b5c2', 2: '0cdff1d07f62c565'},
+ 'applu': {1: '25e0860ff5072bd9', 2: '0dba2e3cab04f696'},
+ 'compress': {1: '0fb0aa93a905385c', 2: 'e1073cc3c7970a25'},
+ 'epic': {1: '26f13ed312065a2c', 2: '65824df5d3cdab83'},
+ 'fpppp': {1: '6bb5c817f7e168ae', 2: '642084354a7cf095'},
+ 'gcc': {1: '9f13628ad8812af9', 2: '627d3c1b598ab9bf'},
+ 'go': {1: '0ef3ffee268d17df', 2: 'd20e9e2c776a75ca'},
+ 'gsm': {1: '32ec22ae381cd408', 2: '333d2d9738072545'},
+ 'ijpeg': {1: 'f92cfc65e95d189f', 2: 'de6c4f4d70b5eb16'},
+ 'jpeg': {1: '405240391bd82808', 2: '6540bc7fb05881fd'},
+ 'li': {1: '6a367ef77de7cc38', 2: '3f95f2d06feb10ea'},
+ 'm88ksim': {1: '5fb3a396a670c3ab', 2: 'd0cac4eedfbd7432'},
+ 'mpeg2': {1: '8cf3dfacc0bdd5d2', 2: '06a9976da489f62d'},
+ 'perl': {1: '999e10983fa8b9ce', 2: '805aa07db6d63119'},
+ 'swim': {1: '2335697f74546a70', 2: '798d34b325b6ecba'},
+ 'tomcatv': {1: '5b594be6d83f1a43', 2: 'd126befdc8ecb889'},
+ 'vortex': {1: '4ce830f4263b5316', 2: '508093a6643d02fc'}}
+PHASED_PINS = {'calm-storm': {(1, 777): '7224a101a0c414ba',
+                (1, 5000): 'c979fdcbc8962641',
+                (2, 777): '26b138d6a664e7e6',
+                (2, 5000): 'bbdced1b8025ed22'},
+ 'hotset-perl': {(1, 777): '4bac6109debcb7f4',
+                 (1, 5000): '75e0c43fab34fa86',
+                 (2, 777): '78b6202187cc21ba',
+                 (2, 5000): 'ab211664f50d3af5'},
+ 'int-fp-mem': {(1, 777): '20073996911cefe1',
+                (1, 5000): 'a5bd302d68a27fef',
+                (2, 777): '3a3fa3d240e32e07',
+                (2, 5000): '95e8255e7b3fa412'},
+ 'intfp-osc': {(1, 777): '8ed8356a2526ba78',
+               (1, 5000): '38fe5d168e3b4196',
+               (2, 777): '74e11e9318b3a2f0',
+               (2, 5000): 'f00d38d8ce3fb2a3'},
+ 'kernel-warmup': {(1, 777): '806e54d32e8d1daf',
+                   (1, 5000): '521290ed0ded3f65',
+                   (2, 777): '524647f3ba76ce26',
+                   (2, 5000): '3a23f0e9da12d7b6'},
+ 'membound-osc': {(1, 777): '772296b0e3108c44',
+                  (1, 5000): '72800b1ab4cf7577',
+                  (2, 777): '1f1c3b7a5f71ecb2',
+                  (2, 5000): '35efc7f9d27e305f'}}
+
+
+@pytest.mark.parametrize("name", sorted(PROFILES))
+def test_profile_synthesis_is_pinned_byte_for_byte(name):
+    assert {seed: profile_digest(name, seed)
+            for seed in PIN_SEEDS} == PROFILE_PINS[name]
+
+
+@pytest.mark.parametrize("mix", sorted(WORKLOAD_MIXES))
+def test_phased_synthesis_is_pinned_byte_for_byte(mix):
+    assert {(seed, length): phased_digest(mix, seed, length)
+            for seed in PIN_SEEDS
+            for length in PIN_PHASED_LENGTHS} == PHASED_PINS[mix]
+
+
 # -------------------------------------------------------------------- kernels
 def test_all_kernels_produce_traces():
     for name in KERNELS:
@@ -192,10 +283,9 @@ def test_kernel_lookup_errors():
 
 
 def test_kernel_workloads_are_built_once_across_seeds():
-    """Kernels ignore the seed, so every seed shares one materialisation
-    (and a sweep warms it once); synthetic workloads keep one per seed."""
-    from repro.core.scenario import Scenario, workload_specs
-    from repro.workloads.registry import build_workload
+    """Kernels ignore the seed, so every seed shares one materialisation;
+    synthetic workloads keep one per seed."""
+    from repro.workloads.registry import build_workload, workload_key
 
     first, _ = build_workload("kernel:dot_product", 300, seed=1,
                               kernel_size=16)
@@ -206,13 +296,11 @@ def test_kernel_workloads_are_built_once_across_seeds():
     assert first._warm_plans is second._warm_plans
     assert (build_workload("perl", 300, seed=1)[0]._warm_plans
             is not build_workload("perl", 300, seed=2)[0]._warm_plans)
-    scenarios = [Scenario(name=f"{workload}-{seed}", workload=workload,
-                          num_instructions=300, seed=seed, kernel_size=16)
-                 for workload in ("kernel:dot_product", "perl")
-                 for seed in (1, 2)]
-    assert workload_specs(scenarios) == [("kernel:dot_product", 300, 1, 16),
-                                         ("perl", 300, 1, 16),
-                                         ("perl", 300, 2, 16)]
+    keys = {workload_key(workload, 300, seed, 16)
+            for workload in ("kernel:dot_product", "perl")
+            for seed in (1, 2)}
+    assert keys == {("kernel:dot_product", 300, None, 16),
+                    ("perl", 300, 1, 16), ("perl", 300, 2, 16)}
 
 
 def test_memo_hits_share_the_trace_records():
