@@ -121,11 +121,6 @@ class MixedClockFifo(Channel):
         """Number of items physically present in the FIFO."""
         return len(self._entries)
 
-    def sample_occupancy(self) -> None:
-        """Record the current occupancy (one sample per consumer cycle)."""
-        self.occupancy_samples += 1
-        self.occupancy_accum += len(self._entries)
-
     def apparent_occupancy(self, time: float) -> int:
         """Occupancy as seen by the producer (full flag synchronization).
 

@@ -12,7 +12,8 @@ from dataclasses import dataclass, field, replace
 
 from ..memory.hierarchy import MemoryHierarchyConfig
 from ..power.technology import DEFAULT_TECHNOLOGY, TechnologyParameters
-from ..uarch.branch_predictor import PREDICTOR_KINDS
+from ..uarch.branch_predictor import (PREDICTOR_KINDS, BranchTargetBuffer,
+                                      make_direction_predictor)
 
 
 @dataclass(frozen=True)
@@ -100,14 +101,24 @@ class ProcessorConfig:
         for name in positive_fields:
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.fifo_sync_cycles < 0:
-            raise ValueError("fifo_sync_cycles must be non-negative")
+        for name in ("fifo_sync_cycles", "redirect_sync_cycles"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative")
         if self.int_registers < 32 or self.fp_registers < 32:
             raise ValueError("physical registers must cover the 32+32 architectural state")
         if (not isinstance(self.predictor_kind, str)
                 or self.predictor_kind.lower() not in PREDICTOR_KINDS):
             raise ValueError(f"unknown predictor_kind {self.predictor_kind!r}; "
                              f"known: {tuple(PREDICTOR_KINDS)}")
+        # the builders' own checks (their tables fill lazily, so building
+        # them here is cheap): a config that constructs also runs
+        try:
+            make_direction_predictor(self.predictor_kind,
+                                     self.predictor_entries,
+                                     self.predictor_history_bits)
+            BranchTargetBuffer(self.btb_entries, self.btb_associativity)
+        except ValueError as exc:
+            raise ValueError(f"branch predictor: {exc}") from None
         self.memory.validate()
 
     # ------------------------------------------------------------- utilities

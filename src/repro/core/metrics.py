@@ -61,14 +61,6 @@ class SimulationStats:
         if committed == self.commit_target and self.on_target is not None:
             self.on_target()
 
-    def sample_occupancy(self, rob: int, int_regs_in_use: int,
-                         fp_regs_in_use: int) -> None:
-        """Record one commit-domain-cycle occupancy sample (ROB + register files)."""
-        self.occupancy_samples += 1
-        self.rob_occupancy_sum += rob
-        self.int_regs_in_use_sum += int_regs_in_use
-        self.fp_regs_in_use_sum += fp_regs_in_use
-
     # -------------------------------------------------------------- averages
     @property
     def mean_slip(self) -> float:

@@ -125,8 +125,8 @@ class _DvfsControllerDriver:
     # ------------------------------------------------------------- telemetry
     def _sample(self, now: float) -> EpochTelemetry:
         processor = self.processor
-        # Epoch boundaries are observation points: replay the deferred energy
-        # segments and occupancy runs so the deltas below are exact.
+        # Epoch boundaries are observation points: charge the lazy idle
+        # energy and fold the occupancy runs so the deltas below are exact.
         processor.flush_telemetry()
         committed = processor.stats.committed
         committed_delta = committed - self._last_committed
@@ -657,9 +657,8 @@ class Processor:
         ``slowdown`` defaults to ``period / base_period``.
         """
         domain = self.domains[domain_name]
-        # A voltage change must close the deferred accounting run at the old
-        # voltage: retiming is one of the accountant's flush points.
-        self.power.flush()
+        # No accounting flush: the domain's next edge sees the new voltage
+        # and charges the idle gaps up to it at the old one first.
         if slowdown is None:
             slowdown = period / self.plan.base_period
         voltage: Optional[float] = None
@@ -794,7 +793,7 @@ class Processor:
         self.branch_unit.predictor.stats = type(self.branch_unit.predictor.stats)()
 
     def flush_telemetry(self) -> None:
-        """Replay all deferred telemetry (energy segments, occupancy runs).
+        """Apply all deferred telemetry (idle energy, occupancy runs).
 
         Called at every observation point -- controller epoch sampling and
         end-of-run collection -- and safe to call at any time: flushing is

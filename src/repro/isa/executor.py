@@ -78,12 +78,22 @@ class FunctionalExecutor:
         """Initialise one architectural register before running."""
         self.state.write_reg(reg, value)
 
-    def run(self, entry_label: Optional[str] = None) -> ListTraceSource:
-        """Run to completion and return the trace as an instruction source."""
+    def run(self, entry_label: Optional[str] = None,
+            stop_after: Optional[int] = None) -> ListTraceSource:
+        """Run to completion and return the trace as an instruction source.
+
+        ``stop_after`` ends the run early, after that many instructions: the
+        trace is then the program's first ``stop_after`` instructions.
+        """
         pc = (self.program.pc_of_label(entry_label)
               if entry_label else self.program.entry_pc)
+        limit = self.max_instructions
+        if stop_after is not None and stop_after < limit:
+            limit = stop_after
         while not self._halted:
-            if len(self.trace) >= self.max_instructions:
+            if len(self.trace) >= limit:
+                if limit == stop_after:
+                    break
                 raise ExecutionLimitExceeded(
                     f"program {self.program.name!r} exceeded "
                     f"{self.max_instructions} instructions")
@@ -203,12 +213,14 @@ def execute_program(program: Program,
                     max_instructions: int = 1_000_000,
                     initial_memory: Optional[Dict[int, float]] = None,
                     initial_registers: Optional[Dict[int, float]] = None,
+                    stop_after: Optional[int] = None,
                     ) -> ListTraceSource:
-    """Convenience wrapper: run ``program`` and return its dynamic trace."""
+    """Convenience wrapper: run ``program`` and return its dynamic trace
+    (its first ``stop_after`` instructions, when given)."""
     executor = FunctionalExecutor(program, max_instructions=max_instructions)
     if initial_memory:
         executor.preload_memory(initial_memory)
     if initial_registers:
         for reg, value in initial_registers.items():
             executor.set_register(reg, value)
-    return executor.run()
+    return executor.run(stop_after=stop_after)

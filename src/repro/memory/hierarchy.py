@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .cache import Cache, MainMemory
+from .cache import Cache, CacheGeometry, MainMemory
 from .replacement import REPLACEMENT_POLICIES
 
 
@@ -34,8 +34,9 @@ class MemoryHierarchyConfig:
     replacement: str = "lru"
 
     def validate(self) -> None:
-        """Reject non-positive sizes/latencies and an unknown replacement
-        policy early, with a field name in the error."""
+        """Reject non-positive sizes/latencies, an unknown replacement policy
+        and a cache geometry the caches cannot be built with, early, with a
+        field or cache name in the error."""
         for name in ("il1_size", "dl1_size", "l2_size", "line_size"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
@@ -46,6 +47,12 @@ class MemoryHierarchyConfig:
                 or self.replacement.lower() not in REPLACEMENT_POLICIES):
             raise ValueError(f"unknown replacement {self.replacement!r}; "
                              f"known: {tuple(REPLACEMENT_POLICIES)}")
+        for cache in ("il1", "dl1", "l2"):
+            try:
+                CacheGeometry(getattr(self, f"{cache}_size"),
+                              getattr(self, f"{cache}_assoc"), self.line_size)
+            except ValueError as exc:
+                raise ValueError(f"{cache}: {exc}") from None
 
 
 class MemoryHierarchy:

@@ -2,24 +2,26 @@
 
 A :class:`PowerAccountant` owns the set of macro-block energy models, knows
 which clock domain each block belongs to, and observes every domain's clock
-edge.  Logically, on each edge it drains that cycle's access counts from the
-shared :class:`~repro.power.activity.ActivityCounters`, charges each block its
-cycle energy (full, utilisation-scaled, or 10 %-idle; clock grids are never
-gated) at the domain's current supply voltage, and accumulates the results.
+edge.  On each edge it drains that cycle's access counts from the shared
+:class:`~repro.power.activity.ActivityCounters`, charges each block its cycle
+energy (full, utilisation-scaled, or 10 %-idle; clock grids are never gated)
+at the domain's current supply voltage, and accumulates the results.
 
-Physically the accounting is *deferred*: per edge, each (block, domain) cell
-only extends a run-length-encoded ``(cycle_energy, repeat_count)`` segment
-buffer -- and a *quiescent* edge (zero activity drained for every gated block
-of the domain, voltage unchanged) is a single run-counter increment fused
-into the domain tick (:meth:`~repro.sim.clock.ClockDomain.attach_power_probe`)
-with no per-cell work at all.  The buffered segments are replayed **in their
-original order, one float addition per edge per block** -- never reassociated
--- when the accountant is *flushed*, so every observable number is bit-equal
-to the eager implementation.  The flush points are exactly the observation
-points: :meth:`total_energy` / :meth:`breakdown` (and the ``energy_by_block``
-view), the DVFS controller's epoch sampling, ``Processor.retime_domain``
-(a voltage change must close the open run at the old voltage), and the end of
-a run.
+The domain tick makes one call per edge, ``active_edge``
+(:meth:`~repro.sim.clock.ClockDomain.attach_power_probe`).  A block with
+accesses pending is charged *eagerly*: its cycle energy is added to the
+block's float accumulator on that edge.  A block with none is not touched:
+its idle gap (``domain edges - edges the cell is charged through``) is
+charged *lazily*, as one addition of the idle cycle energy per idle edge,
+at the block's next active edge, at the first edge after a voltage change
+(at the old voltage) or at a flush -- all within one voltage run, so the
+gap's idle energy is a single constant.  Always-on blocks (clock grids) are
+charged the same way, once per voltage run.  Every accumulator therefore receives **one float addition per edge, in edge
+order** -- never reassociated -- so every observable number is bit-equal to
+an eager per-edge loop, whenever the lazy charges land.  The flush points
+copy the accumulators into :attr:`PowerAccountant.energy_by_block`:
+:meth:`total_energy` / :meth:`breakdown` (and the ``energy_by_block`` view),
+the DVFS controller's epoch sampling and the end of a run.
 
 The output is an :class:`EnergyBreakdown` -- total energy, average power and
 the per-macro-block split of Figure 10.
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from ..sim.clock import ClockDomain
 from .activity import ActivityCounters
@@ -38,27 +40,48 @@ from .technology import DEFAULT_TECHNOLOGY, TechnologyParameters
 
 # Gated-cell layout.  Slots 0-1 belong to ActivityCounters ([pending,
 # total]); the accountant extends the same list so the per-edge probe and the
-# pipeline producers share one object with no dictionary in between.
+# pipeline producers share one object with no dictionary in between.  The
+# per-edge code indexes the literals; these names document them.
 _C_PENDING = 0        # accesses recorded since the domain's last edge
 _C_TOTAL = 1          # cumulative drained accesses
-_C_LAST_E = 2         # cycle energy of the open RLE run (None before any edge)
-_C_LAST_N = 3         # repeat count of the open RLE run (0 = no open run)
-_C_SEGMENTS = 4       # closed (cycle_energy, repeat_count) segments, in order
-_C_MEMO = 5           # accesses -> cycle energy at the current voltage
-_C_MODEL = 6          # the BlockEnergyModel
-_C_IDLE_E = 7         # cycle energy of a zero-access cycle at current voltage
-_C_NAME = 8           # block name (flush target in energy_by_block)
-_C_SEEN = 9           # domain edge count this cell is accounted through
-_C_LAST_ACC = 10      # access count charged on the cell's last active edge
+_C_ACC = 2            # energy charged so far (nJ), through edge _C_SEEN
+_C_MEMO = 3           # accesses -> cycle energy at the current voltage
+_C_MODEL = 4          # the BlockEnergyModel
+_C_IDLE_E = 5         # cycle energy of a zero-access cycle at current voltage
+_C_NAME = 6           # block name (flush target in energy_by_block)
+_C_SEEN = 7           # domain edge count this cell is charged through
 
-# Domain state vector shared with the fused clock-domain probe.  A cell that
-# stays idle is not touched at all on the per-edge path: the difference
-# between the domain's edge counter and the cell's ``seen`` counter is the
-# run of idle cycles, materialised lazily (all within one voltage run, so
-# the idle cycle energy of the gap is a single constant).
+# Ungated (always-on) cell layout: [model, name, cycle energy at the
+# current voltage, energy charged so far through edge _S_RUN_START].
+
+# Domain state vector shared with the per-edge probe.
 _S_VDD = 0            # voltage of the open run (None before the first edge)
 _S_EDGES = 1          # edges accounted for this domain since creation
-_S_RUN_START = 2      # _S_EDGES value when the current voltage run began
+_S_RUN_START = 2      # edges through which the ungated cells are charged
+
+
+def _charge(acc: float, energy: float, edges: int) -> float:
+    """``acc`` plus ``energy`` once per edge: ``edges`` separate additions,
+    exactly the eager per-edge sequence (never ``energy * edges``)."""
+    for _ in repeat(None, edges):
+        acc += energy
+    return acc
+
+
+def _settle(record: list) -> None:
+    """Charge a domain's idle gaps and always-on run through its last edge."""
+    state, gated, ungated = record
+    edges = state[1]
+    for cell in gated:
+        gap = edges - cell[7]
+        if gap:
+            cell[7] = edges
+            cell[2] = _charge(cell[2], cell[5], gap)
+    run = edges - state[2]
+    if run:
+        state[2] = edges
+        for cell in ungated:
+            cell[3] = _charge(cell[3], cell[2], run)
 
 
 @dataclass
@@ -94,7 +117,7 @@ class EnergyBreakdown:
 
 
 class PowerAccountant:
-    """Deferred, flush-on-read energy accounting over every clock domain."""
+    """Per-edge energy accounting over every clock domain, flushed on read."""
 
     def __init__(self, activity: ActivityCounters,
                  tech: TechnologyParameters = DEFAULT_TECHNOLOGY) -> None:
@@ -104,15 +127,15 @@ class PowerAccountant:
         self._domains: Dict[str, ClockDomain] = {}
         self._block_domain: Dict[str, str] = {}
         self._energy_by_block: Dict[str, float] = {}
-        #: per-domain [state, gated_cells, ungated_cells, vdd_runs]
+        #: per-domain [state, gated_cells, ungated_cells]
         self._records: Dict[str, list] = {}
 
     @property
     def energy_by_block(self) -> Dict[str, float]:
         """Accumulated energy per block (nJ), flushed to the current edge.
 
-        Reading this property is an observation point: deferred segments are
-        replayed first, so the returned (live) dict is always current.
+        Reading this property is an observation point: lazy idle charges are
+        applied first, so the returned (live) dict is always current.
         """
         self.flush()
         return self._energy_by_block
@@ -133,76 +156,60 @@ class PowerAccountant:
             raise ValueError(f"block {model.name!r} registered twice")
         record = self._records.get(domain.name)
         if record is None:
-            #          state,            gated, ungated, vdd_runs
-            record = [[None, 0, 0], [], [], []]
+            #          state,       gated, ungated
+            record = [[None, 0, 0], [], []]
             self._records[domain.name] = record
             self._domains[domain.name] = domain
             domain.attach_power_probe(self._make_probe(domain, record))
         else:
             self.flush()
+        state = record[0]
+        vdd = state[0]
+        # joining an already-running domain: the voltage run is open, so
+        # derive the idle cycle energy now (rebuild only runs on the next
+        # voltage change)
+        idle_e = (model.cycle_energy(0, vdd, self.tech)
+                  if vdd is not None else 0.0)
         self._blocks_by_domain.setdefault(domain.name, []).append(model)
         self._block_domain[model.name] = domain.name
         self._energy_by_block[model.name] = 0.0
         if model.gated:
             cell = self.activity.cell(model.name)
-            if len(cell) == 2:
-                # joining an already-running domain: the voltage run is open,
-                # so derive the idle cycle energy now (rebuild only runs on
-                # the next voltage change)
-                vdd = record[0][0]
-                idle_e = (model.cycle_energy(0, vdd, self.tech)
-                          if vdd is not None else 0.0)
-                cell.extend([None, 0, [], {}, model, idle_e, model.name,
-                             record[0][1], -1])
-            else:  # pragma: no cover - same block shared across accountants
+            if len(cell) != 2:  # pragma: no cover - block shared across accountants
                 raise ValueError(f"block {model.name!r} already has an "
                                  "accounting cell")
+            cell.extend([0.0, {}, model, idle_e, model.name, state[1]])
             record[1].append(cell)
         else:
             # Always-on blocks (clock grids): per-edge energy depends only on
-            # the voltage, so one per-domain (vdd, edges) run list covers all
-            # of them and nothing touches them on the per-edge path.
-            record[2].append([model, model.name, {}])
+            # the voltage, so they are charged per voltage run and nothing
+            # touches them on the per-edge path.
+            record[2].append([model, model.name, idle_e, 0.0])
 
-    def _make_probe(self, domain: ClockDomain, record: list):
-        """Build the (gated_cells, state, active_edge) probe for one domain.
+    def _make_probe(self, domain: ClockDomain, record: list
+                    ) -> Callable[[], None]:
+        """Build the per-edge ``active_edge`` callable for one domain.
 
-        The quiescent fast path (zero pending accesses, voltage unchanged) is
-        executed inline by the domain tick itself; ``active_edge`` is the
-        slow path that materialises the deferred quiescent run and extends
-        each cell's RLE buffer for the current edge.  ``cycle_energy`` is a
-        pure function of the access count for a fixed block, supply voltage
-        and technology, and per-cycle access counts are tiny integers, so
-        each cell keeps a memo of exact cycle energies by access count
-        (invalidated whenever the domain voltage changes).
+        The domain tick calls it once per edge.  An edge with no pending
+        accesses only advances the edge counter; a cell with accesses is
+        charged its idle gap and then this edge's cycle energy.
+        ``cycle_energy`` is a pure function of the access count for a fixed
+        block, supply voltage and technology, and per-cycle access counts
+        are tiny integers, so each cell keeps a memo of exact cycle energies
+        by access count (invalidated whenever the domain voltage changes).
         """
-        state, gated, _ungated, vdd_runs = record
+        state, gated, ungated = record
         tech = self.tech
 
         def rebuild(vdd: float) -> None:
-            # Voltage changed: materialise every cell's idle gap and close
-            # the run at the old voltage first, then re-derive the per-cell
-            # memos at the new one.
-            edges = state[1]
+            # Voltage changed: charge every idle gap and the always-on run at
+            # the old voltage first, then re-derive the energies at the new one.
+            _settle(record)
             for cell in gated:
-                gap = edges - cell[9]
-                if gap:
-                    cell[9] = edges
-                    e = cell[7]
-                    if cell[2] == e:
-                        cell[3] += gap
-                    else:
-                        if cell[3]:
-                            cell[4].append((cell[2], cell[3]))
-                        cell[2] = e
-                        cell[3] = gap
-                cell[5].clear()
-                cell[7] = cell[6].cycle_energy(0, vdd, tech)
-                cell[10] = -1
-            run = edges - state[2]
-            if run:
-                vdd_runs.append((state[0], run))
-                state[2] = edges
+                cell[3].clear()
+                cell[5] = cell[4].cycle_energy(0, vdd, tech)
+            for cell in ungated:
+                cell[2] = cell[0].cycle_energy(0, vdd, tech)
             state[0] = vdd
 
         def active_edge() -> None:
@@ -215,103 +222,41 @@ class PowerAccountant:
             for cell in gated:
                 accesses = cell[0]
                 if not accesses:
-                    continue          # idle cell: its gap run grows for free
+                    continue          # idle cell: its gap grows for free
                 cell[0] = 0
                 cell[1] += accesses
-                if cell[9] == edges and accesses == cell[10]:
-                    # consecutive active edge with the same access count:
-                    # same cycle energy, so the open RLE run just grows
-                    cell[3] += 1
-                    cell[9] = edges_after
-                    continue
-                gap = edges - cell[9]
-                cell[9] = edges_after
+                acc = cell[2]
+                gap = edges - cell[7]
                 if gap:
-                    e = cell[7]
-                    if cell[2] == e:
-                        cell[3] += gap
-                    else:
-                        if cell[3]:
-                            cell[4].append((cell[2], cell[3]))
-                        cell[2] = e
-                        cell[3] = gap
-                memo = cell[5]
-                e = memo.get(accesses)
-                if e is None:
-                    e = cell[6].cycle_energy(accesses, vdd, tech)
-                    memo[accesses] = e
-                cell[10] = accesses
-                if cell[2] == e:
-                    cell[3] += 1
-                else:
-                    if cell[3]:
-                        cell[4].append((cell[2], cell[3]))
-                    cell[2] = e
-                    cell[3] = 1
+                    idle_e = cell[5]
+                    for _ in repeat(None, gap):
+                        acc += idle_e
+                cell[7] = edges_after
+                try:
+                    cell[2] = acc + cell[3][accesses]
+                except KeyError:
+                    e = cell[3][accesses] = cell[4].cycle_energy(accesses,
+                                                                 vdd, tech)
+                    cell[2] = acc + e
 
-        return (gated, state, active_edge)
+        return active_edge
 
     # ----------------------------------------------------------------- flush
     def flush(self) -> None:
-        """Replay every deferred segment into the per-block accumulators.
+        """Charge every pending idle gap and copy the accumulators out.
 
-        Replays happen in original per-edge order within each accumulator --
-        one float addition per edge per block, exactly the additions the
-        eager implementation performed -- so flushed totals are bit-identical
-        no matter when (or how often) the flush happens.
+        Gaps are charged in edge order -- one float addition per edge per
+        block, exactly the additions the eager implementation performed --
+        so flushed totals are bit-identical no matter when (or how often)
+        the flush happens.
         """
         energy = self._energy_by_block
-        tech = self.tech
         for record in self._records.values():
-            state, gated, ungated, vdd_runs = record
-            edges = state[1]
-            for cell in gated:
-                # materialise the idle gap, then replay the RLE buffer; the
-                # gap charge moves the open run to the idle energy, so the
-                # consecutive-same-count hint no longer describes cell[2]
-                gap = edges - cell[9]
-                if gap:
-                    cell[9] = edges
-                    cell[10] = -1
-                    e = cell[7]
-                    if cell[2] == e:
-                        cell[3] += gap
-                    else:
-                        if cell[3]:
-                            cell[4].append((cell[2], cell[3]))
-                        cell[2] = e
-                        cell[3] = gap
-                segments = cell[4]
-                tail = cell[3]
-                if not segments and not tail:
-                    continue
-                acc = energy[cell[8]]
-                for e, n in segments:
-                    for _ in repeat(None, n):
-                        acc += e
-                segments.clear()
-                if tail:
-                    e = cell[2]
-                    for _ in repeat(None, tail):
-                        acc += e
-                    cell[3] = 0
-                energy[cell[8]] = acc
-            run = edges - state[2]
-            if run:
-                vdd_runs.append((state[0], run))
-                state[2] = edges
-            if vdd_runs:
-                for model, name, memo in ungated:
-                    acc = energy[name]
-                    for vdd, n in vdd_runs:
-                        e = memo.get(vdd)
-                        if e is None:
-                            e = model.cycle_energy(0, vdd, tech)
-                            memo[vdd] = e
-                        for _ in repeat(None, n):
-                            acc += e
-                    energy[name] = acc
-                vdd_runs.clear()
+            _settle(record)
+            for cell in record[1]:
+                energy[cell[6]] = cell[2]
+            for cell in record[2]:
+                energy[cell[1]] = cell[3]
 
     # ----------------------------------------------------------------- results
     def total_energy(self) -> float:

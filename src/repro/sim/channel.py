@@ -64,11 +64,6 @@ class Channel:
             return 0.0
         return self.occupancy_accum / self.occupancy_samples
 
-    def sample_occupancy(self) -> None:
-        """Record the current occupancy (called once per consumer cycle)."""
-        self.occupancy_samples += 1
-        self.occupancy_accum += self.occupancy
-
     def record_full_stall(self) -> None:
         """Note that a producer wanted to push but the channel appeared full."""
         self.full_stall_count += 1
@@ -222,11 +217,6 @@ class SyncQueue(Channel):
         self.total_wait += wait
         self.pop_count += 1
         return item
-
-    def sample_occupancy(self) -> None:
-        """Record the current occupancy (one sample per consumer cycle)."""
-        self.occupancy_samples += 1
-        self.occupancy_accum += len(self._entries)
 
     def pop_ready(self, time: float) -> Any:
         """The oldest item, or None when empty (fused can_pop + pop)."""

@@ -132,9 +132,9 @@ class ClockDomain:
         #: flat call list ticked per edge: every component's bound
         #: ``clock_edge`` followed by every edge hook, in registration order
         self._edge_callbacks: List[Callable[[int, float], None]] = []
-        #: deferred power accounting fused into the edge tick -- see
+        #: power accounting called by the edge tick -- see
         #: :meth:`attach_power_probe`
-        self._power_probe: Optional[tuple] = None
+        self._power_probe: Optional[Callable[[], None]] = None
         self._engine: Optional[SimulationEngine] = None
 
     # ------------------------------------------------------------ composition
@@ -186,15 +186,14 @@ class ClockDomain:
             [component.clock_edge for component in self._components]
             + list(self._edge_hooks))
 
-    def attach_power_probe(self, probe: tuple) -> None:
-        """Fuse a deferred power-accounting probe into this domain's tick.
+    def attach_power_probe(self, probe: Callable[[], None]) -> None:
+        """Fuse a power-accounting probe into this domain's tick.
 
-        ``probe`` is ``(gated_cells, state, active_edge)`` as built by
+        ``probe`` is the ``active_edge`` callable built by
         :meth:`repro.power.accounting.PowerAccountant._make_probe`: the edge
-        closure runs the accounting *inline* after the components tick --
-        on a quiescent edge (no gated cell has pending activity and the
-        voltage matches the open run) it is a single run-counter increment
-        with no Python call at all; otherwise it calls ``active_edge``.
+        tick calls it once per edge, after the components tick (on an edge
+        with no pending activity it only advances the accountant's edge
+        counter).
 
         Attaching after the domain is bound falls back to an equivalent edge
         hook (the bound closure reads the callback list in place), keeping
@@ -211,20 +210,11 @@ class ClockDomain:
                 f"domain {self.name!r}: cannot attach a power probe while "
                 "bound with a fused single-component edge; register power "
                 "blocks before bind()")
-        gated_cells, state, active_edge = probe
 
         def hook(_cycle: int, time: float, domain=self) -> None:
             """Per-edge accounting fallback hook (post-bind attachment)."""
             domain.last_edge_time = time
-            if domain.voltage == state[0]:
-                for cell in gated_cells:
-                    if cell[0]:
-                        active_edge()
-                        break
-                else:
-                    state[1] += 1
-            else:
-                active_edge()
+            probe()
 
         self.add_edge_hook(hook)
 
@@ -239,9 +229,8 @@ class ClockDomain:
         :mod:`repro.sim.hotcore` -- single-callback domains a direct
         call instead of a callback loop, multi-callback (and empty) domains
         the in-place-mutable callback list so post-bind registration
-        continues to work.  The deferred power accounting probe is fused into
-        every variant: a quiescent edge is a single run-counter increment
-        with no Python call.
+        continues to work.  Every variant with a power probe calls it once
+        per edge.
         """
         self._engine = engine
         callbacks = self._edge_callbacks

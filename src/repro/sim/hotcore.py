@@ -251,21 +251,15 @@ class MultiEdgeTick:
 
 
 class ProbedSingleEdgeTick:
-    """Single-callback edge tick with the deferred power probe fused in.
+    """Single-callback edge tick that also calls the power probe."""
 
-    A quiescent edge (no gated cell has pending activity and the voltage
-    matches the open accounting run) is a single run-counter increment with
-    no Python call -- the same fast path the closure form had.
-    """
-
-    __slots__ = ("domain", "engine", "callback", "gated_cells", "state",
-                 "active_edge")
+    __slots__ = ("domain", "engine", "callback", "active_edge")
 
     def __init__(self, domain, engine, callback, probe):
         self.domain = domain
         self.engine = engine
         self.callback = callback
-        self.gated_cells, self.state, self.active_edge = probe
+        self.active_edge = probe
 
     def __call__(self, _param):
         """One rising edge: tick the component, account the edge, count the cycle."""
@@ -274,30 +268,20 @@ class ProbedSingleEdgeTick:
         cycle = domain.cycle
         self.callback(cycle, time)
         domain.last_edge_time = time
-        state = self.state
-        if domain.voltage == state[0]:
-            for cell in self.gated_cells:
-                if cell[0]:
-                    self.active_edge()
-                    break
-            else:
-                state[1] += 1
-        else:
-            self.active_edge()
+        self.active_edge()
         domain.cycle = cycle + 1
 
 
 class ProbedMultiEdgeTick:
-    """Multi-callback edge tick with the deferred power probe fused in."""
+    """Multi-callback edge tick that also calls the power probe."""
 
-    __slots__ = ("domain", "engine", "callbacks", "gated_cells", "state",
-                 "active_edge")
+    __slots__ = ("domain", "engine", "callbacks", "active_edge")
 
     def __init__(self, domain, engine, callbacks, probe):
         self.domain = domain
         self.engine = engine
         self.callbacks = callbacks
-        self.gated_cells, self.state, self.active_edge = probe
+        self.active_edge = probe
 
     def __call__(self, _param):
         """One rising edge: tick every component, account the edge, count the cycle."""
@@ -307,14 +291,5 @@ class ProbedMultiEdgeTick:
         for callback in self.callbacks:
             callback(cycle, time)
         domain.last_edge_time = time
-        state = self.state
-        if domain.voltage == state[0]:
-            for cell in self.gated_cells:
-                if cell[0]:
-                    self.active_edge()
-                    break
-            else:
-                state[1] += 1
-        else:
-            self.active_edge()
+        self.active_edge()
         domain.cycle = cycle + 1

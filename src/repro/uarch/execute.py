@@ -198,19 +198,18 @@ class ExecutionUnit:
 
         Used by :meth:`~repro.sim.clock.ClockDomain.bind` when the cluster is
         its domain's only component: one closure performs the cluster cycle,
-        the deferred occupancy sampling and the deferred power accounting
-        with no intermediate dispatch.  Channel/window list attributes are
-        re-read per edge (squash and flush replace them), but everything
-        else is pre-bound.
+        the deferred occupancy sampling and the power accounting call with
+        no intermediate dispatch.  Channel/window list attributes are re-read
+        per edge (squash and flush replace them), but everything else is
+        pre-bound.
         """
         unit = self
         channel = self.input_channel
         issue_queue = self.issue_queue
         is_fifo = channel.counts_as_fifo
-        if probe is not None:
-            gated_cells, state, active_edge = probe
-        else:  # pragma: no cover - every processor domain carries a probe
-            gated_cells, state, active_edge = (), [None, 0, 0], lambda: None
+        # None only for a domain without power blocks (every processor
+        # domain has some)
+        active_edge = probe if probe is not None else (lambda: None)
 
         def on_edge(_param: object) -> None:
             """One cluster cycle fused with accounting: complete, drain, issue, sample, charge."""
@@ -240,15 +239,7 @@ class ExecutionUnit:
             else:
                 unit._idle_samples += 1
             domain.last_edge_time = time
-            if domain.voltage == state[0]:
-                for cell in gated_cells:
-                    if cell[0]:
-                        active_edge()
-                        break
-                else:
-                    state[1] += 1
-            else:
-                active_edge()
+            active_edge()
             domain.cycle += 1
 
         return on_edge

@@ -8,7 +8,8 @@ width and functional-unit availability.
 
 Queue occupancy is one of the statistics the paper highlights (occupancies go
 up in the GALS machine because instructions wait longer for cross-domain
-operands); :meth:`IssueQueue.sample_occupancy` feeds those numbers.
+operands); the execution cluster's edge samples it into
+``occupancy_samples`` / ``occupancy_accum`` every cluster cycle.
 """
 
 from __future__ import annotations
@@ -83,11 +84,6 @@ class IssueQueue:
         if self.occupancy_samples == 0:
             return 0.0
         return self.occupancy_accum / self.occupancy_samples
-
-    def sample_occupancy(self) -> None:
-        """Record the current occupancy (one sample per cluster cycle)."""
-        self.occupancy_samples += 1
-        self.occupancy_accum += len(self._entries)
 
     def __iter__(self) -> Iterable[DynamicInstruction]:
         return iter(self._entries)

@@ -12,15 +12,12 @@ results from one queue to another through FIFOs", Section 5.1).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from .._compat import SLOTS
-from ..isa.registers import is_fp_reg
 
 #: A value produced "at the beginning of time" (architectural state).
 ALWAYS_READY = float("-inf")
-
-_NEVER_READY = float("inf")
 
 
 @dataclass(**SLOTS)
@@ -79,10 +76,6 @@ class PhysicalRegisterFile:
             else:
                 (self._free_fp if reg.is_fp else self._free_int).append(reg.index)
         # statistics
-        #: reads counts explicit is_ready() probes only; the issue pass
-        #: (ExecutionUnit._issue_ready) does not pass through it -- wakeup
-        #: traffic is tracked by IssueQueue.wakeup_searches instead
-        self.reads = 0
         self.allocation_failures = 0
 
     # ----------------------------------------------------------- allocation
@@ -112,10 +105,6 @@ class PhysicalRegisterFile:
             self._int_in_use += 1
         return index
 
-    def allocate_for_arch(self, arch_reg: int) -> Optional[int]:
-        """Allocate a physical register in the file matching an arch register."""
-        return self.allocate(for_fp=is_fp_reg(arch_reg))
-
     def free(self, index: int) -> None:
         """Return a physical register to its free list."""
         reg = self._registers[index]
@@ -135,62 +124,6 @@ class PhysicalRegisterFile:
         else:
             self._int_in_use -= 1
             self._free_int.append(index)
-
-    # -------------------------------------------------------------- readiness
-    def mark_pending(self, index: int) -> None:
-        """The register is allocated but its value has not been produced yet."""
-        reg = self._registers[index]
-        reg.ready_time = float("inf")
-        reg.producer_domain = ""
-
-    def ready_time(self, index: int) -> float:
-        """Absolute time the register's value is ready in its producing domain."""
-        return self._registers[index].ready_time
-
-    def producer_domain(self, index: int) -> str:
-        """Clock domain that produces (or produced) the register's value."""
-        return self._registers[index].producer_domain
-
-    def is_ready(
-        self,
-        index: int,
-        now: float,
-        consumer_domain: str,
-        forwarding_latency: Callable[[str, str], float],
-    ) -> bool:
-        """Is the value usable by ``consumer_domain`` at time ``now``?
-
-        ``forwarding_latency(producer_domain, consumer_domain)`` returns the
-        extra delay (ns) a result needs to become visible across domains; it is
-        zero inside a domain and zero everywhere in the synchronous machine.
-        """
-        reg = self._registers[index]
-        self.reads += 1
-        ready_time = reg.ready_time
-        if ready_time == ALWAYS_READY:
-            return True
-        if ready_time == _NEVER_READY:
-            return False
-        producer_domain = reg.producer_domain
-        if producer_domain and producer_domain != consumer_domain:
-            ready_time += forwarding_latency(producer_domain, consumer_domain)
-        return ready_time <= now
-
-    def visible_ready_time(
-        self,
-        index: int,
-        consumer_domain: str,
-        forwarding_latency: Callable[[str, str], float],
-    ) -> float:
-        """Absolute time the value becomes usable in ``consumer_domain``."""
-        reg = self._registers[index]
-        ready_time = reg.ready_time
-        if ready_time == ALWAYS_READY or ready_time == _NEVER_READY:
-            return ready_time
-        producer_domain = reg.producer_domain
-        if producer_domain and producer_domain != consumer_domain:
-            ready_time += forwarding_latency(producer_domain, consumer_domain)
-        return ready_time
 
     # ------------------------------------------------------------ statistics
     @property

@@ -56,11 +56,6 @@ class ReorderBuffer:
             return 0.0
         return self.occupancy_accum / self.occupancy_samples
 
-    def sample_occupancy(self) -> None:
-        """Record the current occupancy (one sample per commit-domain cycle)."""
-        self.occupancy_samples += 1
-        self.occupancy_accum += len(self._entries)
-
     def __iter__(self):
         return iter(self._entries)
 

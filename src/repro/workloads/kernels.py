@@ -14,7 +14,7 @@ Each kernel is parameterised by a problem size and returns both the assembled
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from ..isa.assembler import assemble
 from ..isa.executor import execute_program
@@ -40,11 +40,13 @@ class Kernel:
         """Assemble the kernel at ``size``; returns (program, preloaded memory)."""
         return self.builder(size)
 
-    def trace(self, size: int, max_instructions: int = 2_000_000) -> ListTraceSource:
-        """Assemble, functionally execute, and return the dynamic trace."""
+    def trace(self, size: int, max_instructions: int = 2_000_000,
+              stop_after: Optional[int] = None) -> ListTraceSource:
+        """Assemble, functionally execute, and return the dynamic trace
+        (its first ``stop_after`` instructions, when given)."""
         program, memory = self.build(size)
         return execute_program(program, max_instructions=max_instructions,
-                               initial_memory=memory)
+                               initial_memory=memory, stop_after=stop_after)
 
 
 # --------------------------------------------------------------------- kernels

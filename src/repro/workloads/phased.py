@@ -143,7 +143,8 @@ class PhasedWorkload:
         # the phase budget is filled (copies, because concatenation re-indexes
         # the records in place).
         kernel = KERNELS[placement.segment[len("kernel:"):]]
-        base = list(kernel.trace(self.kernel_size))
+        base = list(kernel.trace(self.kernel_size,
+                                 stop_after=placement.length))
         records: List[TraceInstruction] = []
         while len(records) < placement.length:
             for instr in base:

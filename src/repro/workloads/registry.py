@@ -63,14 +63,11 @@ def _kernel_factory(name: str):
               ) -> Tuple[ListTraceSource, Optional[SyntheticWorkload]]:
         # Kernels are deterministic programs: the seed does not apply, the
         # problem size does, and num_instructions caps the dynamic trace.
-        # The kernel runs to completion under its own (generous) functional
-        # limit and the trace is truncated afterwards -- a cap shorter than
-        # the program's natural length must shorten the run, not abort it.
-        trace = KERNELS[name].trace(kernel_size)
-        if len(trace) > num_instructions:
-            trace = ListTraceSource(list(trace)[:num_instructions],
-                                    name=trace.name)
-        return trace, None
+        # The functional run stops at the cap -- a cap shorter than the
+        # program's natural length must shorten the run, not abort it, even
+        # for a problem size whose full run exceeds the functional limit.
+        return KERNELS[name].trace(kernel_size,
+                                   stop_after=num_instructions), None
     return build
 
 

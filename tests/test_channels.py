@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.channel import SyncQueue
+from test_wakeup_waiters import make_instr, make_unit
 
 
 def test_push_pop_order_and_stats():
@@ -57,12 +58,20 @@ def test_flush_all_and_predicate():
 
 
 def test_occupancy_sampling():
-    queue = SyncQueue("q", capacity=8)
-    queue.push("x", 0.0)
-    queue.sample_occupancy()
-    queue.push("y", 0.0)
-    queue.sample_occupancy()
-    assert queue.mean_occupancy == pytest.approx(1.5)
+    # a one-entry window leaves the rest of a dispatch group in the channel,
+    # which the consuming cluster samples once per edge
+    unit, _, regfile = make_unit(capacity=1)
+    queue = unit.input_channel
+    unit.clock_edge(0, 0.0)                    # empty: a deferred idle sample
+    for _ in range(3):
+        waiting = make_instr()
+        waiting.phys_sources = (regfile.allocate(for_fp=False),)
+        queue.push(waiting, 0.0)
+    unit.clock_edge(1, 1.0)
+    unit.clock_edge(2, 2.0)
+    unit.flush_samples()
+    assert queue.occupancy_samples == 3
+    assert queue.mean_occupancy == pytest.approx(4 / 3)
 
 
 def test_full_stall_recording():

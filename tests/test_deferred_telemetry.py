@@ -14,6 +14,8 @@ import random
 from dataclasses import asdict
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.processor import Processor
 from repro.core.scenario import run_scenario
@@ -231,3 +233,101 @@ def test_accountant_energy_by_block_view_flushes_and_matches_manual_model():
         assert view["alu"] == expected_alu
         assert view["grid"] == expected_grid
     assert accountant.total_energy() == expected_alu + expected_grid
+
+
+# ----------------------------------------- accountant versus an eager loop
+#: Supply voltages the property test switches between (all above threshold).
+_VOLTAGES = (1.0, 1.2, 1.5, 1.8)
+_MAX_ACCESSES = 4
+#: Observation drawn per edge: mostly none, so reads leave long stretches.
+_READS = {7: "flush", 8: "view", 9: "total"}
+
+
+@st.composite
+def _accounting_schedules(draw):
+    """Per-edge accesses, voltages and observations for four blocks.
+
+    Blocks ``g0``-``g2`` are gated, ``grid`` is always on; ``late`` (gated)
+    is registered while the domain runs, at edge ``join``.
+    """
+    edges = draw(st.integers(min_value=1, max_value=60))
+    join = draw(st.integers(min_value=0, max_value=edges - 1))
+    counts = st.integers(min_value=0, max_value=_MAX_ACCESSES)
+    steps = []
+    for edge in range(edges):
+        blocks = ("g0", "g1", "g2") + (("late",) if edge >= join else ())
+        steps.append((
+            {name: draw(counts) for name in blocks},
+            draw(st.sampled_from(_VOLTAGES)) if draw(st.booleans()) else None,
+            _READS.get(draw(st.integers(min_value=0, max_value=9))),
+        ))
+    return join, steps
+
+
+@settings(max_examples=60, deadline=None)
+@given(_accounting_schedules(),
+       st.lists(st.floats(min_value=0.05, max_value=20.0), min_size=4,
+                max_size=4))
+def test_accountant_equals_an_eager_per_edge_loop(schedule, energies):
+    join, steps = schedule
+    engine = SimulationEngine()
+    domain = ClockDomain(Clock("core", period=1.0), voltage=_VOLTAGES[0])
+    activity = ActivityCounters()
+    accountant = PowerAccountant(activity)
+    tech = accountant.tech
+    models = {f"g{i}": BlockEnergyModel(f"g{i}", access_energy=energies[i],
+                                        ports=i + 1) for i in range(3)}
+    models["grid"] = BlockEnergyModel("grid", access_energy=energies[3],
+                                      gated=False)
+    late = BlockEnergyModel("late", access_energy=0.7, ports=2)
+    for model in models.values():
+        accountant.register_block(model, domain)
+
+    expected = {name: 0.0 for name in models}
+    observed = []
+
+    def assert_bounded_cells():
+        # memory guard: nothing an accounting cell holds grows with the
+        # edges (the per-cell memo is keyed by access count, so it is
+        # bounded by it)
+        for _state, *cell_lists in accountant._records.values():
+            for cells in cell_lists:
+                for cell in cells:
+                    for slot in cell:
+                        if isinstance(slot, (list, tuple, dict, set)):
+                            assert len(slot) <= _MAX_ACCESSES + 1
+
+    class Worker:
+        def clock_edge(self, cycle, time):
+            assert_bounded_cells()
+            accesses, vdd, read = steps[cycle]
+            if cycle == join:
+                accountant.register_block(late, domain)
+                models["late"] = late
+                expected["late"] = 0.0
+            if read == "flush":
+                accountant.flush()
+            elif read == "view":
+                observed.append((dict(accountant.energy_by_block),
+                                 dict(expected)))
+            elif read == "total":
+                observed.append((accountant.total_energy(),
+                                 sum(expected.values())))
+            if vdd is not None:
+                domain.voltage = vdd
+            for name, count in accesses.items():
+                activity.record(name, count)
+            # the eager model: one addition per block per edge, in order
+            for name, model in models.items():
+                expected[name] += model.cycle_energy(accesses.get(name, 0),
+                                                     domain.voltage, tech)
+
+    domain.add_component(Worker())
+    domain.bind(engine)
+    engine.run(until=len(steps) - 0.5)
+    assert domain.cycle == len(steps)
+    assert_bounded_cells()
+    for got, want in observed:
+        assert got == want
+    assert accountant.energy_by_block == expected
+    assert accountant.total_energy() == sum(expected.values())

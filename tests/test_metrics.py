@@ -7,6 +7,9 @@ from repro.core.metrics import (SimulationResult, SimulationStats,
 from repro.isa.instructions import InstructionClass
 from repro.isa.trace import TraceInstruction
 from repro.uarch.instruction import DynamicInstruction
+from repro.uarch.regfile import PhysicalRegisterFile
+from repro.uarch.rob import ReorderBuffer
+from test_rob_issue_queue import make_commit_unit
 
 
 def make_committed_instruction(fetch_time, commit_time, fifo_time=0.0,
@@ -50,11 +53,21 @@ def test_stats_record_commit_and_averages():
 
 def test_stats_occupancy_sampling():
     stats = SimulationStats()
-    stats.sample_occupancy(rob=10, int_regs_in_use=40, fp_regs_in_use=32)
-    stats.sample_occupancy(rob=20, int_regs_in_use=50, fp_regs_in_use=34)
-    assert stats.mean_rob_occupancy == pytest.approx(15.0)
-    assert stats.mean_int_regs_in_use == pytest.approx(45.0)
-    assert stats.mean_fp_regs_in_use == pytest.approx(33.0)
+    rob = ReorderBuffer(capacity=8)
+    regfile = PhysicalRegisterFile()           # 32 + 32 architectural
+    commit = make_commit_unit(rob, regfile, stats)
+    commit.clock_edge(0, 0.0)
+    for _ in range(2):
+        rob.allocate(make_committed_instruction(0.0, -1.0))
+        regfile.allocate(for_fp=False)
+    regfile.allocate(for_fp=True)
+    for cycle in (1, 2, 3):                    # one sample + a deferred run
+        commit.clock_edge(cycle, float(cycle))
+    commit.flush_samples()
+    assert stats.occupancy_samples == 4
+    assert stats.mean_rob_occupancy == pytest.approx(1.5)
+    assert stats.mean_int_regs_in_use == pytest.approx(33.5)
+    assert stats.mean_fp_regs_in_use == pytest.approx(32.75)
 
 
 def test_result_derived_metrics_and_summary():

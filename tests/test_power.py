@@ -205,10 +205,22 @@ def test_power_accountant_rejects_duplicate_blocks():
 
 
 def test_breakdown_normalisation_and_share():
+    # the energy comes from recorded activity on a bound domain: a flush
+    # copies the accountant's own accumulators over ``energy_by_block``
+    engine = SimulationEngine()
     domain = ClockDomain(Clock("core", period=1.0))
-    accountant = PowerAccountant(ActivityCounters())
+    activity = ActivityCounters()
+    accountant = PowerAccountant(activity)
     accountant.register_block(BlockEnergyModel("alu", access_energy=1.0), domain)
-    accountant.energy_by_block["alu"] = 5.0
+
+    class Worker:
+        def clock_edge(self, cycle, time):
+            activity.record("alu", 1)
+
+    domain.add_component(Worker())
+    domain.bind(engine)
+    engine.run(until=4.5)
+    assert accountant.energy_by_block["alu"] > 0.0
     breakdown = accountant.breakdown(elapsed_ns=10.0)
     assert breakdown.category_share("core") == pytest.approx(1.0)
     reference = breakdown

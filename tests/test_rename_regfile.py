@@ -10,7 +10,7 @@ from repro.isa.trace import TraceInstruction
 from repro.uarch.instruction import DynamicInstruction
 from repro.uarch.regfile import ALWAYS_READY, PhysicalRegisterFile
 from repro.uarch.rename import RegisterAliasTable, RenameError
-from test_wakeup_waiters import write_back
+from test_wakeup_waiters import dispatch, issue, make_unit, write_back
 
 
 def make_instr(dest=None, sources=(), opclass=InstructionClass.INT_ALU, pc=0x400000):
@@ -18,10 +18,6 @@ def make_instr(dest=None, sources=(), opclass=InstructionClass.INT_ALU, pc=0x400
                              sources=tuple(sources),
                              is_branch=opclass is InstructionClass.BRANCH)
     return DynamicInstruction(trace, epoch=0)
-
-
-def no_forwarding(producer, consumer):
-    return 0.0
 
 
 # ----------------------------------------------------------------- register file
@@ -55,27 +51,44 @@ def test_double_free_raises():
 
 
 def test_readiness_same_domain_and_cross_domain():
+    """A consumer issues once the value is visible in its own domain."""
     regfile = PhysicalRegisterFile()
     phys = regfile.allocate(for_fp=False)
-    regfile.mark_pending(phys)
 
     def forwarding(producer, consumer):
         return 1.5 if producer != consumer else 0.0
 
-    assert not regfile.is_ready(phys, 100.0, "integer", forwarding)
+    consumers = {}
+    for domain in ("memory", "integer"):
+        unit, _, _ = make_unit(regfile, domain, forwarding=forwarding)
+        instr = make_instr()
+        instr.phys_sources = (phys,)
+        dispatch(unit, instr)
+        consumers[domain] = (unit, instr)
+    assert issue(consumers["integer"][0], 100.0) == []   # not produced yet
     write_back(regfile, phys, 10.0, domain="memory")
     # same domain: ready at the produce time
-    assert regfile.is_ready(phys, 10.0, "memory", forwarding)
+    unit, instr = consumers["memory"]
+    assert issue(unit, 10.0) == [instr]
     # cross domain: ready only after the forwarding latency
-    assert not regfile.is_ready(phys, 11.0, "integer", forwarding)
-    assert regfile.is_ready(phys, 11.5, "integer", forwarding)
-    assert regfile.visible_ready_time(phys, "integer", forwarding) == pytest.approx(11.5)
+    unit, instr = consumers["integer"]
+    assert issue(unit, 11.0) == []
+    assert instr.wakeup_after == pytest.approx(11.5)
+    assert issue(unit, 11.5) == [instr]
 
 
 def test_architectural_values_always_ready():
+    def forwarding(producer, consumer):
+        return 1.5
+
     regfile = PhysicalRegisterFile()
-    assert regfile.ready_time(3) == ALWAYS_READY
-    assert regfile.is_ready(3, 0.0, "integer", no_forwarding)
+    assert regfile._registers[3].ready_time == ALWAYS_READY
+    # no producer domain, so no forwarding latency even across domains
+    unit, _, _ = make_unit(regfile, "fp", forwarding=forwarding)
+    instr = make_instr()
+    instr.phys_sources = (3,)
+    dispatch(unit, instr)
+    assert issue(unit, 0.0) == [instr]
 
 
 def test_regfile_requires_coverage_of_architectural_state():

@@ -4,8 +4,11 @@ import pytest
 
 from repro.isa.instructions import InstructionClass
 from repro.isa.trace import TraceInstruction
+from repro.power.activity import ActivityCounters
+from repro.uarch.commit import CommitUnit
 from repro.uarch.instruction import DynamicInstruction
 from repro.uarch.issue_queue import IssueQueue
+from repro.uarch.regfile import PhysicalRegisterFile
 from repro.uarch.rob import ReorderBuffer, ReorderBufferFullError
 from test_wakeup_waiters import dispatch, issue, make_unit, write_back
 
@@ -14,6 +17,15 @@ def make_instr(opclass=InstructionClass.INT_ALU, sources=()):
     trace = TraceInstruction(index=0, pc=0x400000, opclass=opclass, dest=1,
                              sources=tuple(sources))
     return DynamicInstruction(trace, epoch=0)
+
+
+def make_commit_unit(rob, regfile=None, stats=None):
+    """A commit stage over ``rob``; its edge samples ROB occupancy."""
+    regfile = regfile if regfile is not None else PhysicalRegisterFile()
+    return CommitUnit(rob, rat=None, regfile=regfile, memory=None,
+                      domain_name="decode",
+                      forwarding_latency=lambda producer, consumer: 0.0,
+                      activity=ActivityCounters(), stats=stats)
 
 
 # ----------------------------------------------------------------------- ROB
@@ -54,10 +66,14 @@ def test_rob_squash_younger_than_branch():
 
 def test_rob_occupancy_sampling_and_empty_retire():
     rob = ReorderBuffer(capacity=4)
-    rob.sample_occupancy()
-    rob.allocate(make_instr())
-    rob.sample_occupancy()
-    assert rob.mean_occupancy == pytest.approx(0.5)
+    commit = make_commit_unit(rob)
+    commit.clock_edge(0, 0.0)
+    rob.allocate(make_instr())                 # not completed: commit stalls
+    for cycle in (1, 2, 3):                    # one sample + a deferred run
+        commit.clock_edge(cycle, float(cycle))
+    commit.flush_samples()
+    assert rob.occupancy_samples == 4
+    assert rob.mean_occupancy == pytest.approx(0.75)
     rob.retire_head()
     with pytest.raises(LookupError):
         rob.retire_head()
@@ -79,8 +95,7 @@ def test_issue_queue_dispatch_and_capacity():
 
 def test_issue_respects_operand_readiness():
     unit, _, regfile = make_unit()
-    pending = regfile.allocate(for_fp=False)
-    regfile.mark_pending(pending)
+    pending = regfile.allocate(for_fp=False)   # allocated = not produced
     waiting = make_instr(sources=())
     waiting.phys_sources = (pending,)
     ready = make_instr(sources=())
@@ -114,11 +129,16 @@ def test_issue_queue_remove_and_squash():
 
 
 def test_issue_queue_occupancy_stats():
-    unit, queue, _ = make_unit()
-    dispatch(unit, make_instr())
-    queue.sample_occupancy()
-    queue.sample_occupancy()
-    assert queue.mean_occupancy == pytest.approx(1.0)
+    unit, queue, regfile = make_unit()
+    unit.clock_edge(0, 0.0)                    # empty: a deferred idle sample
+    waiting = make_instr()
+    waiting.phys_sources = (regfile.allocate(for_fp=False),)
+    unit.input_channel.push(waiting, 0.0)
+    unit.clock_edge(1, 1.0)                    # drains into the window
+    unit.clock_edge(2, 2.0)
+    unit.flush_samples()
+    assert queue.occupancy_samples == 3
+    assert queue.mean_occupancy == pytest.approx(2 / 3)
     assert queue.dispatches == 1
 
 
