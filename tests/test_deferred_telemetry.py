@@ -1,8 +1,9 @@
 """Flush-point correctness of the deferred telemetry accounting engine.
 
-The accountant and the occupancy samplers buffer run-length-encoded work and
-replay it only at observation points.  The load-bearing contract: *when* the
-flushes happen must never change *what* they produce.  These tests interleave
+The accountant charges idle energy lazily and the occupancy samplers buffer
+run-length-encoded counts, both settled at observation points.  The
+load-bearing contract: *when* the flushes happen must never change *what*
+they produce.  These tests interleave
 ``total_energy()`` reads, full-telemetry flushes, controller epochs and
 mid-run ``retime_domain`` calls at arbitrary times and require the final
 ``EnergyBreakdown`` (and every occupancy statistic) to be bit-equal to an
