@@ -19,7 +19,7 @@ setup(
     ),
     package_dir={"": "src"},
     packages=find_packages("src"),
-    python_requires=">=3.9",
+    python_requires=">=3.10",
     entry_points={
         "console_scripts": [
             "repro = repro.cli:main",

@@ -1,21 +1,15 @@
-"""Interpreter shims shared by every package (Python 3.9 and later).
+"""Lazy package re-exports shared by every package.
 
-* :data:`SLOTS` -- slotted dataclasses where the interpreter has them.
-* :func:`lazy_exports` -- lazy package re-exports (PEP 562): a package lists
-  which submodule defines each re-exported name and imports that submodule
-  on first use, so importing the package loads none of them and a command
-  pays only for the layers it actually uses.
+:func:`lazy_exports` implements PEP 562 re-exports: a package lists which
+submodule defines each re-exported name and imports that submodule on first
+use, so importing the package loads none of them and a command pays only for
+the layers it actually uses.
 """
 
 from __future__ import annotations
 
 import importlib
-import sys
 from typing import Any, Callable, Dict, List, Mapping, Sequence, Tuple
-
-#: ``@dataclass(**SLOTS)`` -- slotted dataclasses where the interpreter has
-#: them (``slots=`` is new in Python 3.10); plain dataclasses on 3.9.
-SLOTS = {"slots": True} if sys.version_info >= (3, 10) else {}
 
 
 def lazy_exports(namespace: Dict[str, Any],

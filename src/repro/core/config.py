@@ -101,7 +101,8 @@ class ProcessorConfig:
         for name in positive_fields:
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        for name in ("fifo_sync_cycles", "redirect_sync_cycles"):
+        for name in ("fifo_sync_cycles", "redirect_sync_cycles",
+                     "forwarding_sync_cycles"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
         if self.int_registers < 32 or self.fp_registers < 32:

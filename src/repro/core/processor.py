@@ -380,7 +380,7 @@ class Processor:
             redirect_channel=self.redirect_channel,
             branch_unit=self.branch_unit,
             memory=self.memory,
-            clock_period=lambda: fetch_domain.period,
+            clock=fetch_domain.clock,
             activity=self.activity,
             fetch_width=config.fetch_width,
             wrong_path_generator=(self.workload.wrong_path_instruction
@@ -397,7 +397,6 @@ class Processor:
             rob=self.rob,
             rat=self.rat,
             regfile=self.regfile,
-            clock_period=lambda: decode_domain.period,
             clock=decode_domain.clock,
             current_epoch=lambda: self.epoch,
             activity=self.activity,
@@ -478,7 +477,6 @@ class Processor:
                 input_channel=self.dispatch_channels[instance],
                 regfile=self.regfile,
                 forwarding_latency=self.forwarding_latency,
-                clock_period=lambda d=domain: d.period,
                 clock=domain.clock,
                 functional_units=FunctionalUnitPool(pool_name, pool_size),
                 issue_width=params["issue_width"],

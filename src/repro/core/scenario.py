@@ -193,6 +193,13 @@ class Scenario:
             raise ValueError(
                 f"scenario {self.name!r}: slowdowns/phases name domains "
                 f"{sorted(unknown)} absent from topology {topology.name!r}")
+        if self.controller is not None and any(
+                slowdown < 1.0 for slowdown in slowdowns.values()):
+            # a controller's vectors carry every block's current slowdown,
+            # and it may not request one below nominal
+            raise ValueError(
+                f"scenario {self.name!r}: a controller cannot run a domain "
+                "faster than nominal (slowdown < 1.0)")
         return ClockPlan(
             base_period=self.base_period,
             slowdowns=slowdowns,

@@ -14,11 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional, Tuple
 
-from .._compat import SLOTS
 from .instructions import InstructionClass
 
 
-@dataclass(**SLOTS)
+@dataclass(slots=True)
 class TraceInstruction:
     """One correct-path dynamic instruction."""
 

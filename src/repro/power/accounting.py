@@ -158,9 +158,10 @@ class PowerAccountant:
         if record is None:
             #          state,       gated, ungated
             record = [[None, 0, 0], [], []]
+            # attach first: a bound domain refuses, leaving no record behind
+            domain.attach_power_probe(self._make_probe(domain, record))
             self._records[domain.name] = record
             self._domains[domain.name] = domain
-            domain.attach_power_probe(self._make_probe(domain, record))
         else:
             self.flush()
         state = record[0]

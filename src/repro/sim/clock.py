@@ -19,8 +19,7 @@ from typing import Callable, List, Optional, Protocol
 
 from .engine import SimulationEngine
 from .event import SimulationError
-from .hotcore import (MultiEdgeTick, ProbedMultiEdgeTick, ProbedSingleEdgeTick,
-                      SingleEdgeTick)
+from .hotcore import EdgeTick
 
 
 class ClockedComponent(Protocol):
@@ -73,32 +72,9 @@ class Clock:
             return 0
         return int((time - self.phase) / self.period) + 1
 
-    def scaled(self, slowdown: float, name: Optional[str] = None) -> "Clock":
-        """Return a copy slowed down by ``slowdown`` (1.1 == 10 % slower)."""
-        if slowdown <= 0:
-            raise SimulationError("slowdown factor must be positive")
-        return Clock(name=name or self.name, period=self.period * slowdown,
-                     phase=self.phase)
 
-
-class CallablePeriod:
-    """Adapter giving a ``clock_period()`` callable the ``.period`` interface.
-
-    Pipeline units read the clock period on per-cycle hot paths; handing them
-    the :class:`Clock` object (mutated in place by mid-run retiming) turns
-    that into one attribute read.  Units constructed with only a legacy
-    callable wrap it in this adapter so the hot path stays uniform.
-    """
-
-    __slots__ = ("_fn",)
-
-    def __init__(self, fn: Callable[[], float]) -> None:
-        self._fn = fn
-
-    @property
-    def period(self) -> float:
-        """Current period from the wrapped callable."""
-        return self._fn()
+def _no_probe() -> None:
+    """Power probe of a domain without power blocks: accounts nothing."""
 
 
 class ClockDomain:
@@ -106,10 +82,12 @@ class ClockDomain:
 
     The domain keeps its own cycle counter.  Components registered with
     :meth:`add_component` are ticked in registration order on every rising
+    edge, then the power probe (:meth:`attach_power_probe`) accounts the
     edge; the GALS processor registers pipeline stages in reverse pipeline
     order so that, within a cycle, downstream stages consume before upstream
     stages produce (the standard cycle-accurate simulation idiom the paper
-    describes for the single-clock case).
+    describes for the single-clock case).  Components and the probe are
+    registered before :meth:`bind`, which freezes them into the edge tick.
     """
 
     def __init__(
@@ -124,17 +102,13 @@ class ClockDomain:
         self.nominal_voltage = nominal_voltage if nominal_voltage is not None else voltage
         self.priority = priority
         self.cycle = 0
-        #: absolute time of the most recent rising edge ticked with a power
-        #: probe attached (the default elapsed time of an energy breakdown)
+        #: absolute time of the most recent rising edge (the default elapsed
+        #: time of an energy breakdown)
         self.last_edge_time = 0.0
         self._components: List[ClockedComponent] = []
-        self._edge_hooks: List[Callable[[int, float], None]] = []
-        #: flat call list ticked per edge: every component's bound
-        #: ``clock_edge`` followed by every edge hook, in registration order
-        self._edge_callbacks: List[Callable[[int, float], None]] = []
         #: power accounting called by the edge tick -- see
         #: :meth:`attach_power_probe`
-        self._power_probe: Optional[Callable[[], None]] = None
+        self._power_probe: Callable[[], None] = _no_probe
         self._engine: Optional[SimulationEngine] = None
 
     # ------------------------------------------------------------ composition
@@ -154,102 +128,49 @@ class ClockDomain:
         return self.clock.frequency
 
     def add_component(self, component: ClockedComponent) -> None:
-        """Register a component to be ticked on every rising edge."""
-        self._guard_bound_specialized()
+        """Register a component to be ticked on every rising edge (before bind)."""
+        self._require_unbound()
         self._components.append(component)
-        self._rebuild_edge_callbacks()
-
-    def add_edge_hook(self, hook: Callable[[int, float], None]) -> None:
-        """Register a callback ``hook(cycle, time)`` run after components tick.
-
-        Used by tests and ad-hoc instrumentation; the power accountant fuses
-        its accounting into the edge closure instead (attach_power_probe).
-        """
-        self._guard_bound_specialized()
-        self._edge_hooks.append(hook)
-        self._rebuild_edge_callbacks()
-
-    def _guard_bound_specialized(self) -> None:
-        # A domain bound with a single callback uses a direct-call closure;
-        # its callback set can no longer be grown in place.  Multi-callback
-        # (and empty) domains keep the in-place-mutable list closure, so
-        # post-bind registration keeps working there.
-        if self._engine is not None and getattr(self, "_bound_single", False):
-            raise SimulationError(
-                f"domain {self.name!r}: cannot add components or hooks while "
-                "bound with a fused single-component edge; register before "
-                "bind()")
-
-    def _rebuild_edge_callbacks(self) -> None:
-        # mutated in place: the bound edge closure captures the list object
-        self._edge_callbacks[:] = (
-            [component.clock_edge for component in self._components]
-            + list(self._edge_hooks))
 
     def attach_power_probe(self, probe: Callable[[], None]) -> None:
-        """Fuse a power-accounting probe into this domain's tick.
+        """Fuse a power-accounting probe into this domain's tick (before bind).
 
         ``probe`` is the ``active_edge`` callable built by
         :meth:`repro.power.accounting.PowerAccountant._make_probe`: the edge
         tick calls it once per edge, after the components tick (on an edge
         with no pending activity it only advances the accountant's edge
         counter).
-
-        Attaching after the domain is bound falls back to an equivalent edge
-        hook (the bound closure reads the callback list in place), keeping
-        post-bind registration working for domains bound with a mutable
-        callback list.  A domain bound with a fused single-component edge
-        has no such list; attaching there raises -- register power blocks
-        before :meth:`bind` (every processor build does).
         """
-        if self._engine is None:
-            self._power_probe = probe
-            return
-        if getattr(self, "_bound_single", False):
+        self._require_unbound()
+        self._power_probe = probe
+
+    def _require_unbound(self) -> None:
+        # bind() freezes the components and the probe into the edge tick
+        if self._engine is not None:
             raise SimulationError(
-                f"domain {self.name!r}: cannot attach a power probe while "
-                "bound with a fused single-component edge; register power "
-                "blocks before bind()")
-
-        def hook(_cycle: int, time: float, domain=self) -> None:
-            """Per-edge accounting fallback hook (post-bind attachment)."""
-            domain.last_edge_time = time
-            probe()
-
-        self.add_edge_hook(hook)
+                f"domain {self.name!r} is bound: register components and "
+                "power blocks before bind()")
 
     # --------------------------------------------------------------- clocking
     def bind(self, engine: SimulationEngine) -> None:
         """Attach this domain to an engine by scheduling its periodic edge event.
 
-        The edge tick is specialised at bind time: a domain with a single
-        component whose class provides ``make_fused_edge`` (the execution
-        clusters) supplies its own fully fused closure; every other domain
-        gets one of the explicit edge-tick state objects of
-        :mod:`repro.sim.hotcore` -- single-callback domains a direct
-        call instead of a callback loop, multi-callback (and empty) domains
-        the in-place-mutable callback list so post-bind registration
-        continues to work.  Every variant with a power probe calls it once
-        per edge.
+        A domain whose single component provides ``make_fused_edge`` (an
+        execution cluster) gets that component's fully fused closure; every
+        other domain gets a :class:`~repro.sim.hotcore.EdgeTick` over the
+        components' ``clock_edge`` methods, frozen here in registration
+        order.  Either calls the power probe once per edge.  :meth:`retime`
+        binds a bound domain again.
         """
         self._engine = engine
-        callbacks = self._edge_callbacks
+        components = self._components
         probe = self._power_probe
-        single = callbacks[0] if len(callbacks) == 1 else None
-        self._bound_single = single is not None
-
-        if (len(self._components) == 1 and not self._edge_hooks
-                and hasattr(self._components[0], "make_fused_edge")):
-            on_edge = self._components[0].make_fused_edge(self, engine, probe)
-        elif probe is not None:
-            if single is not None:
-                on_edge = ProbedSingleEdgeTick(self, engine, single, probe)
-            else:
-                on_edge = ProbedMultiEdgeTick(self, engine, callbacks, probe)
-        elif single is not None:
-            on_edge = SingleEdgeTick(self, engine, single)
+        if len(components) == 1 and hasattr(components[0], "make_fused_edge"):
+            on_edge = components[0].make_fused_edge(self, engine, probe)
         else:
-            on_edge = MultiEdgeTick(self, engine, callbacks)
+            on_edge = EdgeTick(
+                self, engine,
+                tuple(component.clock_edge for component in components), probe)
 
         engine.schedule_periodic(
             start=self.clock.phase,
@@ -264,30 +185,8 @@ class ClockDomain:
         if self._engine is not None:
             self._engine.cancel_chain(f"clock:{self.clock.name}")
             self._engine = None
-            self._bound_single = False
-
-    def _on_edge(self, _param: object) -> None:
-        engine = self._engine
-        time = engine._now if engine is not None else 0.0
-        cycle = self.cycle
-        for callback in self._edge_callbacks:
-            callback(cycle, time)
-        self.cycle = cycle + 1
 
     # ------------------------------------------------------------------ DVFS
-    def apply_slowdown(self, slowdown: float, voltage: Optional[float] = None) -> None:
-        """Slow the clock by ``slowdown`` and optionally change the voltage.
-
-        Must be called before :meth:`bind`; mid-run frequency changes go
-        through :meth:`retime` instead (the paper's experiments set slowdowns
-        statically per run; the adaptive controllers re-bind domains online).
-        """
-        if self._engine is not None:
-            raise SimulationError("cannot change frequency after the domain is bound")
-        self.clock = self.clock.scaled(slowdown)
-        if voltage is not None:
-            self.voltage = voltage
-
     def retime(self, period: float, voltage: Optional[float] = None) -> float:
         """Change a *bound* domain's clock period (and optionally voltage)
         mid-run; returns the anchor time of the retimed schedule.
@@ -312,8 +211,7 @@ class ClockDomain:
         engine = self._engine
         if engine is None:
             raise SimulationError(
-                f"cannot retime unbound domain {self.name!r}; use "
-                "apply_slowdown before bind")
+                f"cannot retime unbound domain {self.name!r}")
         anchor = engine.next_chain_time(f"clock:{self.clock.name}")
         if anchor is None:
             raise SimulationError(

@@ -1,12 +1,12 @@
-"""The engine hot core: wheel run loop, edge ticks, FIFO sync, wakeups.
+"""The engine hot core: wheel run loop, edge tick, FIFO sync, wakeups.
 
 This module holds the per-event code of the simulator: the clock-wheel run
-loop (extracted from :meth:`SimulationEngine.run`), the specialised
-clock-edge ticks (extracted from :meth:`ClockDomain.bind`), the mixed-clock
-FIFO synchronizer edge mapping, and the event-wakeup waiter walk (extracted
-from the execution unit's inlined writeback).  It keeps explicit state
-objects with ``__slots__`` instead of closures, flat locals and no dynamic
-dispatch.
+loop (extracted from :meth:`SimulationEngine.run`), the one clock-edge tick
+:meth:`ClockDomain.bind` schedules (for every domain but an execution
+cluster's, which fuses its own edge), the mixed-clock FIFO synchronizer edge
+mapping, and the event-wakeup waiter walk (extracted from the execution
+unit's inlined writeback).  It keeps explicit state objects with
+``__slots__`` instead of closures, flat locals and no dynamic dispatch.
 
 Behavioural contract: every function here is **bit-identical** to the inline
 code it replaced (the golden regression suite pins the results).
@@ -200,80 +200,17 @@ def sync_visible_at(time, phase, period, latency):
     return first_edge + latency
 
 
-# -------------------------------------------------------------- edge ticks
-class SingleEdgeTick:
-    """Rising-edge tick for a domain with one callback and no power probe.
+# -------------------------------------------------------------- edge tick
+class EdgeTick:
+    """Rising-edge tick of a clock domain: components, then power probe.
 
-    The explicit-state-object form of the closure previously built inline by
-    :meth:`ClockDomain.bind`: per edge it reads the engine clock, ticks the
-    single component, and advances the domain's cycle counter.
+    ``callbacks`` is the tuple of the components' bound ``clock_edge``
+    methods that :meth:`ClockDomain.bind` freezes in registration order;
+    ``probe`` is the domain's power-accounting call (a no-op for a domain
+    without power blocks).  Per edge it reads the engine clock, ticks every
+    component, records the edge time, accounts the edge and advances the
+    domain's cycle counter.
     """
-
-    __slots__ = ("domain", "engine", "callback")
-
-    def __init__(self, domain, engine, callback):
-        self.domain = domain
-        self.engine = engine
-        self.callback = callback
-
-    def __call__(self, _param):
-        """One rising edge: tick the single component, count the cycle."""
-        domain = self.domain
-        time = self.engine._now
-        cycle = domain.cycle
-        self.callback(cycle, time)
-        domain.cycle = cycle + 1
-
-
-class MultiEdgeTick:
-    """Rising-edge tick for a multi-callback (or empty) domain, no probe.
-
-    ``callbacks`` is the domain's in-place-mutable callback list, so
-    post-bind component registration keeps working exactly as it did with the
-    closure form.
-    """
-
-    __slots__ = ("domain", "engine", "callbacks")
-
-    def __init__(self, domain, engine, callbacks):
-        self.domain = domain
-        self.engine = engine
-        self.callbacks = callbacks
-
-    def __call__(self, _param):
-        """One rising edge: tick every component and hook, count the cycle."""
-        domain = self.domain
-        time = self.engine._now
-        cycle = domain.cycle
-        for callback in self.callbacks:
-            callback(cycle, time)
-        domain.cycle = cycle + 1
-
-
-class ProbedSingleEdgeTick:
-    """Single-callback edge tick that also calls the power probe."""
-
-    __slots__ = ("domain", "engine", "callback", "active_edge")
-
-    def __init__(self, domain, engine, callback, probe):
-        self.domain = domain
-        self.engine = engine
-        self.callback = callback
-        self.active_edge = probe
-
-    def __call__(self, _param):
-        """One rising edge: tick the component, account the edge, count the cycle."""
-        domain = self.domain
-        time = self.engine._now
-        cycle = domain.cycle
-        self.callback(cycle, time)
-        domain.last_edge_time = time
-        self.active_edge()
-        domain.cycle = cycle + 1
-
-
-class ProbedMultiEdgeTick:
-    """Multi-callback edge tick that also calls the power probe."""
 
     __slots__ = ("domain", "engine", "callbacks", "active_edge")
 

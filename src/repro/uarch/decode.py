@@ -19,6 +19,7 @@ from typing import Callable, Deque, Dict, Optional, Tuple
 
 from ..isa.instructions import InstructionClass
 from ..sim.channel import Channel
+from ..sim.clock import Clock
 from .instruction import DynamicInstruction
 from .rename import RegisterAliasTable
 from .regfile import PhysicalRegisterFile
@@ -47,7 +48,7 @@ class DecodeRenameUnit:
         rob: ReorderBuffer,
         rat: RegisterAliasTable,
         regfile: PhysicalRegisterFile,
-        clock_period: Callable[[], float],
+        clock: Clock,
         current_epoch: Callable[[], int],
         activity,
         decode_width: int = 4,
@@ -55,7 +56,6 @@ class DecodeRenameUnit:
         decode_stages: int = 2,
         cluster_domains: Optional[Dict[str, str]] = None,
         cluster_instances: Optional[Dict[str, Tuple[str, ...]]] = None,
-        clock=None,
     ) -> None:
         self.input_channel = input_channel
         self._input_is_fifo = input_channel.counts_as_fifo
@@ -84,10 +84,8 @@ class DecodeRenameUnit:
         self.rob = rob
         self.rat = rat
         self.regfile = regfile
-        self.clock_period = clock_period
-        #: clock-object view of the decode domain (see ExecutionUnit._clock)
-        from ..sim.clock import CallablePeriod
-        self._clock = clock if clock is not None else CallablePeriod(clock_period)
+        #: the decode domain's clock (see ExecutionUnit._clock)
+        self._clock = clock
         self.current_epoch = current_epoch
         self.activity = activity
         #: direct handles on the per-cycle activity counter cells:

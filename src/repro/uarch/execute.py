@@ -26,6 +26,7 @@ from typing import Callable, Dict, List, Optional
 from ..isa.instructions import DEFAULT_LATENCIES, InstructionClass, latency_of
 from ..memory.hierarchy import MemoryHierarchy
 from ..sim.channel import Channel
+from ..sim.clock import Clock
 from ..sim.hotcore import wake_waiters
 from .branch_predictor import BranchUnit
 from .instruction import DynamicInstruction
@@ -86,7 +87,7 @@ class ExecutionUnit:
         input_channel: Channel,
         regfile: PhysicalRegisterFile,
         forwarding_latency: ForwardingLatency,
-        clock_period: Callable[[], float],
+        clock: Clock,
         functional_units: FunctionalUnitPool,
         issue_width: int,
         activity,
@@ -96,7 +97,6 @@ class ExecutionUnit:
         recovery_callback: Optional[Callable[[DynamicInstruction, float], None]] = None,
         memory: Optional[MemoryHierarchy] = None,
         latencies: Optional[Dict[InstructionClass, int]] = None,
-        clock=None,
     ) -> None:
         self.name = name
         self.domain_name = domain_name
@@ -104,11 +104,9 @@ class ExecutionUnit:
         self.input_channel = input_channel
         self.regfile = regfile
         self.forwarding_latency = forwarding_latency
-        self.clock_period = clock_period
-        #: clock-object view for the issue hot path: ``.period`` is a plain
-        #: attribute read (retiming mutates the Clock in place)
-        from ..sim.clock import CallablePeriod
-        self._clock = clock if clock is not None else CallablePeriod(clock_period)
+        #: the domain's clock: ``.period`` is a plain attribute read on the
+        #: issue hot path (retiming mutates the Clock in place)
+        self._clock = clock
         self.functional_units = functional_units
         self.issue_width = issue_width
         self.activity = activity
@@ -207,9 +205,6 @@ class ExecutionUnit:
         channel = self.input_channel
         issue_queue = self.issue_queue
         is_fifo = channel.counts_as_fifo
-        # None only for a domain without power blocks (every processor
-        # domain has some)
-        active_edge = probe if probe is not None else (lambda: None)
 
         def on_edge(_param: object) -> None:
             """One cluster cycle fused with accounting: complete, drain, issue, sample, charge."""
@@ -239,7 +234,7 @@ class ExecutionUnit:
             else:
                 unit._idle_samples += 1
             domain.last_edge_time = time
-            active_edge()
+            probe()
             domain.cycle += 1
 
         return on_edge

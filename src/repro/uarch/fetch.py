@@ -25,6 +25,7 @@ from ..isa.program import INSTRUCTION_SIZE
 from ..isa.trace import InstructionSource, ListTraceSource, TraceInstruction
 from ..memory.hierarchy import MemoryHierarchy
 from ..sim.channel import Channel
+from ..sim.clock import Clock
 from .branch_predictor import BranchUnit
 from .instruction import DynamicInstruction
 
@@ -59,7 +60,7 @@ class FetchUnit:
         redirect_channel: Channel,
         branch_unit: BranchUnit,
         memory: MemoryHierarchy,
-        clock_period: Callable[[], float],
+        clock: Clock,
         activity,
         fetch_width: int = 4,
         wrong_path_generator: Optional[Callable[[int, int], TraceInstruction]] = None,
@@ -74,7 +75,8 @@ class FetchUnit:
         self.redirect_channel = redirect_channel
         self.branch_unit = branch_unit
         self.memory = memory
-        self.clock_period = clock_period
+        #: the fetch domain's clock (see ExecutionUnit._clock)
+        self._clock = clock
         self.activity = activity
         #: direct handles on the per-cycle counter cells (see DecodeRenameUnit)
         self._icache_cell = activity.cell("icache")
@@ -174,7 +176,7 @@ class FetchUnit:
             latency = memory.fetch_access(first_pc)
             if latency > memory.config.il1_latency:
                 # Miss: the front end stalls until the line arrives.
-                self._busy_until = time + latency * self.clock_period()
+                self._busy_until = time + latency * self._clock.period
                 self.icache_stall_cycles += 1
                 return
 

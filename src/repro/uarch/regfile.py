@@ -14,13 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from .._compat import SLOTS
-
 #: A value produced "at the beginning of time" (architectural state).
 ALWAYS_READY = float("-inf")
 
 
-@dataclass(**SLOTS)
+@dataclass(slots=True)
 class PhysicalRegister:
     """Allocation and readiness state of one physical register."""
 

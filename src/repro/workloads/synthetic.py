@@ -32,7 +32,6 @@ import zlib
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from .._compat import SLOTS
 from ..isa.instructions import InstructionClass
 from ..isa.program import INSTRUCTION_SIZE, TEXT_BASE
 from ..isa.registers import fp_reg, int_reg
@@ -47,7 +46,7 @@ _INT_REG_POOL = [int_reg(i) for i in range(1, 28)]
 _FP_REG_POOL = [fp_reg(i) for i in range(0, 28)]
 
 
-@dataclass(**SLOTS)
+@dataclass(slots=True)
 class _StaticSlot:
     """One static non-control instruction slot inside a basic block."""
 
@@ -60,7 +59,7 @@ class _StaticSlot:
     stride: int = 0
 
 
-@dataclass(**SLOTS)
+@dataclass(slots=True)
 class _StaticBranch:
     """The control-flow terminator of a basic block."""
 
@@ -71,7 +70,7 @@ class _StaticBranch:
     fallthrough_block: int
 
 
-@dataclass(**SLOTS)
+@dataclass(slots=True)
 class _StaticBlock:
     """A synthetic basic block."""
 

@@ -138,7 +138,12 @@ def test_clock_domain_retime_keeps_pending_edge_and_new_period():
     engine = SimulationEngine()
     edges = []
     domain = ClockDomain(Clock(name="d", period=1.0, phase=0.5))
-    domain.add_edge_hook(lambda cycle, time: edges.append(time))
+
+    class Recorder:
+        def clock_edge(self, cycle, time):
+            edges.append(time)
+
+    domain.add_component(Recorder())
     domain.bind(engine)
     engine.run(until=2.6)                      # edges at 0.5, 1.5, 2.5
     domain.retime(2.0)                         # pending edge at 3.5 anchors

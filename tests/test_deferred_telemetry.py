@@ -180,22 +180,31 @@ def test_block_registered_into_running_domain_charges_idle_energy():
     assert accountant.energy_by_block["b"] > 0.0
 
 
-def test_power_probe_cannot_attach_to_a_bound_fused_domain():
+def test_registration_on_a_bound_domain_raises():
+    # bind() freezes the components and the power probe into the edge tick,
+    # so a late registration must fail loudly rather than never tick
     from repro.sim.event import SimulationError
-
-    engine = SimulationEngine()
-    domain = ClockDomain(Clock("core", period=1.0))
 
     class Component:
         def clock_edge(self, cycle, time):
             """No-op component."""
 
-    domain.add_component(Component())          # single fused callback
-    domain.bind(engine)
-    accountant = PowerAccountant(ActivityCounters())
-    with pytest.raises(SimulationError, match="before bind"):
-        accountant.register_block(BlockEnergyModel("a", access_energy=1.0),
-                                  domain)
+    for components in (0, 1, 2):
+        engine = SimulationEngine()
+        domain = ClockDomain(Clock("core", period=1.0))
+        for _ in range(components):
+            domain.add_component(Component())
+        domain.bind(engine)
+        with pytest.raises(SimulationError, match="before bind"):
+            domain.add_component(Component())
+        with pytest.raises(SimulationError, match="before bind"):
+            domain.attach_power_probe(lambda: None)
+        accountant = PowerAccountant(ActivityCounters())
+        with pytest.raises(SimulationError, match="before bind"):
+            accountant.register_block(
+                BlockEnergyModel("a", access_energy=1.0), domain)
+        engine.run(until=2.0)                  # the bound tick is unchanged
+        assert domain.cycle == 3
 
 
 def test_accountant_energy_by_block_view_flushes_and_matches_manual_model():

@@ -51,8 +51,6 @@ def test_every_subcommand_is_documented():
             "run: python tools/gen_cli_docs.py")
 
 
-@pytest.mark.skipif(sys.version_info < (3, 10),
-                    reason="argparse help layout differs before 3.10")
 def test_cli_reference_matches_parser_exactly():
     """docs/cli.md is byte-identical to a fresh generation."""
     result = subprocess.run(

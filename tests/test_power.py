@@ -176,16 +176,16 @@ def test_power_accountant_charges_blocks_per_cycle():
     accountant = PowerAccountant(activity)
     block = BlockEnergyModel("alu", access_energy=1.0, ports=1)
     accountant.register_block(block, domain)
-    domain.bind(engine)
 
     class Worker:
         def clock_edge(self, cycle, time):
             if cycle < 3:
                 activity.record("alu", 1)
 
-    # register after the accountant: components run before hooks regardless
-    domain_components_first = Worker()
-    domain.add_component(domain_components_first)
+    # registered after the accountant: components tick before the probe
+    # regardless
+    domain.add_component(Worker())
+    domain.bind(engine)
     engine.run(until=5.0)
     # 3 active cycles at 1.0 nJ + 3 idle cycles at 0.1 nJ
     assert accountant.energy_by_block["alu"] == pytest.approx(3.3)

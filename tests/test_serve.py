@@ -166,10 +166,13 @@ def test_bad_field_and_missing_params_400(service):
     ({"config": '{"memory.replacement": "bogus"}'}, 400),
     # the deleted scan wakeup's knob: a stale override must not be queued
     ({"config": '{"wakeup_scheme": "scan"}'}, 400),
+    # a negative synchronizer depth would make forwarding faster than base
+    ({"config": '{"forwarding_sync_cycles": -1}'}, 400),
 ], ids=["topology", "workload", "policy", "controller", "slowdown-domain",
         "slowdown-value", "config-field", "config-nested-object",
         "config-nested-field", "config-predictor-kind",
-        "config-replacement", "config-stale-wakeup-scheme"])
+        "config-replacement", "config-stale-wakeup-scheme",
+        "config-negative-forwarding-sync"])
 def test_malformed_scenario_is_refused_not_queued(service, overrides, code):
     query = urlencode({"name": "gals5", "num_instructions": SMALL,
                        **overrides})

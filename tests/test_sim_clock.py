@@ -37,14 +37,6 @@ def test_clock_validation():
         Clock("bad", period=1.0, phase=-0.1)
 
 
-def test_clock_scaled_slows_period():
-    clock = Clock("x", period=1.0)
-    slower = clock.scaled(1.5)
-    assert slower.period == pytest.approx(1.5)
-    with pytest.raises(SimulationError):
-        clock.scaled(0.0)
-
-
 def test_domain_ticks_components_every_edge():
     engine = SimulationEngine()
     domain = ClockDomain(Clock("core", period=1.0))
@@ -75,30 +67,32 @@ def test_domain_components_tick_in_registration_order():
     assert order == ["commit", "fetch"]
 
 
-def test_edge_hooks_run_after_components():
-    engine = SimulationEngine()
-    domain = ClockDomain(Clock("core", period=1.0))
-    order = []
-    domain.add_component(type("C", (), {"clock_edge": lambda self, c, t: order.append("component")})())
-    domain.add_edge_hook(lambda cycle, time: order.append("hook"))
-    domain.bind(engine)
-    engine.run(until=0.0)
-    assert order == ["component", "hook"]
+def test_power_probe_runs_after_every_component_on_each_edge():
+    class Stage:
+        def __init__(self, name, order):
+            self.name = name
+            self.order = order
 
+        def clock_edge(self, cycle, time):
+            self.order.append((self.name, cycle, time))
 
-def test_apply_slowdown_changes_period_and_voltage():
-    domain = ClockDomain(Clock("fp", period=1.0), voltage=1.5)
-    domain.apply_slowdown(2.0, voltage=1.1)
-    assert domain.period == pytest.approx(2.0)
-    assert domain.voltage == pytest.approx(1.1)
-
-
-def test_apply_slowdown_after_bind_is_rejected():
-    engine = SimulationEngine()
-    domain = ClockDomain(Clock("fp", period=1.0))
-    domain.bind(engine)
-    with pytest.raises(SimulationError):
-        domain.apply_slowdown(2.0)
+    for components in (0, 1, 2):
+        engine = SimulationEngine()
+        domain = ClockDomain(Clock("core", period=1.0, phase=0.5))
+        order = []
+        for index in range(components):
+            domain.add_component(Stage(f"stage{index}", order))
+        domain.attach_power_probe(
+            lambda: order.append(("probe", domain.cycle,
+                                  domain.last_edge_time)))
+        domain.bind(engine)
+        engine.run(until=2.0)                  # edges at 0.5 and 1.5
+        stages = [f"stage{index}" for index in range(components)]
+        assert order == [
+            *((name, 0, 0.5) for name in stages), ("probe", 0, 0.5),
+            *((name, 1, 1.5) for name in stages), ("probe", 1, 1.5),
+        ]
+        assert domain.cycle == 2
 
 
 def test_unbind_stops_clock():

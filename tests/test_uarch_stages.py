@@ -7,6 +7,7 @@ from repro.isa.trace import ListTraceSource, TraceInstruction
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.power.activity import ActivityCounters
 from repro.sim.channel import SyncQueue
+from repro.sim.clock import Clock
 from repro.uarch.branch_predictor import BimodalPredictor, BranchTargetBuffer, BranchUnit
 from repro.uarch.fetch import FetchUnit, RedirectMessage
 
@@ -28,7 +29,7 @@ def make_fetch_unit(instructions, fetch_width=4):
     activity = ActivityCounters()
     unit = FetchUnit(source=source, output_channel=output,
                      redirect_channel=redirect, branch_unit=branch_unit,
-                     memory=memory, clock_period=lambda: 1.0,
+                     memory=memory, clock=Clock("fetch", period=1.0),
                      activity=activity, fetch_width=fetch_width)
     return unit, output, redirect, branch_unit, activity
 
@@ -114,7 +115,7 @@ def test_fetch_stalls_when_output_channel_is_full():
                      redirect_channel=redirect,
                      branch_unit=BranchUnit(BimodalPredictor(64),
                                             BranchTargetBuffer(16, 2)),
-                     memory=MemoryHierarchy(), clock_period=lambda: 1.0,
+                     memory=MemoryHierarchy(), clock=Clock("fetch", period=1.0),
                      activity=ActivityCounters(), fetch_width=4)
     unit.memory.fetch_access(0x400000)
     unit.clock_edge(0, 0.0)

@@ -140,3 +140,15 @@ def test_validate_raises_exactly_when_run_raises(scenario: Scenario):
     failed = _error(lambda: run_scenario(scenario))
     assert (rejected is None) == (failed is None), (scenario, rejected,
                                                     failed)
+
+
+def test_controller_on_a_faster_than_nominal_domain_is_refused_up_front():
+    # the pid controller echoes the 0.5 slowdown in its first vector, which
+    # the controller runtime refuses mid-run; validate() must refuse it too
+    scenario = replace(get_scenario("gals5"), num_instructions=INSTRUCTIONS,
+                       slowdowns={"fetch": 0.5}, controller="pid")
+    assert isinstance(_error(scenario.validate), ValueError)
+    assert isinstance(_error(lambda: run_scenario(scenario)), ValueError)
+    # without a controller the same speed-up stays legal
+    plain = replace(scenario, controller=None)
+    assert _error(plain.validate) is None

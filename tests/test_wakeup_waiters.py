@@ -19,6 +19,7 @@ from repro.isa.instructions import InstructionClass
 from repro.isa.trace import TraceInstruction
 from repro.power.activity import ActivityCounters
 from repro.sim.channel import SyncQueue
+from repro.sim.clock import Clock
 from repro.uarch.execute import ExecutionUnit, FunctionalUnitPool
 from repro.uarch.instruction import DynamicInstruction
 from repro.uarch.issue_queue import IssueQueue
@@ -51,7 +52,7 @@ def make_unit(regfile=None, domain="integer", capacity=8, issue_width=4,
         name=f"{domain}-cluster", domain_name=domain, issue_queue=queue,
         input_channel=SyncQueue(f"dispatch->{domain}", capacity=64),
         regfile=regfile, forwarding_latency=forwarding,
-        clock_period=lambda: 1.0,
+        clock=Clock(domain, period=1.0),
         functional_units=FunctionalUnitPool("alu", 8),
         issue_width=issue_width, activity=ActivityCounters(),
         alu_block="alu_int", queue_block=f"iq_{domain}")

@@ -54,11 +54,8 @@ def iter_subparsers(parser: argparse.ArgumentParser, prefix: str = ""):
 
 
 def _help_text(parser: argparse.ArgumentParser) -> str:
-    """One parser's help, normalised across Python versions."""
-    # Python 3.9 spells the options section differently; normalise so the
-    # committed page is identical no matter which version regenerates it.
-    return parser.format_help().rstrip().replace("optional arguments:",
-                                                 "options:")
+    """One parser's help, without trailing whitespace."""
+    return parser.format_help().rstrip()
 
 
 def render() -> str:
