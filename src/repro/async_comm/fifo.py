@@ -337,10 +337,6 @@ class MixedClockFifo(Channel):
             box[0] += 1
         return item
 
-    def _expire_space(self, time: float) -> None:
-        while self._pending_space and self._pending_space[0] <= time:
-            self._pending_space.popleft()
-
     # ----------------------------------------------------------------- misc
     def flush(self, predicate: Optional[Callable[[Any], bool]] = None) -> int:
         """Drop entries matching ``predicate`` (all of them when None).

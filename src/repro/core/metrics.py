@@ -96,7 +96,14 @@ class SimulationStats:
 
 @dataclass
 class SimulationResult:
-    """Frozen outcome of one benchmark run on one processor configuration."""
+    """Frozen outcome of one benchmark run on one processor configuration.
+
+    Every dict it holds (``mean_iq_occupancy``, ``domain_cycles``,
+    ``domain_voltages``, the ``energy`` breakdown's dicts, each
+    ``dvfs_trace`` record and the dicts inside it) is built in key order.
+    That is the order of the sorted JSON rendering the results store keeps,
+    so a stored result decodes exactly as it was built.
+    """
 
     processor: str                  # 'base' or 'gals'
     benchmark: str

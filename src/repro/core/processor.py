@@ -195,21 +195,21 @@ class _DvfsControllerDriver:
         telemetry = self._sample(now)
         vector = self.controller.observe(telemetry)
         retimed = self._apply(dict(vector)) if vector is not None else False
-        domains = processor.domains
+        domains = sorted(processor.domains.items())
         base_period = processor.plan.base_period
+        # a result record: keys, and the keys of each dict, in key order
         self.trace.append({
-            "epoch": self._epoch,
-            "time_ns": now,
             "committed": telemetry.committed,
-            "ipc": telemetry.ipc,
-            "energy_nj": telemetry.energy_nj,
             "energy_delta_nj": telemetry.energy_delta_nj,
-            "queue_occupancy": dict(telemetry.queue_occupancy),
+            "energy_nj": telemetry.energy_nj,
+            "epoch": self._epoch,
+            "ipc": telemetry.ipc,
+            "queue_occupancy": dict(sorted(telemetry.queue_occupancy.items())),
             "retimed": retimed,
             "slowdowns": {name: domain.period / base_period
-                          for name, domain in domains.items()},
-            "voltages": {name: domain.voltage
-                         for name, domain in domains.items()},
+                          for name, domain in domains},
+            "time_ns": now,
+            "voltages": {name: domain.voltage for name, domain in domains},
         })
         self._epoch += 1
 
@@ -812,8 +812,10 @@ class Processor:
         fetched = self.fetch_unit.fetched_total
         wrong_path = self.fetch_unit.fetched_wrong_path
         energy = self.power.breakdown(elapsed_ns=elapsed_ns)
+        # result dicts are built in key order (see SimulationResult)
         iq_occupancy = {name: unit.issue_queue.mean_occupancy
-                        for name, unit in self.exec_units.items()}
+                        for name, unit in sorted(self.exec_units.items())}
+        domains = sorted(self.domains.items())
         return SimulationResult(
             processor=self.kind,
             benchmark=self.trace.name,
@@ -834,10 +836,8 @@ class Processor:
             mean_int_regs_in_use=self.stats.mean_int_regs_in_use,
             mean_fp_regs_in_use=self.stats.mean_fp_regs_in_use,
             mean_iq_occupancy=iq_occupancy,
-            domain_cycles={name: domain.cycle
-                           for name, domain in self.domains.items()},
-            domain_voltages={name: domain.voltage
-                             for name, domain in self.domains.items()},
+            domain_cycles={name: domain.cycle for name, domain in domains},
+            domain_voltages={name: domain.voltage for name, domain in domains},
             energy=energy,
             recoveries=self.recoveries,
             dvfs_trace=(self._controller_driver.trace

@@ -289,36 +289,27 @@ def config_overrides(config: ProcessorConfig) -> Dict[str, Any]:
 
 
 # ------------------------------------------------------------ scenario result
-def render_section(value: Any, indent: Optional[int] = 2) -> str:
+def render_section(value: Any) -> str:
     """One top-level section of :meth:`ScenarioResult.to_json`, rendered.
 
-    The text is ``value`` as ``json.dumps(..., sort_keys=True)`` renders it
-    one nesting level deep: every line after the first carries one extra
-    indent.  JSON escapes newlines inside strings, so every raw newline is
-    structural and re-indenting is a plain replace.
+    The text is ``value`` as ``json.dumps(..., indent=2, sort_keys=True)``
+    renders it one nesting level deep: every line after the first carries
+    two more spaces.  JSON escapes newlines inside strings, so every raw
+    newline is structural and re-indenting is a plain replace.
     """
-    text = json.dumps(value, indent=indent, sort_keys=True)
-    if indent is None:
-        return text
-    return text.replace("\n", "\n" + " " * indent)
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
 
 
-def scenario_result_json(result_section: str, scenario: "Scenario",
-                         indent: Optional[int] = 2) -> str:
+def scenario_result_json(result_section: str, scenario: "Scenario") -> str:
     """The :meth:`ScenarioResult.to_json` text around a rendered result.
 
-    ``result_section`` is :func:`render_section` of the result's dict form
-    at the same ``indent``.  This is the only formatter of a scenario
-    result: ``to_json`` calls it, and so does the results service, which
-    splices the rendering stored with each entry instead of decoding it.
+    ``result_section`` is :func:`render_section` of the result's dict form.
+    This is the only formatter of a scenario result: ``to_json`` calls it,
+    and so does the results service, which splices the rendering stored as
+    each entry instead of decoding it.
     """
-    scenario_section = render_section(scenario.to_dict(), indent)
-    if indent is None:
-        return ('{"result": ' + result_section + ', "scenario": '
-                + scenario_section + "}")
-    pad = "\n" + " " * indent
-    return ("{" + pad + '"result": ' + result_section + "," + pad
-            + '"scenario": ' + scenario_section + "\n}")
+    return ('{\n  "result": ' + result_section + ',\n  "scenario": '
+            + render_section(scenario.to_dict()) + "\n}")
 
 
 def _result_to_dict(result: SimulationResult) -> Dict[str, Any]:
@@ -357,11 +348,11 @@ class ScenarioResult:
         return cls(scenario=Scenario.from_dict(data["scenario"]),
                    result=_result_from_dict(data["result"]))
 
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        """JSON text form (sorted keys); round-trips bit-identically."""
+    def to_json(self) -> str:
+        """JSON text form (sorted keys, indent 2); round-trips
+        bit-identically."""
         return scenario_result_json(
-            render_section(_result_to_dict(self.result), indent),
-            self.scenario, indent)
+            render_section(_result_to_dict(self.result)), self.scenario)
 
     @classmethod
     def from_json(cls, text: str) -> "ScenarioResult":

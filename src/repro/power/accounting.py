@@ -140,11 +140,6 @@ class PowerAccountant:
         self.flush()
         return self._energy_by_block
 
-    @property
-    def cycles_by_domain(self) -> Dict[str, int]:
-        """Edges charged per domain (the domains' own cycle counters)."""
-        return {name: domain.cycle for name, domain in self._domains.items()}
-
     # ------------------------------------------------------------ registration
     def register_block(self, model: BlockEnergyModel, domain: ClockDomain) -> None:
         """Assign a block model to the clock domain that charges it.
@@ -282,10 +277,12 @@ class PowerAccountant:
             elapsed_ns = max((domain.last_edge_time
                               for domain in self._domains.values()),
                              default=0.0)
+        # the sums above run in block order (the bit-identity contract);
+        # the result's dicts are in key order (see SimulationResult)
         return EnergyBreakdown(
-            by_block=dict(self._energy_by_block),
-            by_category=categories,
-            by_domain=domains,
+            by_block=dict(sorted(self._energy_by_block.items())),
+            by_category=dict(sorted(categories.items())),
+            by_domain=dict(sorted(domains.items())),
             total_energy_nj=sum(self._energy_by_block.values()),
             elapsed_ns=elapsed_ns,
         )

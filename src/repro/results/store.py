@@ -17,16 +17,18 @@ written atomically (temp file + ``os.replace``), so concurrent writers -- for
 example several sweep processes sharing ``REPRO_CACHE_DIR`` -- can only race
 to produce the same bytes.
 
-An entry file has three parts, each starting on a new line:
+An entry file has two parts:
 
 1. a one-line JSON **header** (format, key, fingerprint, created,
    ``wall_seconds``, scenario, checksum) -- all that ``entries`` and ``gc``
    read;
-2. the result as **compact JSON** in insertion order, which :meth:`get`
-   decodes, so dict-valued fields reload in their original order;
-3. the result's **canonical rendering**, exactly as
-   :meth:`~repro.core.scenario.ScenarioResult.to_json` nests it, which the
-   results service splices into its replies without decoding.
+2. the result's **canonical rendering** (sorted keys), exactly as
+   :meth:`~repro.core.scenario.ScenarioResult.to_json` nests it.  The
+   results service splices it into its replies without decoding, and
+   :meth:`ResultsStore.get` decodes it.  Every dict of a result is built in
+   key order (see :class:`~repro.core.metrics.SimulationResult`), the order
+   the rendering has, so a decoded result is indistinguishable from a
+   fresh one.
 
 The header's checksum is the SHA-256 of every byte after the header line and
 is verified on every read, so a served reply is made only of verified bytes.
@@ -64,8 +66,8 @@ CACHE_DIR_ENV_VAR = "REPRO_CACHE_DIR"
 #: format change invalidates old stores instead of misreading them.
 #: (2: entries carry a SHA-256 payload checksum verified on every read;
 #: 3: header line + compact result + canonical rendering, checksummed as
-#: raw bytes.)
-STORE_FORMAT = 3
+#: raw bytes; 4: header line + canonical rendering.)
+STORE_FORMAT = 4
 
 #: Scenario fields that do not influence the simulation.
 _METADATA_FIELDS = ("name", "description")
@@ -94,22 +96,18 @@ def temp_path_for(path: Path) -> Path:
 
 def encode_entry(header: Dict[str, Any], result_payload: Dict[str, Any]
                  ) -> bytes:
-    """The bytes of one entry: header line, compact result, rendering.
+    """The bytes of one entry: the header line, then the result's rendering.
 
     ``header`` gains the ``checksum`` field: the SHA-256 of every byte after
     the header line.
     """
-    # not sort_keys: the compact form keeps insertion order, so dict-valued
-    # result fields (domain_cycles, ...) reload in their original order and
-    # a cached run is indistinguishable from a fresh one
-    body = (json.dumps(result_payload, separators=(",", ":")) + "\n"
-            + render_section(result_payload)).encode()
+    body = render_section(result_payload).encode()
     header = dict(header, checksum=hashlib.sha256(body).hexdigest())
     return json.dumps(header, separators=(",", ":")).encode() + b"\n" + body
 
 
-def decode_entry(data: bytes, key: str) -> Tuple[Dict[str, Any], bytes, bytes]:
-    """Verify one entry's bytes: ``(header, compact result, rendering)``.
+def decode_entry(data: bytes, key: str) -> Tuple[Dict[str, Any], bytes]:
+    """Verify one entry's bytes: ``(header, rendering)``.
 
     Raises ValueError when the entry is torn, bit-rotted, written in another
     format or filed under another key.
@@ -122,8 +120,7 @@ def decode_entry(data: bytes, key: str) -> Tuple[Dict[str, Any], bytes, bytes]:
         raise ValueError("entry filed under another key")
     if header.get("checksum") != hashlib.sha256(body).hexdigest():
         raise ValueError("entry checksum mismatch")
-    compact, _, rendering = body.partition(b"\n")
-    return header, compact, rendering
+    return header, body
 
 
 def read_header(path: Path) -> Dict[str, Any]:
@@ -286,10 +283,10 @@ class ResultsStore:
                    ) -> Optional[Tuple[ScenarioResult, float]]:
         """:meth:`get_with_seconds` for a caller that already holds
         ``scenario``'s key, so the scenario is not hashed again."""
-        def decode(header: Dict[str, Any], compact: bytes, rendering: bytes
+        def decode(header: Dict[str, Any], rendering: bytes
                    ) -> Tuple[ScenarioResult, float]:
-            """Rebuild the result from the entry's compact JSON."""
-            result = _result_from_dict(json.loads(compact))
+            """Rebuild the result from the entry's rendering."""
+            result = _result_from_dict(json.loads(rendering))
             return (ScenarioResult(scenario=scenario, result=result),
                     float(header.get("wall_seconds", 0.0)))
         return self._load(key, decode)
@@ -303,11 +300,10 @@ class ResultsStore:
         :func:`~repro.core.scenario.scenario_result_json` completes it into
         a reply for any scenario with this key.
         """
-        return self._load(key, lambda header, compact, rendering:
-                          rendering.decode())
+        return self._load(key, lambda header, rendering: rendering.decode())
 
     def _load(self, key: str,
-              decode: Callable[[Dict[str, Any], bytes, bytes], _Loaded]
+              decode: Callable[[Dict[str, Any], bytes], _Loaded]
               ) -> Optional[_Loaded]:
         """Read, verify and ``decode`` one entry; None (a miss) otherwise."""
         path = self.entry_path(key)
@@ -327,10 +323,6 @@ class ResultsStore:
             return None
         self.hits += 1
         return loaded
-
-    def contains(self, scenario: Scenario) -> bool:
-        """True when a result for ``scenario`` is already stored."""
-        return self.entry_path(self.key_for(scenario)).exists()
 
     def put(self, outcome: ScenarioResult,
             wall_seconds: float = 0.0) -> str:

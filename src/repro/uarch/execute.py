@@ -70,11 +70,6 @@ class FunctionalUnitPool:
         self.structural_stalls += 1
         return False
 
-    @property
-    def utilization_count(self) -> int:
-        """Total operations issued to this pool."""
-        return self.operations
-
 
 class ExecutionUnit:
     """Issue queue + functional units for one execution cluster."""
@@ -510,11 +505,6 @@ class ExecutionUnit:
         return len(squashed_queue) + len(squashed_flight) + dropped_channel
 
     # ------------------------------------------------------------------ state
-    @property
-    def in_flight_count(self) -> int:
-        """Instructions currently executing in the functional units."""
-        return len(self._in_flight)
-
     def pending_work(self) -> int:
         """Instructions waiting or executing in this cluster (drain check)."""
         return (self.issue_queue.occupancy + len(self._in_flight)

@@ -235,12 +235,6 @@ class FetchUnit:
             if instr.mispredicted:
                 break
 
-    def _next_pc_hint(self) -> Optional[int]:
-        if self.wrong_path_mode:
-            return self._wrong_path_pc
-        peeked = self.source.peek()
-        return peeked.pc if peeked is not None else None
-
     def _fetch_one(self, time: float) -> Optional[DynamicInstruction]:
         if self.wrong_path_mode:
             trace = self.wrong_path_generator(self._wrong_path_pc,

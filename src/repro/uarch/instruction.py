@@ -107,21 +107,11 @@ class DynamicInstruction:
         return self.opclass.is_fp
 
     @property
-    def is_mem(self) -> bool:
-        """True for loads and stores."""
-        return self.opclass.is_memory
-
-    @property
     def slip(self) -> float:
         """Fetch-to-commit latency in ns (the paper's 'slip', Figure 6)."""
         if self.commit_time < 0 or self.fetch_time < 0:
             return 0.0
         return self.commit_time - self.fetch_time
-
-    def record_fifo_wait(self, wait: float) -> None:
-        """Accumulate time spent in a mixed-clock FIFO."""
-        if wait > 0:
-            self.fifo_time += wait
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         flags = []

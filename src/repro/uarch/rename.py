@@ -10,10 +10,10 @@ which in the GALS machine means crossing a FIFO).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from ..isa.registers import FP_BASE as _FP_BASE
-from ..isa.registers import ZERO_REG, is_fp_reg
+from ..isa.registers import ZERO_REG
 from .instruction import DynamicInstruction
 from .regfile import PhysicalRegisterFile
 
@@ -60,10 +60,6 @@ class RegisterAliasTable:
         if 0 <= arch_reg < len(self._map):
             return self._map[arch_reg]
         raise RenameError(f"architectural register {arch_reg} has no mapping")
-
-    def mapping_snapshot(self) -> Dict[int, int]:
-        """Copy of the current architectural -> physical map."""
-        return dict(enumerate(self._map))
 
     # ---------------------------------------------------------------- rename
     def rename(self, instr: DynamicInstruction) -> bool:
@@ -164,10 +160,3 @@ class RegisterAliasTable:
     def live_checkpoints(self) -> int:
         """Number of outstanding rename checkpoints (unresolved branches)."""
         return len(self._checkpoints)
-
-    # ------------------------------------------------------------ statistics
-    @property
-    def int_mappings_beyond_arch(self) -> int:
-        """How many integer arch registers map to a non-initial physical reg."""
-        return sum(1 for arch, phys in enumerate(self._map)
-                   if not is_fp_reg(arch) and phys != arch)

@@ -45,11 +45,6 @@ class ReorderBuffer:
         return len(self._entries) >= self.capacity
 
     @property
-    def is_empty(self) -> bool:
-        """True when nothing is in flight."""
-        return not self._entries
-
-    @property
     def mean_occupancy(self) -> float:
         """Average occupancy over the sampled cycles."""
         if self.occupancy_samples == 0:

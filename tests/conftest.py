@@ -3,13 +3,20 @@
 Cycle-accurate runs are the expensive part of this test suite, so the standard
 "perl" base/GALS pair (and one DVFS run) are computed once per session and
 shared by every test that only needs to *inspect* results.
+
+A property test that fails prints its ``@reproduce_failure`` blob, so a
+failure seen once can be replayed from the log.
 """
 
 import pytest
+from hypothesis import settings
 
 from repro.core.config import ProcessorConfig
 from repro.core.experiments import run_pair, selective_slowdown
 from repro.core.dvfs import GCC_GALS_1
+
+settings.register_profile("repro", print_blob=True)
+settings.load_profile("repro")
 
 #: Small but representative trace length for integration tests.
 TEST_INSTRUCTIONS = 900

@@ -8,16 +8,19 @@ maintenance (ls/gc/clear/verify).
 
 import json
 import time
-from dataclasses import astuple, is_dataclass, replace
+from dataclasses import astuple, fields, is_dataclass, replace
 
 import pytest
 
-from repro.core.scenario import get_scenario, run_scenario, sweep_scenarios
+from repro.core.scenario import (_result_to_dict, available_scenarios,
+                                 get_scenario, render_section, run_scenario,
+                                 sweep_scenarios)
 from repro.exec import resolve_execution
 from repro.results import (ResultsStore, cache_key, canonical_scenario_dict,
                            code_fingerprint, resolve_store, resume_sweep,
                            run_cached, source_tree_digest)
-from repro.results.store import CACHE_DIR_ENV_VAR, default_cache_dir
+from repro.results.store import (CACHE_DIR_ENV_VAR, STORE_FORMAT,
+                                 default_cache_dir)
 
 SMALL = 200
 
@@ -86,15 +89,24 @@ def test_key_misses_on_simulation_relevant_change(scenario, change):
 
 
 @pytest.mark.parametrize("name, digest", [
-    ("base",
-     "ee6dc1ac6193cd7a7db39dd5f47eab29058ff36bbb568f072c66be97e7ec193c"),
-    ("gals5-perl-fp3",
-     "71fbf639dc07b72fcf48b5d792b9a828fef327309d6a836eba5a3f1d066a9a4e"),
-    ("gals5-perl-pid",
-     "5b17a2232b4133aac5fa650166223fb0978dbfea1ca0efb4d690de7cfbc1138a"),
+    pytest.param(
+        "base",
+        "80d539c26f446b978683e99c43add28cf4904eeb82f19d98beb4e6f8b861314e",
+        id="base"),
+    pytest.param(
+        "gals5-perl-fp3",
+        "134058b90a8fd283c67a441f739133d5f41e0a5de7c4160d6359abe5317238f9",
+        id="gals5-perl-fp3"),
+    pytest.param(
+        "gals5-perl-pid",
+        "cbfb33ea3ec1d2c9338fd6b395ab1c655f5bc3208978318b31033e4ccb25745c",
+        id="gals5-perl-pid"),
 ])
 def test_key_digests_are_pinned(name, digest):
-    """Literal keys: a serialization change must not re-key every store."""
+    """Literal keys: a serialization change must not re-key every store.
+
+    ``STORE_FORMAT`` is part of every key, so a format bump re-pins these.
+    """
     assert cache_key(get_scenario(name), "0" * 64) == digest
 
 
@@ -133,6 +145,67 @@ def test_cached_result_survives_json_reload_exactly(store):
     assert warm.outcome.result == fresh.outcome.result
     assert (warm.outcome.result.energy.by_block
             == fresh.outcome.result.energy.by_block)
+
+
+#: Every registered scenario, plus an occupancy-controller run and a
+#: cluster2 run outside the registry.
+KEY_ORDER_SCENARIOS = [*available_scenarios(), "occupancy", "cluster2"]
+
+
+def _key_order_scenario(name):
+    if name == "occupancy":
+        return replace(get_scenario("gals5"), name="occupancy",
+                       controller="occupancy", num_instructions=SMALL)
+    if name == "cluster2":
+        return replace(get_scenario("base"), name="cluster2",
+                       topology="cluster2", workload="gcc",
+                       num_instructions=SMALL)
+    return replace(get_scenario(name), num_instructions=SMALL)
+
+
+def _result_dicts(result):
+    """Every dict a result holds: its dict-valued fields, those of its
+    energy breakdown, each ``dvfs_trace`` record and the dicts inside."""
+    found = []
+
+    def walk(value):
+        if isinstance(value, dict):
+            found.append(value)
+            value = list(value.values())
+        if isinstance(value, list):
+            for item in value:
+                walk(item)
+    for holder in (result, result.energy):
+        for field in fields(holder):
+            walk(getattr(holder, field.name))
+    return found
+
+
+@pytest.mark.parametrize("name", KEY_ORDER_SCENARIOS)
+def test_result_dicts_are_built_in_key_order_and_reload_as_built(store,
+                                                                 name):
+    """An entry stores only the sorted rendering: a result reloads exactly
+    as it was built because every dict in it is built in key order."""
+    scenario = _key_order_scenario(name)
+    fresh = run_scenario(scenario)
+    dicts = _result_dicts(fresh.result)
+    assert dicts
+    if scenario.controller is not None:
+        assert fresh.result.dvfs_trace
+    for found in dicts:
+        assert list(found) == sorted(found)
+    store.put(fresh)
+    loaded = store.get(scenario)
+    assert repr(loaded.result) == repr(fresh.result)
+
+
+def test_entry_is_one_header_line_and_one_rendering(store, scenario):
+    outcome = run_scenario(scenario)
+    key = store.put(outcome)
+    header, _, body = store.entry_path(key).read_bytes().partition(b"\n")
+    assert json.loads(header)["format"] == STORE_FORMAT
+    assert body.decode() == render_section(_result_to_dict(outcome.result))
+    assert store.get_rendering(key) == body.decode()
 
 
 # ---------------------------------------------------------- resumable sweeps
@@ -245,18 +318,22 @@ def test_gc_and_entries_read_only_the_header_line(store, scenario):
     path.write_bytes(header_line + b"\n{torn")   # body gone, header intact
     assert [entry.key for entry in store.entries()] == [key]
     assert store.gc().kept == 1
-    # another store format and an unparsable file are both dropped
-    older = json.loads(header_line)
-    older["format"] = 2
-    other = store.entry_path("ab" * 32)
-    other.parent.mkdir(parents=True, exist_ok=True)
-    other.write_text(json.dumps(older) + "\n")
+    # older store formats and an unparsable file are all dropped
+    others = []
+    for number, old_format in enumerate((2, 3)):
+        older = json.loads(header_line)
+        older["format"] = old_format
+        other = store.entry_path(f"a{number}" * 32)
+        other.parent.mkdir(parents=True, exist_ok=True)
+        other.write_text(json.dumps(older) + "\n")
+        others.append(other)
     junk = store.entry_path("cd" * 32)
     junk.parent.mkdir(parents=True, exist_ok=True)
     junk.write_text("{not json")
     stats = store.gc()
-    assert (stats.removed, stats.kept) == (2, 1)
-    assert not other.exists() and not junk.exists() and path.exists()
+    assert (stats.removed, stats.kept) == (3, 1)
+    assert not any(other.exists() for other in others)
+    assert not junk.exists() and path.exists()
 
 
 @pytest.mark.parametrize("action, expected", [

@@ -6,8 +6,8 @@ scenario (202) instead of answering 400.  It must raise exactly when
 queued only to fail later, and one it rejects that would have run is a
 spurious 400.  The scenarios are drawn from the registries (scenarios,
 topologies, workloads, policies, controllers) with mutated fields: config
-overrides at and beyond their limits, unknown names, bad slowdowns, phases
-and controller arguments.
+overrides at and beyond their limits, unknown names, kernel sizes, bad
+slowdowns, phases and controller arguments.
 """
 
 from dataclasses import fields, replace
@@ -91,6 +91,9 @@ def scenarios(draw):
     if draw(st.booleans()):
         changes["workload"] = draw(st.sampled_from(
             available_workloads() + (BOGUS, "kernel:bogus", "phased:bogus")))
+    if draw(st.booleans()):
+        changes["kernel_size"] = draw(st.sampled_from(
+            (-1, 0, 1, 2, 3, 64, 96)))
     if draw(st.booleans()):
         changes["policy"] = draw(st.sampled_from(
             (None,) + available_policies() + (BOGUS,)))
