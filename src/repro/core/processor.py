@@ -197,7 +197,7 @@ class _DvfsControllerDriver:
         retimed = self._apply(dict(vector)) if vector is not None else False
         domains = sorted(processor.domains.items())
         base_period = processor.plan.base_period
-        # a result record: keys, and the keys of each dict, in key order
+        # a result record: built in key order (see SimulationResult)
         self.trace.append({
             "committed": telemetry.committed,
             "energy_delta_nj": telemetry.energy_delta_nj,
