@@ -708,8 +708,7 @@ class Processor:
             max_time_ns = (total_instructions * 25 + 20_000) * self.plan.base_period
 
         # Stop exactly at the event during which the last instruction commits
-        # -- equivalent to a per-event stop_condition, but paid once per
-        # commit instead of once per event.
+        # -- checked once per commit instead of once per event.
         self.stats.commit_target = total_instructions
         self.stats.on_target = self.engine.stop
         # The simulation allocates short-lived objects at a rate that makes

@@ -17,6 +17,7 @@ experiment driver in :mod:`repro.core.experiments` and the CLI run scenarios.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, field, replace
 from typing import (Any, Dict, List, Mapping, Optional, Sequence, Tuple,
@@ -125,15 +126,25 @@ class Scenario:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("scenario name must be non-empty")
+        # A wrong-typed value would pass the range checks below or fail
+        # only deep in the run (a string seed), or run under a second cache
+        # key (seed 1.0 for 1), so types are checked first -- exactly, as
+        # bool is an int subclass and is refused where a number is meant.
+        for attribute, kinds, what in _FIELD_TYPES:
+            value = getattr(self, attribute)
+            if type(value) not in kinds:
+                raise ValueError(f"scenario {self.name!r}: {attribute} must "
+                                 f"be {what}, got {value!r}")
         if self.num_instructions <= 0:
             raise ValueError(f"scenario {self.name!r}: num_instructions "
                              "must be positive")
-        if self.base_period <= 0:
+        # NaN fails every comparison, so it is refused with infinity
+        if not 0 < self.base_period < math.inf:
             raise ValueError(f"scenario {self.name!r}: base_period must be "
-                             "positive")
-        if self.controller_epoch <= 0:
+                             "positive and finite")
+        if not 0 < self.controller_epoch < math.inf:
             raise ValueError(f"scenario {self.name!r}: controller_epoch "
-                             "must be positive")
+                             "must be positive and finite")
         if self.controller_args and self.controller is None:
             raise ValueError(f"scenario {self.name!r}: controller_args "
                              "given without a controller")
@@ -183,7 +194,8 @@ class Scenario:
             # domains (a merged domain runs at its slowest member's clock).
             slowdowns.update(get_policy(self.policy).project_onto(topology))
         for domain, slowdown in self.slowdowns.items():
-            if not isinstance(slowdown, (int, float)) or slowdown <= 0:
+            if (not isinstance(slowdown, (int, float))
+                    or not 0 < slowdown < math.inf):
                 raise ValueError(
                     f"scenario {self.name!r}: slowdown for domain {domain!r} "
                     f"must be a positive number, got {slowdown!r}")
@@ -265,6 +277,16 @@ class Scenario:
         """Parse a scenario from JSON text."""
         return cls.from_dict(json.loads(text))
 
+
+#: (field, accepted types, what the error message asks for) of the
+#: Scenario fields whose type ``__post_init__`` checks.
+_FIELD_TYPES = (
+    *((name, (int,), "an integer")
+      for name in ("num_instructions", "kernel_size", "seed", "phase_seed")),
+    *((name, (int, float), "a number")
+      for name in ("base_period", "controller_epoch")),
+    ("scale_voltages", (bool,), "true or false"),
+)
 
 #: ProcessorConfig fields holding a nested dataclass; ``Scenario.config``
 #: sets their fields with dotted keys.

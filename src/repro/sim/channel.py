@@ -96,46 +96,9 @@ class Channel:
         """Insert one item at ``time`` (raises when apparently full)."""
         raise NotImplementedError
 
-    def push_granted(self, item: Any, time: float) -> None:
-        """Insert one item after a same-``time`` :meth:`can_push` returned True.
-
-        The producer pipelines call ``can_push`` immediately before pushing,
-        so subclasses override this with a variant that skips the repeated
-        space-expiry and capacity checks.  Calling it without the preceding
-        grant is a contract violation (it may overfill the channel).
-        """
-        self.push(item, time)
-
     def can_pop(self, time: float) -> bool:  # pragma: no cover - overridden
         """Whether the consumer can pop at ``time``."""
         raise NotImplementedError
-
-    def pop_ready(self, time: float) -> Any:
-        """Pop and return the next consumable item, or None when nothing is
-        visible yet (fused can_pop + pop for the per-cycle drain loops)."""
-        if self.can_pop(time):
-            return self.pop(time)
-        return None
-
-    def pop_bulk(self, time: float, limit: int) -> List[Tuple[Any, float]]:
-        """Drain up to ``limit`` visible items in one call.
-
-        Returns ``(item, wait)`` pairs in pop order, where ``wait`` is each
-        item's residency time (what ``last_pop_wait`` would have reported).
-        Statistics are updated exactly as ``limit`` successive
-        :meth:`pop_ready` calls would have updated them; subclasses override
-        this with a fused loop so the per-cycle bulk consumers (decode/commit
-        domain intake, the execution clusters' writeback-side drains) pay the
-        bookkeeping once per batch instead of once per item.
-        """
-        popped: List[Tuple[Any, float]] = []
-        while limit > 0:
-            item = self.pop_ready(time)
-            if item is None:
-                break
-            popped.append((item, self.last_pop_wait))
-            limit -= 1
-        return popped
 
     def peek(self, time: float) -> Any:  # pragma: no cover - overridden
         """The next consumable item without removing it."""

@@ -1,7 +1,7 @@
 """The engine hot core: wheel run loop, edge tick, FIFO sync, wakeups.
 
 This module holds the per-event code of the simulator: the clock-wheel run
-loop (extracted from :meth:`SimulationEngine.run`), the one clock-edge tick
+loop (the body of :meth:`SimulationEngine.run`), the one clock-edge tick
 :meth:`ClockDomain.bind` schedules (for every domain but an execution
 cluster's, which fuses its own edge), the mixed-clock FIFO synchronizer edge
 mapping, and the event-wakeup waiter walk (extracted from the execution
@@ -13,35 +13,27 @@ code it replaced (the golden regression suite pins the results).
 
 The module intentionally imports nothing from the rest of the package: it is
 a leaf, importable from ``sim.clock`` / ``async_comm.fifo`` without cycles.
-Chain records are the 9-element lists documented in :mod:`repro.sim.event`
+Chain records are the 8-element lists documented in :mod:`repro.sim.event`
 (indices used literally here for speed: 0=time, 1=priority, 2=seq,
-3=callback, 4=param, 5=period, 8=cancelled).
+3=callback, 4=param, 5=period, 7=cancelled).
 """
 
 
 # --------------------------------------------------------------- run loop
-def run_wheel(engine, horizon, until, stop_condition, max_events, processed):
-    """Run one clock-wheel segment: periodic chains only, no pending one-shots.
+def run_wheel(engine, until):
+    """Run one clock-wheel segment of :meth:`SimulationEngine.run`.
 
-    Extracted verbatim (in behaviour) from the wheel fast path of
-    :meth:`repro.sim.engine.SimulationEngine.run`.  The caller guarantees the
-    wheel is non-empty and the one-shot heap is empty on entry.  The segment
-    ends when a one-shot is scheduled, the wheel membership changes, a
-    cancelled chain is discarded, a stop is requested, the horizon is passed,
-    the stop condition fires, or the event budget is exhausted.
-
-    Returns ``(finished, processed)``: ``finished`` is True when ``run()``
-    should return immediately (horizon / stop condition / event budget), False
-    when the outer loop should re-examine the queues; ``processed`` is the
-    updated per-call event count (only meaningful under ``max_events`` /
-    ``stop_condition``).
+    The caller guarantees the wheel is non-empty on entry.  The segment ends
+    when the wheel membership changes (a chain scheduled, cancelled or
+    retired), a stop is requested, or the next event lies past ``until``.
+    Returns True in the last case, after moving the engine clock to
+    ``until``: the run is over.  Otherwise the caller re-examines the wheel.
 
     Engine state is exchanged through the mutable cells the engine exposes for
     exactly this purpose (``_stop``, ``_events``, ``_current``,
     ``_wheel_state``); the ``_now`` timestamp stays a plain attribute because
     pipeline closures read ``engine._now`` directly.
     """
-    queue = engine._queue
     wheel = engine._wheel
     stop = engine._stop
     events_cell = engine._events
@@ -50,7 +42,7 @@ def run_wheel(engine, horizon, until, stop_condition, max_events, processed):
     next_seq = engine._sequence.__next__
     discard_chain = engine._discard_chain
     events_done = events_cell[0]
-    event_limit = float("inf") if max_events is None else max_events
+    horizon = float("inf") if until is None else until
 
     # Equal-period wheels (the uniform GALS plan and the synchronous machine)
     # fire in a fixed rotation: float rounding is monotonic, so per-chain
@@ -60,8 +52,8 @@ def run_wheel(engine, horizon, until, stop_condition, max_events, processed):
     # sorted chains, so the merged edge schedule needs no priority queue at
     # all.  The rotation is only valid while the next-edge times span less
     # than one period (guaranteed to persist once true); chains started more
-    # than a period apart, and unequal periods, fall back to a min() over
-    # the handful of chains.
+    # than a period apart, unequal periods and pending one-shots (period
+    # None) fall back to a min() over the handful of chains.
     rotation = None
     period = wheel[0][5]
     priority = wheel[0][1]
@@ -70,50 +62,11 @@ def run_wheel(engine, horizon, until, stop_condition, max_events, processed):
             break
     else:
         rotation = sorted(wheel)
-        if rotation[-1][0] - rotation[0][0] >= period:
+        if period is None or rotation[-1][0] - rotation[0][0] >= period:
             rotation = None
     index = 0
     wheel_size = len(wheel)
     wheel_version = version_cell[0]
-
-    if stop_condition is None and max_events is None:
-        # Leanest variant (every full processor run): no per-edge
-        # stop-condition or event-budget checks -- the pipeline stops the
-        # engine via stop().
-        while not stop[0]:
-            if rotation is not None:
-                chain = rotation[index]
-                index += 1
-                if index == wheel_size:
-                    index = 0
-            else:
-                chain = min(wheel)
-            if chain[8]:            # CHAIN_CANCELLED
-                discard_chain(chain)
-                break
-            time = chain[0]         # CHAIN_TIME
-            if time > horizon:
-                engine._now = until
-                if events_done > events_cell[0]:
-                    events_cell[0] = events_done
-                return True, processed
-            engine._now = time
-            current_cell[0] = chain
-            # callbacks observe the pre-event count, exactly as under
-            # step()
-            events_cell[0] = events_done
-            chain[3](chain[4])      # CHAIN_CALLBACK(CHAIN_PARAM)
-            current_cell[0] = None
-            events_done += 1
-            if chain[8]:
-                discard_chain(chain)
-                break
-            chain[2] = next_seq()       # CHAIN_SEQ
-            chain[0] = time + chain[5]  # CHAIN_TIME += CHAIN_PERIOD
-            if queue or version_cell[0] != wheel_version:
-                break   # one-shots scheduled / chains changed
-        events_cell[0] = events_done
-        return False, processed
 
     while not stop[0]:
         if rotation is not None:
@@ -123,41 +76,30 @@ def run_wheel(engine, horizon, until, stop_condition, max_events, processed):
                 index = 0
         else:
             chain = min(wheel)
-        if chain[8]:                # CHAIN_CANCELLED
+        if chain[7]:                # CHAIN_CANCELLED
             discard_chain(chain)
             break
         time = chain[0]             # CHAIN_TIME
         if time > horizon:
             engine._now = until
-            if events_done > events_cell[0]:
-                events_cell[0] = events_done
-            return True, processed
+            events_cell[0] = events_done
+            return True
         engine._now = time
         current_cell[0] = chain
-        # callbacks observe the pre-event count, exactly as under step()
-        # (which increments after fire)
+        # callbacks observe the pre-event count
         events_cell[0] = events_done
         chain[3](chain[4])          # CHAIN_CALLBACK(CHAIN_PARAM)
         current_cell[0] = None
         events_done += 1
-        if chain[8]:
+        if chain[7]:                # cancelled, or a one-shot that retired
             discard_chain(chain)
             break
         chain[2] = next_seq()       # CHAIN_SEQ
         chain[0] = time + chain[5]  # CHAIN_TIME += CHAIN_PERIOD
-        processed += 1
-        if stop_condition is not None:
-            events_cell[0] = events_done
-            if stop_condition():
-                return True, processed
-        if processed >= event_limit:
-            if events_done > events_cell[0]:
-                events_cell[0] = events_done
-            return True, processed
-        if queue or version_cell[0] != wheel_version:
-            break   # one-shots scheduled / chains changed
+        if version_cell[0] != wheel_version:
+            break   # chains scheduled or cancelled
     events_cell[0] = events_done
-    return False, processed
+    return False
 
 
 # ------------------------------------------------------------ event wakeup

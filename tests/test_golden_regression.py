@@ -163,53 +163,54 @@ CASES = {
                            lambda r: r.recoveries > 0),
 }
 
-#: case -> (committed_instructions, elapsed_ns, total_energy_nj, digest)
+#: case -> (committed_instructions, elapsed_ns, total_energy_nj, digest,
+#: engine events processed)
 PINS = {
     "base": (
         500, 179.0, 3833.7667924263424,
-        "7aab6caba1e4c2093a79362b44dbaeec60b5e288b7c7dab5ce09b3f3718e8304"),
+        "7aab6caba1e4c2093a79362b44dbaeec60b5e288b7c7dab5ce09b3f3718e8304", 180),
     "gals5": (
         500, 228.7579544029403, 4022.2744390169373,
-        "5cb1fa8ac6c802e98044c065ea8284d6e37013476ffe3d719ba09ce237d1ae6d"),
+        "5cb1fa8ac6c802e98044c065ea8284d6e37013476ffe3d719ba09ce237d1ae6d", 1144),
     "fem3": (
         500, 227.7579544029403, 3956.9512290646417,
-        "14a4daee3a5222f938512a9efdd66292c0672778173ccfc765dacefd4dbc6184"),
+        "14a4daee3a5222f938512a9efdd66292c0672778173ccfc765dacefd4dbc6184", 683),
     "memsplit2": (
         500, 226.84442185152506, 3889.684747705899,
-        "1e5a25bdd057b0bccf93a87a2ae83c1a13381124e28132a345b45fb8d720ded3"),
+        "1e5a25bdd057b0bccf93a87a2ae83c1a13381124e28132a345b45fb8d720ded3", 454),
     "alu4": (
         500, 230.7579544029403, 4037.0991693045753,
-        "f418485f1b4f8721201be6fdb50454dcebbb083e7bc7df02c95f6dc296bbfef1"),
+        "f418485f1b4f8721201be6fdb50454dcebbb083e7bc7df02c95f6dc296bbfef1", 923),
     "frontback2": (
         500, 181.84442185152506, 3576.5071739730906,
-        "6eea672a7f1adaaecfbedbf1dd537c5ab0748e4b268744d43f596353b9b56e81"),
+        "6eea672a7f1adaaecfbedbf1dd537c5ab0748e4b268744d43f596353b9b56e81", 364),
     "dotprod-gals5": (
         500, 142.7579544029403, 3138.3805938247506,
-        "fd933e50ff8ce5304415370118a8588886fa13b5d2f4f0d00ef7b848c94859ac"),
+        "fd933e50ff8ce5304415370118a8588886fa13b5d2f4f0d00ef7b848c94859ac", 714),
     "gals5-phased-osc": (
         500, 203.7579544029403, 3870.1598394702846,
-        "a0616aaa632ab143df58c774c411186493c2e7d33ac4a9d03b71335e7657c1f3"),
+        "a0616aaa632ab143df58c774c411186493c2e7d33ac4a9d03b71335e7657c1f3", 1019),
     "gals5-2500": (
         2500, 1160.7579544029404, 21017.345551457125,
-        "2c74e4eef3cb3a6fa35c66c1453aaec03ada3fbe9e6e99555db234e8739f6670"),
+        "2c74e4eef3cb3a6fa35c66c1453aaec03ada3fbe9e6e99555db234e8739f6670", 5804),
     "gals5-perl-occupancy-800": (
         800, 353.7579544029403, 6046.60885737493,
-        "1d8dff2b3de21dc716941ecc7994e819e823d407d42c8cfe10d19ff2cc502f6c"),
+        "1d8dff2b3de21dc716941ecc7994e819e823d407d42c8cfe10d19ff2cc502f6c", 1569),
     "gals5-tomcatv-occupancy": (
         400, 216.7579544029403, 2857.0105312913984,
-        "656ce2ceea9e8d19a473492543bbaa7c5c83c7705f66ee727084df699744c09b"),
+        "656ce2ceea9e8d19a473492543bbaa7c5c83c7705f66ee727084df699744c09b", 955),
     "cluster2": (
         250, 122.7579544029403, 2273.763034157761,
-        "e8fd10be24434c9486de53c38db100d017acbb69211a1fe2f74f435b9c55344a"),
+        "e8fd10be24434c9486de53c38db100d017acbb69211a1fe2f74f435b9c55344a", 859),
     "retime": (
         500, 266.7579544029403, 4210.426373481094,
-        "6e820cd8fbe75dbb7b50216dfdf61754bdda16c3965064ff59ec98eae69e9232"),
+        "6e820cd8fbe75dbb7b50216dfdf61754bdda16c3965064ff59ec98eae69e9232", 1269),
     "retime-storm": (
         500, 251.7579544029403, 4090.5829793429743,
-        "d5083255779dedf728abeeb8899bf96d5c17b0f4c090f83196b6a4a9c1ce3007"),
+        "d5083255779dedf728abeeb8899bf96d5c17b0f4c090f83196b6a4a9c1ce3007", 1185),
     "retime-flush-storm": (
         400, 208.7579544029403, 3374.9046411837944,
-        "826ba7ad43c58f75bc83c1f504a85695b73b08412366b135afcf2330f6c7a22e"),
+        "826ba7ad43c58f75bc83c1f504a85695b73b08412366b135afcf2330f6c7a22e", 1019),
 }
 # the processor built straight from a topology name must match the
 # scenario path that names the same machine
@@ -217,11 +218,31 @@ PINS["machine-base"] = PINS["base"]
 PINS["machine-gals5"] = PINS["gals5"]
 
 
+def _run_counting_events(run):
+    """``run()``'s result and the event count of the one processor it ran."""
+    engines = []
+    original = Processor.run
+
+    def recording_run(machine, *args, **kwargs):
+        engines.append(machine.engine)
+        return original(machine, *args, **kwargs)
+
+    Processor.run = recording_run
+    try:
+        result = run()
+    finally:
+        Processor.run = original
+    (engine,) = engines
+    return result, engine.events_processed
+
+
 def assert_pinned(case):
-    """Run ``case`` and require its pinned result, bit for bit."""
+    """Run ``case`` and require its pinned result, bit for bit, and its
+    pinned engine work (events processed)."""
     run, exercised = CASES[case]
-    result = run()
-    committed, elapsed_ns, energy_nj, digest = PINS[case]
+    result, events = _run_counting_events(run)
+    committed, elapsed_ns, energy_nj, digest, pinned_events = PINS[case]
+    assert events == pinned_events
     assert result.committed_instructions == committed
     assert result.elapsed_ns == elapsed_ns
     assert result.total_energy_nj == energy_nj

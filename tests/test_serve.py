@@ -168,11 +168,39 @@ def test_bad_field_and_missing_params_400(service):
     ({"config": '{"wakeup_scheme": "scan"}'}, 400),
     # a negative synchronizer depth would make forwarding faster than base
     ({"config": '{"forwarding_sync_cycles": -1}'}, 400),
+    # wrong-typed fields: each would fail or misread only in the run
+    ({"seed": "abc"}, 400),
+    ({"seed": "1.0"}, 400),
+    ({"phase_seed": "true"}, 400),
+    ({"num_instructions": "300.5"}, 400),
+    ({"kernel_size": "big"}, 400),
+    ({"scale_voltages": "no"}, 400),
+    ({"base_period": "fast"}, 400),
+    ({"controller_epoch": "null"}, 400),
+    # out-of-range fields and contradictions validate() refuses
+    ({"controller": "occupancy", "slowdowns": '{"fetch": 0.5}'}, 400),
+    ({"controller": "occupancy", "controller_args": '{"bogus": 1}'}, 400),
+    ({"controller_args": '{"low": 0.1}'}, 400),
+    ({"controller_epoch": "0"}, 400),
+    ({"num_instructions": "0"}, 400),
+    ({"base_period": "-1"}, 400),
+    ({"base_period": "NaN"}, 400),
+    ({"controller": "occupancy", "controller_epoch": "Infinity"}, 400),
+    ({"phases": '{"core": 0.0}'}, 400),
+    ({"slowdowns": '{"fetch": 0}'}, 400),
+    ({"slowdowns": '{"integer": NaN}'}, 400),
 ], ids=["topology", "workload", "policy", "controller", "slowdown-domain",
         "slowdown-value", "config-field", "config-nested-object",
         "config-nested-field", "config-predictor-kind",
         "config-replacement", "config-stale-wakeup-scheme",
-        "config-negative-forwarding-sync"])
+        "config-negative-forwarding-sync", "seed-string", "seed-float",
+        "phase-seed-bool", "instructions-float", "kernel-size-string",
+        "scale-voltages-string", "base-period-string",
+        "controller-epoch-null", "controller-speedup",
+        "controller-unknown-arg", "controller-args-without-controller",
+        "controller-epoch-zero", "instructions-zero", "base-period-negative",
+        "base-period-nan", "controller-epoch-infinite", "phase-domain",
+        "slowdown-zero", "slowdown-nan"])
 def test_malformed_scenario_is_refused_not_queued(service, overrides, code):
     query = urlencode({"name": "gals5", "num_instructions": SMALL,
                        **overrides})

@@ -1,19 +1,19 @@
-"""Tests for the clock-wheel fast path of the simulation engine.
+"""Tests for the clock wheel, the simulation engine's only event queue.
 
-The engine keeps periodic events on a clock wheel and one-shots on a heap.
-The wheel replaced a scheduler that kept every event on the heap (the seed
+The wheel holds periodic chains and one-shots (chains that retire after one
+fire).  It replaced a scheduler that kept every event on a heap (the seed
 engine's behaviour) and had to fire events in the same order at the same
 timestamps.  The logs that scheduler produced are pinned below, as literals
 or as length plus sha256 of their ``repr``; the other tests check
-cancellation, compaction and mixed periodic/one-shot schedules.
+cancellation and mixed periodic/one-shot schedules.
 """
 
 import hashlib
 
 import pytest
 
-from repro.sim.engine import _COMPACT_THRESHOLD, SimulationEngine
-from repro.sim.event import Event, SimulationError
+from repro.sim.engine import SimulationEngine
+from repro.sim.event import SimulationError
 
 
 def _record_script(engine):
@@ -84,36 +84,45 @@ def test_schedule_requires_callback():
         engine.schedule_periodic(0.0, 1.0, None)
 
 
-def test_fire_without_callback_raises():
-    event = Event(time=1.0)
-    with pytest.raises(SimulationError):
-        event.fire()
-
-
 def test_pending_events_excludes_cancelled():
+    """Cancelled one-shots and chains never fire and leave the wheel."""
     engine = SimulationEngine()
-    events = [engine.schedule(float(t + 1), lambda _: None) for t in range(10)]
-    chain = engine.schedule_periodic(100.0, 1.0, lambda _: None)
-    assert engine.pending_events == 11
+    fired = []
+    events = [engine.schedule(float(t + 1), fired.append, param=t)
+              for t in range(10)]
+    chain = engine.schedule_periodic(5.5, 1.0, fired.append, param="clk")
     for event in events[:4]:
         event.cancel()
-    assert engine.pending_events == 7
     chain.cancel()
-    assert engine.pending_events == 6
-
-
-def test_cancelled_heap_events_are_compacted():
-    engine = SimulationEngine()
-    events = [engine.schedule(float(t + 1), lambda _: None)
-              for t in range(2 * _COMPACT_THRESHOLD)]
-    queue_before = len(engine._queue)
-    for event in events[: _COMPACT_THRESHOLD + 5]:
-        event.cancel()
-    # the compaction threshold was crossed: cancelled events were dropped
-    assert len(engine._queue) < queue_before - _COMPACT_THRESHOLD
-    assert engine.pending_events == _COMPACT_THRESHOLD - 5
     engine.run()
-    assert engine.events_processed == _COMPACT_THRESHOLD - 5
+    assert fired == [4, 5, 6, 7, 8, 9]
+    assert engine.events_processed == 6
+    assert engine._wheel == []
+
+
+def test_one_shot_ties_with_clock_edges_by_priority_then_seq():
+    """A re-armed edge draws its seq after its callback, as a re-pushed heap
+    event would: a one-shot scheduled before that wins the tie, one
+    scheduled after it loses."""
+    engine = SimulationEngine()
+    log = []
+    engine.schedule(1.0, lambda _: log.append("early-shot"), priority=1)
+    engine.schedule_periodic(0.0, 1.0, lambda _: log.append(("clk", engine.now)),
+                             priority=1)
+    engine.schedule(0.0, lambda _: engine.schedule(
+        1.0, lambda _: log.append("after-edge"), priority=1), priority=2)
+    engine.schedule(1.0, lambda _: log.append("urgent-shot"), priority=0)
+    engine.run(until=2.0)
+    assert log == [("clk", 0.0), "urgent-shot", "early-shot", ("clk", 1.0),
+                   "after-edge", ("clk", 2.0)]
+
+
+def test_next_chain_time_ignores_one_shots():
+    engine = SimulationEngine()
+    engine.schedule(0.25, lambda _: None, name="clock:x")
+    assert engine.next_chain_time("clock:x") is None
+    engine.schedule_periodic(0.5, 1.0, lambda _: None, name="clock:x")
+    assert engine.next_chain_time("clock:x") == 0.5
 
 
 def test_cancel_chain_from_wheel_and_heap():
@@ -136,15 +145,6 @@ def test_cancelling_periodic_handle_stops_chain():
     engine.schedule(3.5, stopper)
     engine.run(until=10.0)
     assert len(count) == 4  # t = 0, 1, 2, 3
-
-
-def test_drain_returns_wheel_and_heap_events_in_order():
-    engine = SimulationEngine()
-    engine.schedule_periodic(0.5, 1.0, lambda _: None, name="p")
-    engine.schedule(0.25, lambda _: None, name="s")
-    drained = list(engine.drain())
-    assert [e.name for e in drained] == ["s", "p"]
-    assert engine.pending_events == 0
 
 
 def test_wide_phase_spread_keeps_event_order():
@@ -206,7 +206,10 @@ def test_cancel_after_one_shot_fired_keeps_pending_count_accurate():
     engine.schedule(5.0, lambda _: None)
     engine.run(until=2.0)
     fired.cancel()                 # already fired: must not skew bookkeeping
-    assert engine.pending_events == 1
+    assert engine.events_processed == 1
+    engine.run()
+    assert engine.events_processed == 2
+    assert engine.now == 5.0
 
 
 def test_periodic_scheduled_mid_run_joins_wheel():

@@ -7,7 +7,8 @@ queued only to fail later, and one it rejects that would have run is a
 spurious 400.  The scenarios are drawn from the registries (scenarios,
 topologies, workloads, policies, controllers) with mutated fields: config
 overrides at and beyond their limits, unknown names, kernel sizes, bad
-slowdowns, phases and controller arguments.
+slowdowns, phases and controller arguments, and scalar fields of the wrong
+type (which the scenario must refuse to construct).
 """
 
 from dataclasses import fields, replace
@@ -66,7 +67,8 @@ config_overrides = st.one_of(
                                "fetch_width.x")),
               st.integers(min_value=-1, max_value=4)),
 )
-slowdown_values = st.sampled_from((-1.0, 0.0, 0.5, 1.0, 1.5, 3.0, BOGUS))
+slowdown_values = st.sampled_from((-1.0, 0.0, 0.5, 1.0, 1.5, 3.0, BOGUS,
+                                   float("nan"), float("inf")))
 controller_values = st.sampled_from((-1.0, 0.0, 0.25, 0.5, 2.0, 4.0))
 controller_args = st.dictionaries(
     st.sampled_from(("low", "high", "step", "max_slowdown", "fetch_low",
@@ -74,6 +76,20 @@ controller_args = st.dictionaries(
                      "ki", "kd", BOGUS)),
     controller_values, max_size=2)
 pid_blocks = st.sampled_from((("fp",), ("memory", "fp"), (BOGUS,), ()))
+#: scalar fields with values of the right type, of the wrong type, of a
+#: type that only looks right (1.0 for the integer 1, 1 for the bool True),
+#: and non-finite numbers
+scalar_fields = st.sampled_from((
+    ("seed", (2, 1.0, "abc", True)),
+    ("phase_seed", (3, 0.0, "0", False)),
+    ("num_instructions", (INSTRUCTIONS + 0.5, "200", True)),
+    ("kernel_size", (64.0, "64", None)),
+    ("scale_voltages", (False, "no", 1, None)),
+    ("base_period", (1, 0.8, "1.0", True, None, float("nan"),
+                     float("inf"))),
+    ("controller_epoch", (25, "50", False, None, float("nan"))),
+)).flatmap(lambda item: st.tuples(st.just(item[0]),
+                                  st.sampled_from(item[1])))
 interval_schedules = st.lists(
     st.tuples(st.sampled_from((0.0, 20.0, -5.0)), st.sampled_from(DOMAINS),
               slowdown_values).map(list),
@@ -119,6 +135,9 @@ def scenarios(draw):
             if controller == "interval":
                 args = {"schedule": draw(interval_schedules)}
         changes["controller_args"] = args
+    if draw(st.integers(min_value=0, max_value=3)) == 0:
+        field_name, value = draw(scalar_fields)
+        changes[field_name] = value
     try:
         return replace(scenario, **changes)
     except (TypeError, ValueError):
