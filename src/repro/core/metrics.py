@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
+from .._compat import ordered_sum
 from ..isa.instructions import InstructionClass
 from ..power.accounting import EnergyBreakdown
 
@@ -248,4 +249,4 @@ def arithmetic_mean(values) -> float:
     values = list(values)
     if not values:
         raise ValueError("arithmetic_mean of an empty sequence")
-    return sum(values) / len(values)
+    return ordered_sum(values) / len(values)

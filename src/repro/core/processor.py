@@ -21,7 +21,6 @@ and every other registered partitioning builds the same way:
 from __future__ import annotations
 
 import dataclasses
-import gc
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from ..async_comm.fifo import MixedClockFifo
@@ -696,7 +695,13 @@ class Processor:
 
     # ------------------------------------------------------------------- run
     def run(self, max_time_ns: Optional[float] = None) -> SimulationResult:
-        """Simulate until the whole trace has committed; return the result."""
+        """Simulate until the whole trace has committed; return the result.
+
+        The collector is left as the caller set it.  Runs normally come
+        through :func:`~repro.core.scenario.execute_run`, which keeps
+        automatic collection off from construction to the result and then
+        frees the finished machine; a direct caller may do the same.
+        """
         if self._has_run:
             raise RuntimeError("a Processor instance can only run once; "
                                "build a new one for another experiment")
@@ -711,17 +716,7 @@ class Processor:
         # -- checked once per commit instead of once per event.
         self.stats.commit_target = total_instructions
         self.stats.on_target = self.engine.stop
-        # The simulation allocates short-lived objects at a rate that makes
-        # generational GC sweeps a measurable fraction of the run; disable
-        # collection for the (bounded) run and restore afterwards.
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
-        try:
-            self.engine.run(until=max_time_ns)
-        finally:
-            if gc_was_enabled:
-                gc.enable()
+        self.engine.run(until=max_time_ns)
         elapsed = (self.stats.last_commit_time if self.stats.committed
                    else self.engine.now)
         return self._collect_result(elapsed)

@@ -16,6 +16,7 @@ experiment driver in :mod:`repro.core.experiments` and the CLI run scenarios.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import os
@@ -67,11 +68,31 @@ def execute_run(trace: ListTraceSource,
     results mutually bit-identical.  ``controller``/``controller_epoch``
     attach an online DVFS control loop (:mod:`repro.core.controllers`); the
     controller instance must be fresh (controllers are stateful).
+
+    It is also the one place that sets the collector's policy for a run.
+    A machine allocates objects fast enough that automatic collections
+    would be a measurable share of the run, and it is one large reference
+    cycle (clock domains, edge ticks, stage closures), which a collection
+    during build or run would only promote to an older generation, where
+    it outlives the run until a full collection.  So automatic collection
+    is off from construction to the result, and one young-generation
+    collection then frees the whole finished machine before it is turned
+    back on.  A caller that has already turned collection off keeps it off
+    and pays for no collection.
     """
-    machine = Processor(trace, config=config, plan=plan, workload=workload,
-                        topology=topology, controller=controller,
-                        controller_epoch=controller_epoch)
-    return machine.run()
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        result = Processor(trace, config=config, plan=plan,
+                           workload=workload, topology=topology,
+                           controller=controller,
+                           controller_epoch=controller_epoch).run()
+        if collecting:
+            gc.collect(0)
+    finally:
+        if collecting:
+            gc.enable()
+    return result
 
 
 # ------------------------------------------------------------------- scenario
@@ -200,6 +221,12 @@ class Scenario:
                     f"scenario {self.name!r}: slowdown for domain {domain!r} "
                     f"must be a positive number, got {slowdown!r}")
             slowdowns[domain] = slowdown
+        for domain, phase in self.phases.items():
+            if (not isinstance(phase, (int, float))
+                    or not math.isfinite(phase)):
+                raise ValueError(
+                    f"scenario {self.name!r}: phase for domain {domain!r} "
+                    f"must be a finite number, got {phase!r}")
         unknown = (set(slowdowns) | set(self.phases)) - set(topology.domain_names)
         if unknown:
             raise ValueError(

@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Callable, Dict, List, Optional
 
+from .._compat import ordered_sum
 from ..sim.clock import ClockDomain
 from .activity import ActivityCounters
 from .blocks import BREAKDOWN_CATEGORIES, BlockEnergyModel
@@ -258,7 +259,7 @@ class PowerAccountant:
     def total_energy(self) -> float:
         """Total accumulated energy over every block, in nJ (flushes first)."""
         self.flush()
-        return sum(self._energy_by_block.values())
+        return ordered_sum(self._energy_by_block.values())
 
     def breakdown(self, elapsed_ns: Optional[float] = None) -> EnergyBreakdown:
         """Snapshot the accumulated energy as an :class:`EnergyBreakdown`."""
@@ -283,6 +284,6 @@ class PowerAccountant:
             by_block=dict(sorted(self._energy_by_block.items())),
             by_category=dict(sorted(categories.items())),
             by_domain=dict(sorted(domains.items())),
-            total_energy_nj=sum(self._energy_by_block.values()),
+            total_energy_nj=ordered_sum(self._energy_by_block.values()),
             elapsed_ns=elapsed_ns,
         )

@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
+from .._compat import ordered_sum
 from ..isa.trace import ListTraceSource, TraceInstruction
 from .kernels import KERNELS
 from .profiles import PHASE_OSCILLATING, PHASE_STATIC, PhasedMix, get_profile
@@ -89,7 +90,7 @@ class PhasedWorkload:
         placements: List[PhasePlacement] = []
         if mix.kind == PHASE_STATIC:
             weights = mix.weights or (1.0,) * len(mix.segments)
-            total_weight = sum(weights)
+            total_weight = ordered_sum(weights)
             start = 0
             running = 0.0
             for i, (segment, weight) in enumerate(zip(mix.segments, weights)):

@@ -4,8 +4,13 @@ Cycle-accurate runs are the expensive part of this test suite, so the standard
 "perl" base/GALS pair (and one DVFS run) are computed once per session and
 shared by every test that only needs to *inspect* results.
 
-A property test that fails prints its ``@reproduce_failure`` blob, so a
-failure seen once can be replayed from the log.
+Property tests draw their examples from a seed derived from each test
+(``derandomize``), so every tier-1 run, in any file order, checks the same
+examples, and a red run means the code changed.  The nightly ``fuzz`` CI
+job explores instead: it loads the ``fuzz`` profile, which draws fresh
+examples from ``--hypothesis-seed``.  A property test that fails prints its
+``@reproduce_failure`` blob, so a failure seen once can be replayed from the
+log.
 """
 
 import pytest
@@ -15,7 +20,8 @@ from repro.core.config import ProcessorConfig
 from repro.core.experiments import run_pair, selective_slowdown
 from repro.core.dvfs import GCC_GALS_1
 
-settings.register_profile("repro", print_blob=True)
+settings.register_profile("repro", derandomize=True, print_blob=True)
+settings.register_profile("fuzz", print_blob=True)
 settings.load_profile("repro")
 
 #: Small but representative trace length for integration tests.

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro._compat import ordered_sum
 from repro.core.processor import Processor
 from repro.core.scenario import run_scenario
 from repro.power.accounting import PowerAccountant
@@ -322,7 +323,7 @@ def test_accountant_equals_an_eager_per_edge_loop(schedule, energies):
                                  dict(expected)))
             elif read == "total":
                 observed.append((accountant.total_energy(),
-                                 sum(expected.values())))
+                                 ordered_sum(expected.values())))
             if vdd is not None:
                 domain.voltage = vdd
             for name, count in accesses.items():
@@ -340,4 +341,4 @@ def test_accountant_equals_an_eager_per_edge_loop(schedule, energies):
     for got, want in observed:
         assert got == want
     assert accountant.energy_by_block == expected
-    assert accountant.total_energy() == sum(expected.values())
+    assert accountant.total_energy() == ordered_sum(expected.values())

@@ -189,6 +189,9 @@ def test_bad_field_and_missing_params_400(service):
     ({"phases": '{"core": 0.0}'}, 400),
     ({"slowdowns": '{"fetch": 0}'}, 400),
     ({"slowdowns": '{"integer": NaN}'}, 400),
+    # a phase that is not a finite real would fail only in the run
+    ({"phases": '{"integer": NaN}'}, 400),
+    ({"phases": '{"integer": "abc"}'}, 400),
 ], ids=["topology", "workload", "policy", "controller", "slowdown-domain",
         "slowdown-value", "config-field", "config-nested-object",
         "config-nested-field", "config-predictor-kind",
@@ -200,7 +203,7 @@ def test_bad_field_and_missing_params_400(service):
         "controller-unknown-arg", "controller-args-without-controller",
         "controller-epoch-zero", "instructions-zero", "base-period-negative",
         "base-period-nan", "controller-epoch-infinite", "phase-domain",
-        "slowdown-zero", "slowdown-nan"])
+        "slowdown-zero", "slowdown-nan", "phase-nan", "phase-string"])
 def test_malformed_scenario_is_refused_not_queued(service, overrides, code):
     query = urlencode({"name": "gals5", "num_instructions": SMALL,
                        **overrides})

@@ -13,7 +13,7 @@ type (which the scenario must refuse to construct).
 
 from dataclasses import fields, replace
 
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import DEFAULT_CONFIG
@@ -69,6 +69,9 @@ config_overrides = st.one_of(
 )
 slowdown_values = st.sampled_from((-1.0, 0.0, 0.5, 1.0, 1.5, 3.0, BOGUS,
                                    float("nan"), float("inf")))
+#: phases in and beyond a period, and values that are not finite reals
+phase_values = st.sampled_from((0.0, 0.4, 3, -2.5, 1e9, float("nan"),
+                                float("inf"), "abc", None))
 controller_values = st.sampled_from((-1.0, 0.0, 0.25, 0.5, 2.0, 4.0))
 controller_args = st.dictionaries(
     st.sampled_from(("low", "high", "step", "max_slowdown", "fetch_low",
@@ -118,8 +121,7 @@ def scenarios(draw):
             st.sampled_from(DOMAINS), slowdown_values, max_size=2))
     if draw(st.booleans()):
         changes["phases"] = draw(st.dictionaries(
-            st.sampled_from(DOMAINS), st.sampled_from((0.0, 0.4)),
-            max_size=1))
+            st.sampled_from(DOMAINS), phase_values, max_size=2))
     if draw(st.booleans()):
         changes["config"] = dict(draw(st.lists(config_overrides, min_size=1,
                                                max_size=3)))
@@ -156,6 +158,11 @@ def _error(call):
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(scenarios())
+# phases that once validated and then failed the run
+@example(replace(get_scenario("gals5"), num_instructions=INSTRUCTIONS,
+                 phases={"integer": float("nan")}))
+@example(replace(get_scenario("gals5"), num_instructions=INSTRUCTIONS,
+                 phases={"integer": "abc"}))
 def test_validate_raises_exactly_when_run_raises(scenario: Scenario):
     assume(scenario is not None)
     rejected = _error(scenario.validate)
