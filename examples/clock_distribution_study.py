@@ -55,8 +55,8 @@ def main() -> None:
     received = 0
     while received < 4:
         time += 0.1
-        if fifo.can_pop(time):
-            word = fifo.pop(time)
+        word = fifo.pop_ready(time)
+        if word is not None:
             print(f"  {word:<12} popped at t={time:4.1f} ns "
                   f"(waited {fifo.last_pop_wait:.1f} ns)")
             received += 1

@@ -27,8 +27,6 @@ from typing import Any, Callable, Deque, List, Optional, Tuple
 
 from ..sim.channel import Channel
 from ..sim.clock import Clock
-from ..sim.hotcore import sync_visible_at
-from .synchronizer import Synchronizer
 
 
 class MixedClockFifo(Channel):
@@ -46,16 +44,16 @@ class MixedClockFifo(Channel):
         producer_sync: int = 1,
     ) -> None:
         super().__init__(name, capacity)
+        if consumer_sync < 0 or producer_sync < 0:
+            raise ValueError("synchronizer depth must be non-negative")
         self.producer_clock = producer_clock
         self.consumer_clock = consumer_clock
         self.consumer_sync = consumer_sync
         self.producer_sync = producer_sync
-        self._data_sync = Synchronizer(consumer_clock, depth=consumer_sync)
-        self._space_sync = Synchronizer(producer_clock, depth=producer_sync)
-        # Inlined synchronizer parameters: push/pop are the hottest FIFO
-        # operations, so the per-entry visibility times are computed inline
-        # from these precomputed constants instead of through the
-        # Synchronizer objects (same arithmetic, same floats).
+        # Synchronizer parameters: push/pop are the hottest FIFO operations,
+        # so the per-entry visibility times are computed inline from these
+        # constants.  The arithmetic is Synchronizer.observable_at's, float
+        # for float (tests/test_async_fifo.py pins the two against each other).
         self._data_phase = consumer_clock.phase
         self._data_period = consumer_clock.period
         self._data_latency = consumer_sync * consumer_clock.period
@@ -116,27 +114,6 @@ class MixedClockFifo(Channel):
         self._last_pop_time = -1.0
 
     # -------------------------------------------------------------- producer
-    @property
-    def occupancy(self) -> int:
-        """Number of items physically present in the FIFO."""
-        return len(self._entries)
-
-    def apparent_occupancy(self, time: float) -> int:
-        """Occupancy as seen by the producer (full flag synchronization).
-
-        Slots freed by the consumer less than ``producer_sync`` producer cycles
-        ago are not yet visible, so the FIFO may appear fuller than it is.
-        Read-only: safe to call with any probe time.
-        """
-        pending = self._pending_space
-        hidden_free = len(pending)
-        for visible_at in pending:      # sorted ascending
-            if visible_at <= time:
-                hidden_free -= 1
-            else:
-                break
-        return len(self._entries) + hidden_free
-
     def can_push(self, time: float) -> bool:
         # Destructively expires visible space: callers are the producer
         # pipeline, which only ever probes at the current (non-decreasing)
@@ -213,20 +190,6 @@ class MixedClockFifo(Channel):
             box[0] += 1
 
     # -------------------------------------------------------------- consumer
-    def can_pop(self, time: float) -> bool:
-        """Consumer-side empty test: is the head entry synchronized and visible?"""
-        pending = self._pending_space
-        while pending and pending[0] <= time:
-            pending.popleft()
-        entries = self._entries
-        return bool(entries) and entries[0][2] <= time
-
-    def peek(self, time: float) -> Any:
-        """Head item without popping (raises while nothing is visible)."""
-        if not self.can_pop(time):
-            raise LookupError(f"peek on (apparently) empty FIFO {self.name!r}")
-        return self._entries[0][0]
-
     def _space_visible_at(self, time: float) -> float:
         """Producer-side visibility time of a slot freed at ``time``."""
         if time == self._last_pop_time:
@@ -243,26 +206,8 @@ class MixedClockFifo(Channel):
         self._last_pop_visible = visible
         return visible
 
-    def synchronizer_visible_at(self, time: float, side: str = "data") -> float:
-        """Reference visibility time of a flag raised at ``time``.
-
-        ``side="data"`` maps through the consumer (empty-flag) synchronizer,
-        ``side="space"`` through the producer (full-flag) one.  Read-only --
-        no same-cycle cache is touched -- and computed by the shared
-        :func:`repro.sim.hotcore.sync_visible_at` helper, which the inlined
-        fast-path arithmetic in ``push``/``_space_visible_at`` must match bit
-        for bit; ``tests/test_async_fifo.py`` pins the two against each other.
-        """
-        if side == "data":
-            return sync_visible_at(time, self._data_phase, self._data_period,
-                                   self._data_latency)
-        if side == "space":
-            return sync_visible_at(time, self._space_phase,
-                                   self._space_period, self._space_latency)
-        raise ValueError(f"unknown synchronizer side {side!r}")
-
     def pop_ready(self, time: float) -> Any:
-        """Fused can_pop + pop: the head item, or None when nothing is visible."""
+        """Remove and return the head item, or None while nothing is visible."""
         pending = self._pending_space
         while pending and pending[0] <= time:
             pending.popleft()
@@ -319,24 +264,6 @@ class MixedClockFifo(Channel):
                 box[0] += count
         return popped
 
-    def pop(self, time: float) -> Any:
-        """Remove the head item; the freed slot reaches the producer after full-flag synchronization."""
-        entries = self._entries
-        if not entries or entries[0][2] > time:
-            raise LookupError(f"pop on (apparently) empty FIFO {self.name!r}")
-        item, pushed_at, _visible = entries.popleft()
-        wait = time - pushed_at
-        if wait < 0.0:
-            wait = 0.0
-        self.last_pop_wait = wait
-        self.total_wait += wait
-        self.pop_count += 1
-        self._pending_space.append(self._space_visible_at(time))
-        box = self._transfer_box
-        if box is not None:
-            box[0] += 1
-        return item
-
     # ----------------------------------------------------------------- misc
     def flush(self, predicate: Optional[Callable[[Any], bool]] = None) -> int:
         """Drop entries matching ``predicate`` (all of them when None).
@@ -354,16 +281,7 @@ class MixedClockFifo(Channel):
         self.flush_count += dropped
         return dropped
 
-    def items(self) -> List[Any]:
-        """The queued items, oldest first (inspection and flush predicates)."""
-        return [item for item, _, _ in self._entries]
-
-    @property
-    def steady_state_latency(self) -> float:
-        """Forward latency (ns) of one item through an otherwise-busy FIFO."""
-        return self._data_sync.latency()
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"MixedClockFifo(name={self.name!r}, occ={self.occupancy}/"
+        return (f"MixedClockFifo(name={self.name!r}, occ={len(self._entries)}/"
                 f"{self.capacity}, producer={self.producer_clock.name!r}, "
                 f"consumer={self.consumer_clock.name!r})")

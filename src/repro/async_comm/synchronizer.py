@@ -34,10 +34,6 @@ class Synchronizer:
         if self.depth < 0:
             raise ValueError("synchronizer depth must be non-negative")
 
-    def latency(self) -> float:
-        """Worst-case latency added by the synchronizer, in nanoseconds."""
-        return self.depth * self.receiving_clock.period
-
     def observable_at(self, produced_at: float) -> float:
         """Earliest time the receiving domain can act on a signal.
 

@@ -14,16 +14,11 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from .._compat import ordered_sum
-from ..isa.instructions import InstructionClass
 from ..power.accounting import EnergyBreakdown
-
-#: Enum-member -> value cache: ``Enum.value`` goes through a descriptor on
-#: every read, and record_commit runs once per committed instruction.
-_CLASS_VALUES = {opclass: opclass.value for opclass in InstructionClass}
 
 
 class SimulationStats:
-    """Mutable counters updated while the pipeline runs."""
+    """Mutable counters the commit stage updates while the pipeline runs."""
 
     def __init__(self) -> None:
         self.committed = 0
@@ -42,25 +37,6 @@ class SimulationStats:
         #: without paying a stop-condition callback after every event
         self.commit_target: Optional[int] = None
         self.on_target = None
-
-    # ------------------------------------------------------------ recording
-    def record_commit(self, instr, now: float) -> None:
-        """Called by the commit unit for every retired instruction."""
-        committed = self.committed + 1
-        self.committed = committed
-        key = _CLASS_VALUES[instr.opclass]
-        self.committed_by_class[key] = self.committed_by_class.get(key, 0) + 1
-        # inline instr.slip (property): slip is 0 unless both ends are stamped
-        commit_time = instr.commit_time
-        fetch_time = instr.fetch_time
-        if commit_time >= 0 and fetch_time >= 0:
-            self.slip_sum += commit_time - fetch_time
-        self.fifo_time_sum += instr.fifo_time
-        if instr.is_branch:
-            self.branches_committed += 1
-        self.last_commit_time = now
-        if committed == self.commit_target and self.on_target is not None:
-            self.on_target()
 
     # -------------------------------------------------------------- averages
     @property

@@ -156,6 +156,15 @@ class Scenario:
             if type(value) not in kinds:
                 raise ValueError(f"scenario {self.name!r}: {attribute} must "
                                  f"be {what}, got {value!r}")
+        # One run, one key: a period of 1 and of 1.0 is the same run, so the
+        # two numeric fields are stored as float (an int too large for a
+        # float is infinite, and refused below).
+        for attribute in ("base_period", "controller_epoch"):
+            try:
+                value = float(getattr(self, attribute))
+            except OverflowError:
+                value = math.inf
+            object.__setattr__(self, attribute, value)
         if self.num_instructions <= 0:
             raise ValueError(f"scenario {self.name!r}: num_instructions "
                              "must be positive")

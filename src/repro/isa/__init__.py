@@ -13,7 +13,7 @@ from .instructions import (DEFAULT_LATENCIES, Instruction, InstructionClass,
 from .program import INSTRUCTION_SIZE, TEXT_BASE, Program
 from .registers import (NUM_ARCH_REGS, ZERO_REG, fp_reg, int_reg, is_fp_reg,
                         is_int_reg, parse_reg, reg_name)
-from .trace import InstructionSource, ListTraceSource, TraceInstruction
+from .trace import ListTraceSource, TraceInstruction
 
 __all__ = [
     "AssemblerError",
@@ -23,7 +23,6 @@ __all__ = [
     "INSTRUCTION_SIZE",
     "Instruction",
     "InstructionClass",
-    "InstructionSource",
     "ListTraceSource",
     "NUM_ARCH_REGS",
     "Opcode",

@@ -59,43 +59,18 @@ class TraceInstruction:
         return self.pc + 4
 
 
-class InstructionSource:
-    """Iterator-style wrapper a fetch unit pulls correct-path instructions from.
-
-    Implementations must be restartable from a pc only in the trivial sense a
-    trace allows: the fetch unit never needs random access because wrong-path
-    fetch uses synthetically generated instructions and recovery resumes the
-    trace exactly where it left off.
-    """
-
-    def __init__(self, name: str = "trace") -> None:
-        self.name = name
-
-    def __iter__(self) -> Iterator[TraceInstruction]:  # pragma: no cover
-        raise NotImplementedError
-
-    def peek(self) -> Optional[TraceInstruction]:  # pragma: no cover
-        """The next instruction without consuming it (None when exhausted)."""
-        raise NotImplementedError
-
-    def next(self) -> Optional[TraceInstruction]:  # pragma: no cover
-        """Consume and return the next instruction (None when exhausted)."""
-        raise NotImplementedError
-
-    def exhausted(self) -> bool:  # pragma: no cover
-        """True once every instruction has been consumed."""
-        raise NotImplementedError
-
-
-class ListTraceSource(InstructionSource):
-    """An :class:`InstructionSource` backed by an in-memory sequence.
+class ListTraceSource:
+    """The correct-path trace a fetch unit reads, held in memory.
 
     The records are held as a tuple: a tuple passed in is kept as it is (so
-    memoized copies of one trace share it), anything else is copied.
+    memoized copies of one trace share it), anything else is copied.  The
+    fetch unit reads ``_instructions`` at the cursor ``_position`` directly;
+    wrong-path fetch uses synthesised instructions and recovery resumes the
+    trace exactly where it left off, so the cursor only moves forward.
     """
 
     def __init__(self, instructions, name: str = "trace") -> None:
-        super().__init__(name)
+        self.name = name
         self._instructions = tuple(instructions)
         self._position = 0
         #: cache-warming replay plans derived from the instructions, keyed by
@@ -108,31 +83,3 @@ class ListTraceSource(InstructionSource):
 
     def __iter__(self) -> Iterator[TraceInstruction]:
         return iter(self._instructions)
-
-    def peek(self) -> Optional[TraceInstruction]:
-        """The next instruction without consuming it (None when exhausted)."""
-        if self._position >= len(self._instructions):
-            return None
-        return self._instructions[self._position]
-
-    def next(self) -> Optional[TraceInstruction]:
-        """Consume and return the next instruction (None when exhausted)."""
-        position = self._position
-        instructions = self._instructions
-        if position >= len(instructions):
-            return None
-        self._position = position + 1
-        return instructions[position]
-
-    def exhausted(self) -> bool:
-        """True once every instruction has been consumed."""
-        return self._position >= len(self._instructions)
-
-    def reset(self) -> None:
-        """Rewind to the beginning (used when re-running the same workload)."""
-        self._position = 0
-
-    @property
-    def remaining(self) -> int:
-        """Number of instructions not yet consumed."""
-        return len(self._instructions) - self._position

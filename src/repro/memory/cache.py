@@ -78,13 +78,6 @@ class _CacheSet:
         self.dirty: List[bool] = [False] * associativity
         self.policy = policy
 
-    def lookup(self, tag: int) -> Optional[int]:
-        valid = self.valid
-        for way, stored in enumerate(self.tags):
-            if stored == tag and valid[way]:
-                return way
-        return None
-
 
 class Cache:
     """A single level of set-associative cache."""
@@ -114,11 +107,6 @@ class Cache:
         self._assoc = self.geometry.associativity
 
     # ------------------------------------------------------------ addressing
-    def _index_and_tag(self, address: int) -> tuple:
-        line = address // self._line_size
-        num_sets = self._num_sets
-        return line % num_sets, line // num_sets
-
     def _set_for(self, index: int) -> _CacheSet:
         cache_set = self._sets.get(index)
         if cache_set is None:
@@ -163,9 +151,7 @@ class Cache:
         if self.next_level is not None:
             miss_latency += self.next_level.access(address, is_write=False)
         if is_write and not self.write_allocate:
-            if self.next_level is not None:
-                # write-through of the miss, no fill
-                return miss_latency
+            # write-no-allocate: the line is not filled
             return miss_latency
         victim = cache_set.policy.victim(cache_set.valid)
         if cache_set.valid[victim]:
@@ -182,21 +168,9 @@ class Cache:
         cache_set.policy.on_fill(victim)
         return miss_latency
 
-    def probe(self, address: int) -> bool:
-        """Non-destructive lookup: True when the line is present."""
-        index, tag = self._index_and_tag(address)
-        cache_set = self._sets.get(index)
-        if cache_set is None:
-            return False
-        return cache_set.lookup(tag) is not None
-
     def _reconstruct_address(self, index: int, tag: int) -> int:
         line = tag * self.geometry.num_sets + index
         return line * self.geometry.line_size
-
-    def flush(self) -> None:
-        """Invalidate every line (used between benchmark runs)."""
-        self._sets.clear()
 
     def reset_stats(self) -> None:
         """Zero the hit/miss statistics (cache contents are kept)."""

@@ -109,10 +109,3 @@ class MemoryHierarchy:
         self.dcache.reset_stats()
         self.l2.reset_stats()
         self.memory.reset_stats()
-
-    def flush(self) -> None:
-        """Empty every cache level (statistics are kept)."""
-        self._last_fetch_line = -1
-        self.icache.flush()
-        self.dcache.flush()
-        self.l2.flush()

@@ -3,8 +3,7 @@
 Microarchitecture components record every access to a power-modelled block
 ("icache", "rename", "alu_int", ...) through a single shared
 :class:`ActivityCounters` object.  The power accountant drains the per-cycle
-counts at each clock-domain edge and turns them into energy; cumulative
-counts remain available for reports and tests.
+counts at each clock-domain edge and turns them into energy.
 
 Storage is one mutable *cell* (a small list) per block: ``cell[0]`` is the
 pending count for the current cycle of the block's clock domain, ``cell[1]``
@@ -28,9 +27,8 @@ CELL_TOTAL = 1
 class ActivityCounters:
     """Shared access counters, split into per-cycle (pending) and cumulative.
 
-    ``record`` is called several times per pipeline stage per cycle, so it
-    performs a single cell update: pending counts are folded into the
-    cumulative totals when they are drained (or read), not on every record.
+    Producers add to a cell's pending slot; the power accountant folds it
+    into the cumulative slot when it drains the cell at the block's edge.
     """
 
     def __init__(self) -> None:
@@ -47,47 +45,3 @@ class ActivityCounters:
         if found is None:
             found = self._cells[block] = [0, 0]
         return found
-
-    def record(self, block: str, count: int = 1) -> None:
-        """Record ``count`` accesses to ``block`` in the current cycle."""
-        if count <= 0:
-            if count == 0:
-                return
-            raise ValueError("access count must be non-negative")
-        cell = self._cells.get(block)
-        if cell is None:
-            cell = self._cells[block] = [0, 0]
-        cell[0] += count
-
-    def drain(self, block: str) -> int:
-        """Return and clear the pending (current-cycle) count for ``block``."""
-        cell = self._cells.get(block)
-        if cell is None:
-            return 0
-        count = cell[0]
-        if count:
-            cell[0] = 0
-            cell[1] += count
-        return count
-
-    def pending(self, block: str) -> int:
-        """Pending count without clearing (mainly for tests)."""
-        cell = self._cells.get(block)
-        return cell[0] if cell is not None else 0
-
-    def total(self, block: str) -> int:
-        """Cumulative access count for ``block`` (drained + still pending)."""
-        cell = self._cells.get(block)
-        return cell[0] + cell[1] if cell is not None else 0
-
-    def totals(self) -> Dict[str, int]:
-        """Copy of all cumulative counts (drained + still pending)."""
-        return {block: cell[0] + cell[1]
-                for block, cell in self._cells.items()
-                if cell[0] or cell[1]}
-
-    def reset(self) -> None:
-        """Zero both the pending per-cycle and the total access counters."""
-        for cell in self._cells.values():
-            cell[0] = 0
-            cell[1] = 0

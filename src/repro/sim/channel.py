@@ -10,21 +10,25 @@ Two kinds of channel exist in the processor models:
 
 * ``MixedClockFifo`` (in :mod:`repro.async_comm.fifo`) -- the Chelcea/Nowick
   style asynchronous FIFO used between clock domains of the GALS processor
-  (Figure 3b).  It shares this interface but adds synchronization latency on
-  both the data/empty path and the full path.
+  (Figure 3b).  It adds synchronization latency on both the data/empty path
+  and the full path.
 
-Both implement the :class:`Channel` interface so the processor assembly code
-is identical for the two machines; only the channel factory differs.
+Both offer the operations the pipeline stages call: ``free_slots`` plus
+``push_granted`` (a producer's whole group), ``can_push`` plus ``push``,
+``pop_ready`` and ``pop_bulk`` (consumers) and ``flush`` (recovery).  The
+processor assembly code is therefore identical for the two machines; only
+the channel factory differs.  :class:`Channel` holds the bookkeeping both
+share: capacity, statistics and the power transfer counter.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Deque, List, Optional, Tuple
 
 
 class Channel:
-    """Common interface and bookkeeping for inter-stage channels."""
+    """Capacity and statistics shared by the inter-stage channels."""
 
     #: Whether residency in this channel counts as "FIFO time" in the slip
     #: breakdown of Figure 7 (True only for mixed-clock FIFOs).
@@ -49,21 +53,6 @@ class Channel:
         self.occupancy_accum = 0
         self.full_stall_count = 0
 
-    # ----------------------------------------------------------------- stats
-    @property
-    def mean_wait(self) -> float:
-        """Average residency time of popped items."""
-        if self.pop_count == 0:
-            return 0.0
-        return self.total_wait / self.pop_count
-
-    @property
-    def mean_occupancy(self) -> float:
-        """Average occupancy over the cycles where it was sampled."""
-        if self.occupancy_samples == 0:
-            return 0.0
-        return self.occupancy_accum / self.occupancy_samples
-
     def record_full_stall(self) -> None:
         """Note that a producer wanted to push but the channel appeared full."""
         self.full_stall_count += 1
@@ -71,50 +60,6 @@ class Channel:
     def attach_transfer_counter(self, box: list) -> None:
         """Share a one-element list that push/pop increment (power probes)."""
         self._transfer_box = box
-
-    # ------------------------------------------------------------- interface
-    @property
-    def occupancy(self) -> int:  # pragma: no cover - overridden
-        """Number of items currently in the channel."""
-        raise NotImplementedError
-
-    def can_push(self, time: float) -> bool:  # pragma: no cover - overridden
-        """Whether the producer may push at ``time``."""
-        raise NotImplementedError
-
-    def free_slots(self, time: float) -> int:
-        """Number of pushes the producer may perform at ``time``.
-
-        Producer-side visibility only changes at the producer's own pushes
-        within one simulation instant, so a producer draining a whole fetch
-        or dispatch group can take one grant count instead of re-probing
-        ``can_push`` per item.
-        """
-        raise NotImplementedError  # pragma: no cover - overridden
-
-    def push(self, item: Any, time: float) -> None:  # pragma: no cover
-        """Insert one item at ``time`` (raises when apparently full)."""
-        raise NotImplementedError
-
-    def can_pop(self, time: float) -> bool:  # pragma: no cover - overridden
-        """Whether the consumer can pop at ``time``."""
-        raise NotImplementedError
-
-    def peek(self, time: float) -> Any:  # pragma: no cover - overridden
-        """The next consumable item without removing it."""
-        raise NotImplementedError
-
-    def pop(self, time: float) -> Any:  # pragma: no cover - overridden
-        """Remove and return the next consumable item."""
-        raise NotImplementedError
-
-    def flush(self, predicate: Optional[Callable[[Any], bool]] = None) -> int:
-        """Drop entries matching ``predicate`` (all entries when None)."""
-        raise NotImplementedError  # pragma: no cover
-
-    def items(self) -> Iterable[Any]:  # pragma: no cover - overridden
-        """The queued items, oldest first."""
-        raise NotImplementedError
 
 
 class SyncQueue(Channel):
@@ -131,11 +76,6 @@ class SyncQueue(Channel):
     def __init__(self, name: str, capacity: int) -> None:
         super().__init__(name, capacity)
         self._entries: Deque[Tuple[Any, float]] = deque()
-
-    @property
-    def occupancy(self) -> int:
-        """Number of buffered items."""
-        return len(self._entries)
 
     def can_push(self, time: float) -> bool:
         """True while the queue has free capacity."""
@@ -158,31 +98,8 @@ class SyncQueue(Channel):
         self._entries.append((item, time))
         self.push_count += 1
 
-    def can_pop(self, time: float) -> bool:
-        """True while any item is buffered (same-domain: no sync delay)."""
-        return bool(self._entries)
-
-    def peek(self, time: float) -> Any:
-        """The oldest item without removing it."""
-        if not self._entries:
-            raise LookupError(f"peek on empty channel {self.name!r}")
-        return self._entries[0][0]
-
-    def pop(self, time: float) -> Any:
-        """Remove and return the oldest item."""
-        if not self._entries:
-            raise LookupError(f"pop on empty channel {self.name!r}")
-        item, pushed_at = self._entries.popleft()
-        wait = time - pushed_at
-        if wait < 0.0:
-            wait = 0.0
-        self.last_pop_wait = wait
-        self.total_wait += wait
-        self.pop_count += 1
-        return item
-
     def pop_ready(self, time: float) -> Any:
-        """The oldest item, or None when empty (fused can_pop + pop)."""
+        """Remove and return the oldest item, or None when empty."""
         entries = self._entries
         if not entries:
             return None
@@ -229,7 +146,3 @@ class SyncQueue(Channel):
             self._entries = deque(kept)
         self.flush_count += dropped
         return dropped
-
-    def items(self) -> List[Any]:
-        """The buffered items, oldest first."""
-        return [item for item, _ in self._entries]

@@ -1,18 +1,18 @@
-"""The engine hot core: wheel run loop, edge tick, FIFO sync, wakeups.
+"""The engine hot core: wheel run loop, edge tick, wakeups.
 
 This module holds the per-event code of the simulator: the clock-wheel run
 loop (the body of :meth:`SimulationEngine.run`), the one clock-edge tick
 :meth:`ClockDomain.bind` schedules (for every domain but an execution
-cluster's, which fuses its own edge), the mixed-clock FIFO synchronizer edge
-mapping, and the event-wakeup waiter walk (extracted from the execution
-unit's inlined writeback).  It keeps explicit state objects with
-``__slots__`` instead of closures, flat locals and no dynamic dispatch.
+cluster's, which fuses its own edge), and the event-wakeup waiter walk
+(extracted from the execution unit's inlined writeback).  It keeps explicit
+state objects with ``__slots__`` instead of closures, flat locals and no
+dynamic dispatch.
 
 Behavioural contract: every function here is **bit-identical** to the inline
 code it replaced (the golden regression suite pins the results).
 
 The module intentionally imports nothing from the rest of the package: it is
-a leaf, importable from ``sim.clock`` / ``async_comm.fifo`` without cycles.
+a leaf, importable from ``sim.clock`` and ``uarch.execute`` without cycles.
 Chain records are the 8-element lists documented in :mod:`repro.sim.event`
 (indices used literally here for speed: 0=time, 1=priority, 2=seq,
 3=callback, 4=param, 5=period, 7=cancelled).
@@ -121,25 +121,6 @@ def wake_waiters(waiters):
                 if queue is not None:
                     queue.push_ready(waiter)
     waiters.clear()
-
-
-# ---------------------------------------------------- synchronizer mapping
-def sync_visible_at(time, phase, period, latency):
-    """Visibility time of a flag raised at ``time`` under a capturing clock.
-
-    This is the mixed-clock FIFO synchronizer edge mapping (inlined on the
-    FIFO fast paths, shared here so tests can pin the exact arithmetic): the
-    flag is captured by the first rising
-    edge of the ``(phase, period)`` clock *strictly after* ``time`` and
-    becomes observable ``latency`` (= sync depth x period) later.  Times
-    before ``phase`` -- a clock that has not started, or a retimed clock's
-    anchor in the future -- are captured by the first edge at ``phase``.
-    """
-    if time < phase:
-        first_edge = phase
-    else:
-        first_edge = phase + (int((time - phase) / period) + 1) * period
-    return first_edge + latency
 
 
 # -------------------------------------------------------------- edge tick

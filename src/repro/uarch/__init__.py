@@ -16,7 +16,7 @@ from .instruction import DynamicInstruction
 from .issue_queue import IssueQueue
 from .regfile import PhysicalRegisterFile
 from .rename import RegisterAliasTable, RenameCheckpoint, RenameError
-from .rob import ReorderBuffer, ReorderBufferFullError
+from .rob import ReorderBuffer
 
 __all__ = [
     "BimodalPredictor",
@@ -36,7 +36,6 @@ __all__ = [
     "RenameCheckpoint",
     "RenameError",
     "ReorderBuffer",
-    "ReorderBufferFullError",
     "cluster_for",
     "make_direction_predictor",
 ]

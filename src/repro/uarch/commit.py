@@ -68,9 +68,9 @@ class CommitUnit:
     # --------------------------------------------------------------- clocking
     def clock_edge(self, cycle: int, time: float) -> None:
         # Retirement is the per-instruction hot loop of the commit domain:
-        # the can-commit visibility check, retirement bookkeeping
-        # (rob.retire_head / regfile.free) and stats.record_commit are all
-        # inlined below rather than paid as per-instruction calls.
+        # the can-commit visibility check, the ROB pop, the register free
+        # (regfile.free's body) and the statistics update are all inlined
+        # below rather than paid as per-instruction calls.
         """Retire up to ``commit_width`` finished instructions in program order and sample occupancies."""
         rob = self.rob
         entries = rob._entries
@@ -118,7 +118,7 @@ class CommitUnit:
                     instr.fifo_time += extra
                 prev_phys = instr.prev_phys_dest
                 if prev_phys is not None:
-                    # inline regfile.free (the reference implementation)
+                    # inline regfile.free (recovery calls it)
                     reg = registers[prev_phys]
                     if not reg.allocated:
                         raise ValueError(
@@ -143,7 +143,7 @@ class CommitUnit:
                     stores += 1
                 self.committed += 1
                 if stats is not None:
-                    # inline stats.record_commit (the reference impl)
+                    # the committed-instruction statistics
                     committed = stats.committed + 1
                     stats.committed = committed
                     key = instr.opclass.class_key
@@ -211,8 +211,3 @@ class CommitUnit:
                 stats.rob_occupancy_sum += self._sample_rob * run
                 stats.int_regs_in_use_sum += self._sample_int * run
                 stats.fp_regs_in_use_sum += self._sample_fp * run
-
-    # ------------------------------------------------------------------ state
-    def pending_work(self) -> int:
-        """Instructions still in the ROB (drain check)."""
-        return self.rob.occupancy

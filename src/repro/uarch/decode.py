@@ -89,9 +89,8 @@ class DecodeRenameUnit:
         self.current_epoch = current_epoch
         self.activity = activity
         #: direct handles on the per-cycle activity counter cells:
-        #: decode/dispatch record a couple of accesses per instruction, so
-        #: they increment the cells inline instead of going through
-        #: ``activity.record``
+        #: decode/dispatch record a couple of accesses per instruction by
+        #: incrementing the cells inline
         self._decode_cell = activity.cell("decode")
         self._rename_cell = activity.cell("rename")
         self._regread_cell = activity.cell("regfile_read")
@@ -246,7 +245,7 @@ class DecodeRenameUnit:
                 break
             if instr.is_branch:
                 instr.rename_checkpoint = rat.take_checkpoint(instr.seq)
-            # inline rob.allocate (fullness was checked above)
+            # ROB allocation (fullness was checked above)
             rob_entries.append(instr)
             instr.rob_index = rob.allocations
             rob.allocations += 1
@@ -276,8 +275,3 @@ class DecodeRenameUnit:
         dropped_channel = self.input_channel.flush(
             lambda i: getattr(i, "seq", -1) > branch_seq)
         return dropped_pipeline + dropped_channel
-
-    # ------------------------------------------------------------------ state
-    def pending_work(self) -> int:
-        """Instructions inside the decode pipeline or waiting in the fetch queue."""
-        return len(self._pipeline) + self.input_channel.occupancy

@@ -51,25 +51,6 @@ class FunctionalUnitPool:
         self.operations = 0
         self.structural_stalls = 0
 
-    def available(self, now: float) -> int:
-        """Number of units free at ``now``."""
-        free = 0
-        for busy_until in self._busy_until:
-            if busy_until <= now:
-                free += 1
-        return free
-
-    def try_claim(self, now: float, busy_for: float) -> bool:
-        """Claim a free unit for ``busy_for`` ns; False if none is free."""
-        busy = self._busy_until
-        for index in range(len(busy)):
-            if busy[index] <= now:
-                busy[index] = now + busy_for
-                self.operations += 1
-                return True
-        self.structural_stalls += 1
-        return False
-
 
 class ExecutionUnit:
     """Issue queue + functional units for one execution cluster."""
@@ -444,7 +425,7 @@ class ExecutionUnit:
                         if visible_at < min_future:
                             min_future = visible_at
                         continue
-                # ---------------- issue (inline FunctionalUnitPool.try_claim)
+                # ---------------- issue: claim the first free functional unit
                 opclass = instr.opclass
                 op_index = opclass.op_index
                 latency_cycles = latency_by_op[op_index]
@@ -503,9 +484,3 @@ class ExecutionUnit:
         dropped_channel = self.input_channel.flush(
             lambda i: getattr(i, "seq", -1) > branch_seq)
         return len(squashed_queue) + len(squashed_flight) + dropped_channel
-
-    # ------------------------------------------------------------------ state
-    def pending_work(self) -> int:
-        """Instructions waiting or executing in this cluster (drain check)."""
-        return (self.issue_queue.occupancy + len(self._in_flight)
-                + self.input_channel.occupancy)

@@ -22,7 +22,7 @@ from typing import Callable, Optional
 
 from ..isa.instructions import InstructionClass
 from ..isa.program import INSTRUCTION_SIZE
-from ..isa.trace import InstructionSource, ListTraceSource, TraceInstruction
+from ..isa.trace import ListTraceSource, TraceInstruction
 from ..memory.hierarchy import MemoryHierarchy
 from ..sim.channel import Channel
 from ..sim.clock import Clock
@@ -55,7 +55,7 @@ class FetchUnit:
 
     def __init__(
         self,
-        source: InstructionSource,
+        source: ListTraceSource,
         output_channel: Channel,
         redirect_channel: Channel,
         branch_unit: BranchUnit,
@@ -66,11 +66,9 @@ class FetchUnit:
         wrong_path_generator: Optional[Callable[[int, int], TraceInstruction]] = None,
     ) -> None:
         self.source = source
-        #: direct view of a list-backed source (the common case): peeking and
-        #: consuming happen once per fetched instruction, so the method-call
-        #: round trips through InstructionSource are inlined when possible
-        self._source_list = (source._instructions
-                             if isinstance(source, ListTraceSource) else None)
+        #: the trace records: fetch reads them at ``source._position`` and
+        #: advances the cursor itself, once per correct-path instruction
+        self._source_list = source._instructions
         self.output_channel = output_channel
         self.redirect_channel = redirect_channel
         self.branch_unit = branch_unit
@@ -92,8 +90,9 @@ class FetchUnit:
         # Same-line fetch fast path: a repeat hit on the hierarchy's
         # remembered fetch line is just the statistics increments.  The
         # remembered line itself lives on the MemoryHierarchy (one source of
-        # truth -- its flush() is the invalidation point); reading it here
-        # only short-circuits the call.
+        # truth: only its fetch_access sets it, and only another fetch can
+        # evict that I-cache line); reading it here only short-circuits the
+        # call.
         self._line_size = memory.config.line_size
 
         # statistics
@@ -154,16 +153,10 @@ class FetchUnit:
             first_pc = self._wrong_path_pc
         else:
             source_list = self._source_list
-            if source_list is not None:
-                position = self.source._position
-                if position >= len(source_list):
-                    return
-                first_pc = source_list[position].pc
-            else:
-                peeked = self.source.peek()
-                if peeked is None:
-                    return
-                first_pc = peeked.pc
+            position = self.source._position
+            if position >= len(source_list):
+                return
+            first_pc = source_list[position].pc
 
         self._icache_cell[0] += 1
         memory = self.memory
@@ -180,11 +173,10 @@ class FetchUnit:
                 self.icache_stall_cycles += 1
                 return
 
-        # The correct-path, list-backed case (every real workload) is inlined:
-        # it runs once per fetched instruction.  Wrong-path and generic
-        # sources go through _fetch_one.  A mispredicted branch flips
-        # wrong_path_mode but also ends the group, so the mode chosen here is
-        # stable for the whole loop.
+        # The correct path is inlined: it runs once per fetched instruction.
+        # Wrong-path instructions come from _fetch_wrong_path.  A mispredicted
+        # branch flips wrong_path_mode but also ends the group, so the mode
+        # chosen here is stable for the whole loop.
         source_list = None if wrong_path else self._source_list
         source = self.source
         branch_unit = self.branch_unit
@@ -220,9 +212,7 @@ class FetchUnit:
                     self._bpred_cell[0] += 1
                     instr.predicted_taken = True
             else:
-                instr = self._fetch_one(time)
-                if instr is None:
-                    break
+                instr = self._fetch_wrong_path(time)
             output_channel.push_granted(instr, time)
             free -= 1
             fetched_this_cycle += 1
@@ -235,45 +225,16 @@ class FetchUnit:
             if instr.mispredicted:
                 break
 
-    def _fetch_one(self, time: float) -> Optional[DynamicInstruction]:
-        if self.wrong_path_mode:
-            trace = self.wrong_path_generator(self._wrong_path_pc,
-                                              self._wrong_path_offset)
-            self._wrong_path_pc += INSTRUCTION_SIZE
-            self._wrong_path_offset += 1
-            instr = DynamicInstruction(trace, epoch=self.epoch, wrong_path=True)
-            instr.fetch_time = time
-            self.fetched_total += 1
-            self.fetched_wrong_path += 1
-            return instr
-
-        source_list = self._source_list
-        if source_list is not None:
-            source = self.source
-            position = source._position
-            if position >= len(source_list):
-                return None
-            source._position = position + 1
-            trace = source_list[position]
-        else:
-            trace = self.source.next()
-            if trace is None:
-                return None
-        instr = DynamicInstruction(trace, epoch=self.epoch, wrong_path=False)
+    def _fetch_wrong_path(self, time: float) -> DynamicInstruction:
+        """Synthesise the next wrong-path instruction after a misprediction."""
+        trace = self.wrong_path_generator(self._wrong_path_pc,
+                                          self._wrong_path_offset)
+        self._wrong_path_pc += INSTRUCTION_SIZE
+        self._wrong_path_offset += 1
+        instr = DynamicInstruction(trace, epoch=self.epoch, wrong_path=True)
         instr.fetch_time = time
         self.fetched_total += 1
-
-        if trace.is_branch:
-            predicted_taken, _predicted_target = self.branch_unit.predict(trace.pc)
-            self._bpred_cell[0] += 1
-            instr.predicted_taken = predicted_taken
-            if predicted_taken != trace.taken:
-                instr.mispredicted = True
-                self._enter_wrong_path(trace.pc)
-        elif instr.is_control:
-            # Unconditional jumps are assumed correctly predicted (BTB hit).
-            self._bpred_cell[0] += 1
-            instr.predicted_taken = True
+        self.fetched_wrong_path += 1
         return instr
 
     def flush_samples(self) -> None:
@@ -284,8 +245,3 @@ class FetchUnit:
             channel = self.output_channel
             channel.occupancy_samples += run
             channel.occupancy_accum += self._sample_len * run
-
-    # ------------------------------------------------------------------ state
-    def pending_work(self) -> int:
-        """Items still queued toward decode (used by the drain check)."""
-        return self.output_channel.occupancy

@@ -90,29 +90,6 @@ class DynamicInstruction:
         #: move it onto that queue's ready list
         self.wakeup_queue = None
 
-    # --------------------------------------------------------------- queries
-    @property
-    def dest(self) -> Optional[int]:
-        """Architectural destination register, or None."""
-        return self.trace.dest
-
-    @property
-    def sources(self) -> Tuple[int, ...]:
-        """Architectural source registers (possibly empty)."""
-        return self.trace.sources
-
-    @property
-    def is_fp(self) -> bool:
-        """True for floating-point instructions."""
-        return self.opclass.is_fp
-
-    @property
-    def slip(self) -> float:
-        """Fetch-to-commit latency in ns (the paper's 'slip', Figure 6)."""
-        if self.commit_time < 0 or self.fetch_time < 0:
-            return 0.0
-        return self.commit_time - self.fetch_time
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         flags = []
         if self.wrong_path:

@@ -14,7 +14,7 @@ operands); the execution cluster's edge samples it into
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List
+from typing import Callable, List
 
 from .instruction import DynamicInstruction
 
@@ -69,24 +69,11 @@ class IssueQueue:
 
     # ----------------------------------------------------------------- state
     @property
-    def occupancy(self) -> int:
-        """Number of instructions waiting in the window."""
-        return len(self._entries)
-
-    @property
-    def is_full(self) -> bool:
-        """True when the window has no free entry."""
-        return len(self._entries) >= self.capacity
-
-    @property
     def mean_occupancy(self) -> float:
         """Average occupancy over the sampled cycles."""
         if self.occupancy_samples == 0:
             return 0.0
         return self.occupancy_accum / self.occupancy_samples
-
-    def __iter__(self) -> Iterable[DynamicInstruction]:
-        return iter(self._entries)
 
     # ------------------------------------------------------------ operations
     def push_ready(self, instr: DynamicInstruction) -> None:

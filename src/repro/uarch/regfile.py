@@ -12,7 +12,7 @@ results from one queue to another through FIFOs", Section 5.1).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 #: A value produced "at the beginning of time" (architectural state).
 ALWAYS_READY = float("-inf")
@@ -86,23 +86,6 @@ class PhysicalRegisterFile:
             mapping[self.num_arch_int + arch] = self.num_int + arch
         return mapping
 
-    def allocate(self, for_fp: bool) -> Optional[int]:
-        """Allocate a free physical register, or None when the file is full."""
-        free_list = self._free_fp if for_fp else self._free_int
-        if not free_list:
-            self.allocation_failures += 1
-            return None
-        index = free_list.pop()
-        reg = self._registers[index]
-        reg.allocated = True
-        reg.ready_time = float("inf")
-        reg.producer_domain = ""
-        if for_fp:
-            self._fp_in_use += 1
-        else:
-            self._int_in_use += 1
-        return index
-
     def free(self, index: int) -> None:
         """Return a physical register to its free list."""
         reg = self._registers[index]
@@ -122,25 +105,3 @@ class PhysicalRegisterFile:
         else:
             self._int_in_use -= 1
             self._free_int.append(index)
-
-    # ------------------------------------------------------------ statistics
-    @property
-    def int_in_use(self) -> int:
-        """Allocated integer physical registers (paper: 'register allocation
-        table occupancy' went from 15 to 24 for ijpeg)."""
-        return self._int_in_use
-
-    @property
-    def fp_in_use(self) -> int:
-        """Number of allocated FP physical registers."""
-        return self._fp_in_use
-
-    @property
-    def free_int_count(self) -> int:
-        """Number of free integer physical registers."""
-        return len(self._free_int)
-
-    @property
-    def free_fp_count(self) -> int:
-        """Number of free FP physical registers."""
-        return len(self._free_fp)

@@ -54,22 +54,15 @@ class RegisterAliasTable:
         self.checkpoints_taken = 0
         self.restores = 0
 
-    # ---------------------------------------------------------------- lookup
-    def lookup(self, arch_reg: int) -> int:
-        """Current physical register holding ``arch_reg``."""
-        if 0 <= arch_reg < len(self._map):
-            return self._map[arch_reg]
-        raise RenameError(f"architectural register {arch_reg} has no mapping")
-
     # ---------------------------------------------------------------- rename
     def rename(self, instr: DynamicInstruction) -> bool:
         """Rename ``instr`` in place.
 
         Returns False (leaving no side effects) when no physical register is
         available, in which case the caller must stall dispatch.  Runs once
-        per dispatched instruction, so the allocation fast path of
-        :class:`~repro.uarch.regfile.PhysicalRegisterFile` is inlined
-        (``allocate`` stays the reference implementation).
+        per dispatched instruction, so it pops the
+        :class:`~repro.uarch.regfile.PhysicalRegisterFile` free lists
+        directly: this is the only register allocation.
         """
         # Source operands read the current map (direct access: the map always
         # covers the architectural registers, see initial_mapping()).
@@ -155,8 +148,3 @@ class RegisterAliasTable:
         position = self._checkpoints.index(checkpoint)
         self._checkpoints = self._checkpoints[:position]
         self.restores += 1
-
-    @property
-    def live_checkpoints(self) -> int:
-        """Number of outstanding rename checkpoints (unresolved branches)."""
-        return len(self._checkpoints)

@@ -9,13 +9,9 @@ instructions.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Iterable, List, Optional
+from typing import Deque, List
 
 from .instruction import DynamicInstruction
-
-
-class ReorderBufferFullError(RuntimeError):
-    """Raised when allocating into a full ROB (callers should check first)."""
 
 
 class ReorderBuffer:
@@ -32,48 +28,6 @@ class ReorderBuffer:
         self.squashes = 0
         self.occupancy_accum = 0
         self.occupancy_samples = 0
-
-    # ----------------------------------------------------------------- state
-    @property
-    def occupancy(self) -> int:
-        """Number of in-flight instructions."""
-        return len(self._entries)
-
-    @property
-    def is_full(self) -> bool:
-        """True when no entry is free."""
-        return len(self._entries) >= self.capacity
-
-    @property
-    def mean_occupancy(self) -> float:
-        """Average occupancy over the sampled cycles."""
-        if self.occupancy_samples == 0:
-            return 0.0
-        return self.occupancy_accum / self.occupancy_samples
-
-    def __iter__(self):
-        return iter(self._entries)
-
-    # ------------------------------------------------------------ operations
-    def allocate(self, instr: DynamicInstruction) -> int:
-        """Append ``instr``; returns its ROB index (monotonic allocation id)."""
-        if self.is_full:
-            raise ReorderBufferFullError("reorder buffer is full")
-        self._entries.append(instr)
-        instr.rob_index = self.allocations
-        self.allocations += 1
-        return instr.rob_index
-
-    def head(self) -> Optional[DynamicInstruction]:
-        """Oldest un-retired instruction, or None."""
-        return self._entries[0] if self._entries else None
-
-    def retire_head(self) -> DynamicInstruction:
-        """Remove and return the head (caller has checked it can commit)."""
-        if not self._entries:
-            raise LookupError("retire from an empty ROB")
-        self.retirements += 1
-        return self._entries.popleft()
 
     def squash_younger_than(self, branch_seq: int) -> List[DynamicInstruction]:
         """Remove every instruction younger than ``branch_seq``.
@@ -92,7 +46,3 @@ class ReorderBuffer:
         self._entries = kept
         self.squashes += len(squashed)
         return squashed
-
-    def in_flight(self) -> Iterable[DynamicInstruction]:
-        """All instructions currently in the window (oldest first)."""
-        return tuple(self._entries)

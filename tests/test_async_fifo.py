@@ -1,5 +1,7 @@
 """Unit tests for the mixed-clock FIFO, synchronizers and pausible clocks (§3.2)."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,7 +11,6 @@ from repro.async_comm.pausible import PausibleClockModel
 from repro.async_comm.synchronizer import (Synchronizer,
                                            synchronization_failure_probability)
 from repro.sim.clock import Clock
-from repro.sim.hotcore import sync_visible_at
 
 
 def make_fifo(capacity=4, producer_period=1.0, consumer_period=1.0,
@@ -22,10 +23,17 @@ def make_fifo(capacity=4, producer_period=1.0, consumer_period=1.0,
     )
 
 
+def drain(fifo, time):
+    """Every item visible at ``time``, popped one by one as a consumer does."""
+    items = []
+    while (item := fifo.pop_ready(time)) is not None:
+        items.append(item)
+    return items
+
+
 # ----------------------------------------------------------------- synchronizer
 def test_synchronizer_latency_and_observation_time():
     sync = Synchronizer(Clock("rx", period=2.0, phase=0.0), depth=2)
-    assert sync.latency() == pytest.approx(4.0)
     # produced at t=0.5 -> captured at the next edge (t=2.0) -> +2 cycles
     assert sync.observable_at(0.5) == pytest.approx(6.0)
     # produced exactly on an edge misses it (setup time)
@@ -40,6 +48,9 @@ def test_synchronizer_depth_zero_is_next_edge():
 def test_synchronizer_rejects_negative_depth():
     with pytest.raises(ValueError):
         Synchronizer(Clock("rx", period=1.0), depth=-1)
+    for depths in ({"consumer_sync": -1}, {"producer_sync": -1}):
+        with pytest.raises(ValueError):
+            make_fifo(**depths)
 
 
 def test_failure_probability_is_tiny_but_nonzero():
@@ -53,10 +64,9 @@ def test_data_not_visible_until_synchronized():
     fifo = make_fifo(consumer_sync=1)
     fifo.push("x", 0.25)
     # next consumer edge after 0.25 is t=1.0; +1 sync cycle -> visible at 2.0
-    assert not fifo.can_pop(1.0)
-    assert not fifo.can_pop(1.9)
-    assert fifo.can_pop(2.0)
-    assert fifo.pop(2.0) == "x"
+    assert fifo.pop_ready(1.0) is None
+    assert fifo.pop_ready(1.9) is None
+    assert fifo.pop_ready(2.0) == "x"
     assert fifo.last_pop_wait == pytest.approx(1.75)
 
 
@@ -64,11 +74,7 @@ def test_fifo_preserves_order():
     fifo = make_fifo(capacity=8)
     for index in range(5):
         fifo.push(index, float(index))
-    values = []
-    time = 10.0
-    while fifo.can_pop(time):
-        values.append(fifo.pop(time))
-    assert values == [0, 1, 2, 3, 4]
+    assert drain(fifo, 10.0) == [0, 1, 2, 3, 4]
 
 
 def test_freed_space_reaches_producer_late():
@@ -76,10 +82,10 @@ def test_freed_space_reaches_producer_late():
     fifo.push("a", 0.0)
     fifo.push("b", 0.0)
     assert not fifo.can_push(0.5)
-    fifo.pop(5.0)
+    assert fifo.pop_ready(5.0) == "a"
     # the freed slot is synchronized back into the producer clock: the next
     # producer edge after t=5 is 6.0, plus one producer cycle -> 7.0
-    assert fifo.apparent_occupancy(5.1) == 2
+    assert fifo.free_slots(5.1) == 0
     assert not fifo.can_push(6.9)
     assert fifo.can_push(7.0)
 
@@ -91,11 +97,12 @@ def test_push_into_apparently_full_fifo_raises():
         fifo.push(2, 0.0)
 
 
-def test_pop_before_visibility_raises():
+def test_nothing_pops_before_visibility():
     fifo = make_fifo()
     fifo.push(1, 0.0)
-    with pytest.raises(LookupError):
-        fifo.pop(0.5)
+    assert fifo.pop_ready(0.5) is None
+    assert fifo.pop_bulk(0.5, 4) == []
+    assert fifo.pop_count == 0
 
 
 def test_flush_returns_slots_and_counts():
@@ -103,15 +110,21 @@ def test_flush_returns_slots_and_counts():
     for index in range(4):
         fifo.push(index, 0.0)
     assert fifo.flush(lambda v: v >= 2) == 2
-    assert fifo.items() == [0, 1]
+    assert [entry[0] for entry in fifo._entries] == [0, 1]
     assert fifo.flush() == 2
-    assert fifo.occupancy == 0
+    assert not fifo._entries
+    assert fifo.free_slots(0.0) == 8          # flushed slots return at once
 
 
 def test_steady_state_latency_reflects_consumer_clock():
+    # pushed at t=0: visible one consumer edge plus one sync cycle later
     fast_consumer = make_fifo(consumer_period=0.5)
     slow_consumer = make_fifo(consumer_period=2.0)
-    assert fast_consumer.steady_state_latency < slow_consumer.steady_state_latency
+    for fifo in (fast_consumer, slow_consumer):
+        fifo.push("x", 0.0)
+    assert fast_consumer.pop_ready(1.0) == "x"
+    assert slow_consumer.pop_ready(1.0) is None
+    assert slow_consumer.pop_ready(4.0) == "x"
 
 
 def test_mismatched_clock_periods():
@@ -121,11 +134,7 @@ def test_mismatched_clock_periods():
     for index in range(6):
         fifo.push(index, float(index))
     # at t=3 the consumer's first edge after pushes at t=0,1,2 has passed
-    visible = 0
-    while fifo.can_pop(3.0):
-        fifo.pop(3.0)
-        visible += 1
-    assert visible == 3
+    assert drain(fifo, 3.0) == [0, 1, 2]
 
 
 @settings(max_examples=40, deadline=None)
@@ -138,36 +147,46 @@ def test_property_fifo_never_loses_or_reorders(values, producer_period, consumer
     for index, value in enumerate(values):
         fifo.push(value, index * producer_period)
     deadline = (len(values) + 10) * (producer_period + consumer_period)
-    out = []
-    while fifo.can_pop(deadline):
-        out.append(fifo.pop(deadline))
-    assert out == values
+    assert drain(fifo, deadline) == values
 
 
 # ---------------------------------------------------- synchronizer mapping
-def test_synchronizer_visible_at_matches_sync_visible_at():
-    fifo = MixedClockFifo(
-        "probe", 64,
-        producer_clock=Clock("prod", 0.8, phase=0.1),
-        consumer_clock=Clock("cons", 1.1, phase=0.3),
-        producer_sync=1, consumer_sync=1)
-    sides = {
-        "data": (fifo._data_phase, fifo._data_period, fifo._data_latency),
-        "space": (fifo._space_phase, fifo._space_period, fifo._space_latency),
-    }
-    for step in range(40):
-        time = step * 0.41
-        for side, parameters in sides.items():
-            assert (fifo.synchronizer_visible_at(time, side)
-                    == sync_visible_at(time, *parameters))
-        # the inlined fast paths agree with the shared helper bit for bit
-        fifo.push(step, time)
-        assert fifo._entries[-1][2] == fifo.synchronizer_visible_at(time,
-                                                                    "data")
-        assert (fifo._space_visible_at(time)
-                == fifo.synchronizer_visible_at(time, "space"))
-    with pytest.raises(ValueError, match="unknown synchronizer side"):
-        fifo.synchronizer_visible_at(1.0, "sideways")
+def test_fifo_fast_paths_match_the_synchronizer():
+    """Synchronizer.observable_at is the reference for the inlined mapping.
+
+    Over random clock pairs and sync depths 0-3, every push (``push`` and
+    ``push_granted``) must make its entry consumer-visible exactly when the
+    empty-flag synchronizer says, and every freed slot must reach the
+    producer exactly when the full-flag synchronizer says, float for float.
+    """
+    rng = random.Random(5)
+    pushes = 0
+    for _ in range(300):
+        producer_clock = Clock("prod", rng.uniform(0.3, 3.0),
+                               phase=rng.uniform(0.0, 2.0))
+        consumer_clock = Clock("cons", rng.uniform(0.3, 3.0),
+                               phase=rng.uniform(0.0, 2.0))
+        consumer_sync = rng.randrange(4)
+        producer_sync = rng.randrange(4)
+        fifo = MixedClockFifo("probe", 64, producer_clock, consumer_clock,
+                              consumer_sync=consumer_sync,
+                              producer_sync=producer_sync)
+        data = Synchronizer(consumer_clock, depth=consumer_sync)
+        space = Synchronizer(producer_clock, depth=producer_sync)
+        time = 0.0
+        for step in range(60):
+            # repeated instants exercise the same-cycle mapping caches
+            if rng.random() < 0.7:
+                time += rng.uniform(0.0, 1.5)
+            if step % 2:
+                fifo.push(step, time)
+            else:
+                assert fifo.can_push(time)
+                fifo.push_granted(step, time)
+            assert fifo._entries[-1][2] == data.observable_at(time)
+            assert fifo._space_visible_at(time) == space.observable_at(time)
+            pushes += 1
+    assert pushes == 18_000
 
 
 # ------------------------------------------------------------------- pop_bulk
@@ -183,7 +202,7 @@ def test_fifo_pop_bulk_respects_visibility():
     second = fifo.pop_bulk(10.0, 10)
     assert [item for item, _ in second] == [2, 3]
     assert fifo.pop_count == 4
-    assert fifo.occupancy == 0
+    assert not fifo._entries
 
 
 @settings(max_examples=40, deadline=None)
@@ -212,11 +231,12 @@ def test_property_fifo_pop_bulk_equals_repeated_pop_ready(
     assert batch == expected
     assert bulk.pop_count == loop.pop_count
     assert bulk.total_wait == loop.total_wait
-    assert bulk.occupancy == loop.occupancy
+    assert len(bulk._entries) == len(loop._entries)
     # the producer-side view (synchronized freed space) must agree too
-    probe = drain_time + 10.0 * producer_period
-    assert bulk.apparent_occupancy(probe) == loop.apparent_occupancy(probe)
+    assert list(bulk._pending_space) == list(loop._pending_space)
     assert bulk.can_push(drain_time) == loop.can_push(drain_time)
+    probe = drain_time + 10.0 * producer_period
+    assert bulk.free_slots(probe) == loop.free_slots(probe)
 
 
 # -------------------------------------------------------------- pausible clocks

@@ -5,21 +5,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.channel import SyncQueue
-from test_wakeup_waiters import make_instr, make_unit
+from test_wakeup_waiters import make_instr, make_unit, pending_register
 
 
 def test_push_pop_order_and_stats():
     queue = SyncQueue("q", capacity=4)
     queue.push("a", 0.0)
     queue.push("b", 1.0)
-    assert queue.occupancy == 2
-    assert queue.peek(2.0) == "a"
-    assert queue.pop(2.0) == "a"
+    assert queue.free_slots(1.0) == 2
+    assert queue.pop_ready(2.0) == "a"
     assert queue.last_pop_wait == pytest.approx(2.0)
-    assert queue.pop(3.0) == "b"
+    assert queue.pop_ready(3.0) == "b"
     assert queue.pop_count == 2
     assert queue.push_count == 2
-    assert queue.mean_wait == pytest.approx(2.0)
+    assert queue.total_wait == pytest.approx(4.0)
 
 
 def test_capacity_enforced():
@@ -31,13 +30,11 @@ def test_capacity_enforced():
         queue.push(3, 0.0)
 
 
-def test_pop_empty_raises():
+def test_pop_from_empty_returns_nothing():
     queue = SyncQueue("q", capacity=2)
-    assert not queue.can_pop(0.0)
-    with pytest.raises(LookupError):
-        queue.pop(0.0)
-    with pytest.raises(LookupError):
-        queue.peek(0.0)
+    assert queue.pop_ready(0.0) is None
+    assert queue.pop_bulk(0.0, 2) == []
+    assert queue.pop_count == 0
 
 
 def test_invalid_capacity_rejected():
@@ -51,9 +48,9 @@ def test_flush_all_and_predicate():
         queue.push(value, 0.0)
     dropped = queue.flush(lambda v: v >= 3)
     assert dropped == 3
-    assert queue.items() == [0, 1, 2]
+    assert [item for item, _ in queue._entries] == [0, 1, 2]
     assert queue.flush() == 3
-    assert queue.occupancy == 0
+    assert queue.free_slots(0.0) == 8
     assert queue.flush_count == 6
 
 
@@ -65,13 +62,13 @@ def test_occupancy_sampling():
     unit.clock_edge(0, 0.0)                    # empty: a deferred idle sample
     for _ in range(3):
         waiting = make_instr()
-        waiting.phys_sources = (regfile.allocate(for_fp=False),)
+        waiting.phys_sources = (pending_register(regfile),)
         queue.push(waiting, 0.0)
     unit.clock_edge(1, 1.0)
     unit.clock_edge(2, 2.0)
     unit.flush_samples()
     assert queue.occupancy_samples == 3
-    assert queue.mean_occupancy == pytest.approx(4 / 3)
+    assert queue.occupancy_accum == 4
 
 
 def test_full_stall_recording():
@@ -88,8 +85,9 @@ def test_property_fifo_order_preserved(values):
     queue = SyncQueue("q", capacity=max(1, len(values)))
     for i, value in enumerate(values):
         queue.push(value, float(i))
-    popped = [queue.pop(100.0) for _ in range(len(values))]
+    popped = [queue.pop_ready(100.0) for _ in range(len(values))]
     assert popped == values
+    assert queue.pop_ready(100.0) is None
 
 
 # ------------------------------------------------------------------- pop_bulk
@@ -102,7 +100,7 @@ def test_pop_bulk_drains_in_order_with_waits():
     assert [wait for _, wait in batch] == pytest.approx([10.0, 9.0, 8.0])
     assert queue.pop_count == 3
     assert queue.last_pop_wait == pytest.approx(8.0)
-    assert queue.occupancy == 2
+    assert len(queue._entries) == 2
 
 
 def test_pop_bulk_empty_and_limit_handling():
@@ -111,7 +109,7 @@ def test_pop_bulk_empty_and_limit_handling():
     queue.push("x", 0.0)
     batch = queue.pop_bulk(1.0, 10)   # limit larger than occupancy
     assert [item for item, _ in batch] == ["x"]
-    assert queue.occupancy == 0
+    assert not queue._entries
 
 
 @settings(max_examples=50, deadline=None)
@@ -135,4 +133,4 @@ def test_property_pop_bulk_equals_repeated_pop_ready(values, limit):
     assert bulk.pop_count == loop.pop_count
     assert bulk.total_wait == loop.total_wait
     assert bulk.last_pop_wait == loop.last_pop_wait or not expected
-    assert bulk.items() == loop.items()
+    assert bulk._entries == loop._entries

@@ -202,7 +202,7 @@ def test_fifo_retime_keeps_pending_space_sorted_on_producer_speedup():
                           consumer_clock=consumer, producer_sync=2)
     for item in "abcd":
         fifo.push(item, 0.1)                   # fill to capacity
-    assert fifo.pop(2.5) == "a"                # slot frees at edge 4.0 + 2*2
+    assert fifo.pop_ready(2.5) == "a"          # slot frees at edge 4.0 + 2*2
     assert fifo._pending_space[0] == 8.0
     # producer snaps back to nominal speed; anchor = pending edge at 4.0
     producer.period = 1.0
@@ -211,7 +211,7 @@ def test_fifo_retime_keeps_pending_space_sorted_on_producer_speedup():
     # the in-flight flag is capped at one new-clock sync after the anchor...
     assert list(fifo._pending_space) == [4.0 + 2 * 1.0]
     # ...so slots freed under the new clock keep the deque ascending
-    assert fifo.pop(4.5) == "b"                # edge 5.0 + 2 new cycles
+    assert fifo.pop_ready(4.5) == "b"          # edge 5.0 + 2 new cycles
     assert list(fifo._pending_space) == [6.0, 7.0]
     # and the producer can push again once the first slot is visible
     assert not fifo.can_push(5.9)

@@ -221,7 +221,7 @@ def test_accountant_energy_by_block_view_flushes_and_matches_manual_model():
     class Worker:
         def clock_edge(self, cycle, time):
             if cycle % 2 == 0:
-                activity.record("alu", 1)
+                activity.cell("alu")[0] += 1
 
     domain.add_component(Worker())
     domain.bind(engine)
@@ -327,7 +327,7 @@ def test_accountant_equals_an_eager_per_edge_loop(schedule, energies):
             if vdd is not None:
                 domain.voltage = vdd
             for name, count in accesses.items():
-                activity.record(name, count)
+                activity.cell(name)[0] += count
             # the eager model: one addition per block per edge, in order
             for name, model in models.items():
                 expected[name] += model.cycle_energy(accesses.get(name, 0),

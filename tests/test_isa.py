@@ -174,6 +174,6 @@ def test_trace_next_pc_for_taken_and_fallthrough():
         halt
     """)
     trace = execute_program(program)
-    branch = trace.peek()
+    branch = next(iter(trace))
     assert branch.is_branch and branch.taken
     assert branch.next_pc() == program.pc_of_label("target")

@@ -9,6 +9,13 @@ from repro.memory import (Cache, CacheGeometry, FIFOPolicy, LRUPolicy, MainMemor
                           make_policy)
 
 
+def hits(cache, address):
+    """Access ``address`` (a read); True when the line was resident."""
+    before = cache.stats.hits
+    cache.access(address)
+    return cache.stats.hits == before + 1
+
+
 # ------------------------------------------------------------------- geometry
 def test_geometry_sets_and_validation():
     geometry = CacheGeometry(16 * 1024, 4, 32)
@@ -75,9 +82,9 @@ def test_direct_mapped_conflict_eviction():
     cache.access(0x100)
     cache.access(conflicting)
     assert cache.stats.evictions == 1
-    # original line is gone
-    assert not cache.probe(0x100)
-    assert cache.probe(conflicting)
+    # the newer line hits, the original one is gone
+    assert hits(cache, conflicting)
+    assert not hits(cache, 0x100)
 
 
 def test_dirty_writeback_goes_to_next_level():
@@ -95,17 +102,16 @@ def test_lru_within_set():
     cache.access(32)      # way B
     cache.access(0)       # touch A again
     cache.access(64)      # should evict B (LRU)
-    assert cache.probe(0)
-    assert not cache.probe(32)
+    assert hits(cache, 0)
+    assert not hits(cache, 32)
 
 
-def test_cache_flush_and_reset_stats():
+def test_reset_stats_keeps_contents():
     cache = Cache("l1", 1024, 1, 32)
     cache.access(0x40)
-    cache.flush()
     cache.reset_stats()
-    assert not cache.probe(0x40)
     assert cache.stats.accesses == 0
+    assert hits(cache, 0x40)
 
 
 # ------------------------------------------------------------------ hierarchy
@@ -125,9 +131,11 @@ def test_hierarchy_miss_latency_composition():
     warm = hierarchy.load_access(0x8000)
     assert cold == 1 + 6 + 50
     assert warm == 1
-    # the line is now also resident in L2: an L1 conflict that maps elsewhere
-    # in L2 would hit there, but the same line re-fetched after an L1 flush
-    hierarchy.dcache.flush()
+    # the line is now also resident in L2: once four conflicting loads evict
+    # it from its 4-way L1 set (they map to other L2 sets), it hits in L2
+    set_stride = hierarchy.dcache.geometry.num_sets * config.line_size
+    for way in range(1, 5):
+        hierarchy.load_access(0x8000 + way * set_stride)
     assert hierarchy.load_access(0x8000) == 1 + 6
 
 

@@ -9,7 +9,8 @@ from repro.isa.trace import TraceInstruction
 from repro.uarch.instruction import DynamicInstruction
 from repro.uarch.regfile import PhysicalRegisterFile
 from repro.uarch.rob import ReorderBuffer
-from test_rob_issue_queue import make_commit_unit
+from test_rob_issue_queue import dispatch_to_rob, make_commit_unit
+from test_wakeup_waiters import pending_register
 
 
 def make_committed_instruction(fetch_time, commit_time, fifo_time=0.0,
@@ -42,8 +43,16 @@ def make_result(processor="base", benchmark="perl", elapsed=1000.0, energy_nj=50
 
 def test_stats_record_commit_and_averages():
     stats = SimulationStats()
-    stats.record_commit(make_committed_instruction(0.0, 10.0, fifo_time=2.0), 10.0)
-    stats.record_commit(make_committed_instruction(5.0, 25.0, fifo_time=4.0), 25.0)
+    rob = ReorderBuffer(capacity=8)
+    first = make_committed_instruction(0.0, -1.0, fifo_time=2.0)
+    second = make_committed_instruction(5.0, -1.0, fifo_time=4.0)
+    dispatch_to_rob(rob, first, second)
+    commit = make_commit_unit(rob, stats=stats)
+    for instr, now in ((first, 10.0), (second, 25.0)):
+        instr.completed = True
+        instr.complete_time = now
+        commit.clock_edge(0, now)
+        assert instr.commit_time == now
     assert stats.committed == 2
     assert stats.mean_slip == pytest.approx(15.0)
     assert stats.mean_fifo_time == pytest.approx(3.0)
@@ -57,10 +66,11 @@ def test_stats_occupancy_sampling():
     regfile = PhysicalRegisterFile()           # 32 + 32 architectural
     commit = make_commit_unit(rob, regfile, stats)
     commit.clock_edge(0, 0.0)
+    dispatch_to_rob(rob, *(make_committed_instruction(0.0, -1.0)
+                           for _ in range(2)), regfile=regfile)
     for _ in range(2):
-        rob.allocate(make_committed_instruction(0.0, -1.0))
-        regfile.allocate(for_fp=False)
-    regfile.allocate(for_fp=True)
+        pending_register(regfile)
+    pending_register(regfile, fp=True)
     for cycle in (1, 2, 3):                    # one sample + a deferred run
         commit.clock_edge(cycle, float(cycle))
     commit.flush_samples()

@@ -158,15 +158,15 @@ def test_block_model_validation():
 
 # ----------------------------------------------------------------- accounting
 def test_activity_counters_pending_and_totals():
+    # one shared [pending, drained total] cell per block; the accountant's
+    # per-edge drain is checked in test_power_accountant_charges_blocks_...
     activity = ActivityCounters()
-    activity.record("icache", 2)
-    activity.record("icache", 1)
-    assert activity.pending("icache") == 3
-    assert activity.drain("icache") == 3
-    assert activity.pending("icache") == 0
-    assert activity.total("icache") == 3
-    with pytest.raises(ValueError):
-        activity.record("icache", -1)
+    cell = activity.cell("icache")
+    assert cell == [0, 0]
+    cell[0] += 2
+    assert activity.cell("icache") is cell
+    assert activity.cell("icache") == [2, 0]
+    assert activity.cell("dcache") is not cell
 
 
 def test_power_accountant_charges_blocks_per_cycle():
@@ -180,7 +180,7 @@ def test_power_accountant_charges_blocks_per_cycle():
     class Worker:
         def clock_edge(self, cycle, time):
             if cycle < 3:
-                activity.record("alu", 1)
+                activity.cell("alu")[0] += 1
 
     # registered after the accountant: components tick before the probe
     # regardless
@@ -193,6 +193,8 @@ def test_power_accountant_charges_blocks_per_cycle():
     assert breakdown.total_energy_nj == pytest.approx(3.3)
     assert breakdown.average_power_w == pytest.approx(3.3 / 6.0)
     assert breakdown.by_category["core"] == pytest.approx(3.3)
+    # each edge drained the pending accesses into the cumulative slot
+    assert activity.cell("alu")[:2] == [0, 3]
 
 
 def test_power_accountant_rejects_duplicate_blocks():
@@ -215,7 +217,7 @@ def test_breakdown_normalisation_and_share():
 
     class Worker:
         def clock_edge(self, cycle, time):
-            activity.record("alu", 1)
+            activity.cell("alu")[0] += 1
 
     domain.add_component(Worker())
     domain.bind(engine)

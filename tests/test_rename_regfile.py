@@ -10,7 +10,8 @@ from repro.isa.trace import TraceInstruction
 from repro.uarch.instruction import DynamicInstruction
 from repro.uarch.regfile import ALWAYS_READY, PhysicalRegisterFile
 from repro.uarch.rename import RegisterAliasTable, RenameError
-from test_wakeup_waiters import dispatch, issue, make_unit, write_back
+from test_wakeup_waiters import (dispatch, issue, make_unit, pending_register,
+                                 write_back)
 
 
 def make_instr(dest=None, sources=(), opclass=InstructionClass.INT_ALU, pc=0x400000):
@@ -23,10 +24,10 @@ def make_instr(dest=None, sources=(), opclass=InstructionClass.INT_ALU, pc=0x400
 # ----------------------------------------------------------------- register file
 def test_initial_state_covers_architectural_registers():
     regfile = PhysicalRegisterFile()
-    assert regfile.int_in_use == 32
-    assert regfile.fp_in_use == 32
-    assert regfile.free_int_count == 40
-    assert regfile.free_fp_count == 40
+    assert regfile._int_in_use == 32
+    assert regfile._fp_in_use == 32
+    assert len(regfile._free_int) == 40
+    assert len(regfile._free_fp) == 40
     mapping = regfile.initial_mapping()
     assert mapping[int_reg(5)] == 5
     assert mapping[fp_reg(5)] == 72 + 5
@@ -34,17 +35,20 @@ def test_initial_state_covers_architectural_registers():
 
 def test_allocate_and_free_cycle():
     regfile = PhysicalRegisterFile()
-    allocated = [regfile.allocate(for_fp=False) for _ in range(40)]
-    assert all(p is not None for p in allocated)
-    assert regfile.allocate(for_fp=False) is None
+    rat = RegisterAliasTable(regfile)
+    renamed = [make_instr(dest=int_reg(1)) for _ in range(40)]
+    assert all(rat.rename(instr) for instr in renamed)
+    assert not rat.rename(make_instr(dest=int_reg(1)))
     assert regfile.allocation_failures == 1
-    regfile.free(allocated[0])
-    assert regfile.allocate(for_fp=False) == allocated[0]
+    regfile.free(renamed[0].prev_phys_dest)    # the first one commits
+    again = make_instr(dest=int_reg(2))
+    assert rat.rename(again)
+    assert again.phys_dest == renamed[0].prev_phys_dest
 
 
 def test_double_free_raises():
     regfile = PhysicalRegisterFile()
-    phys = regfile.allocate(for_fp=True)
+    phys = pending_register(regfile, fp=True)
     regfile.free(phys)
     with pytest.raises(ValueError):
         regfile.free(phys)
@@ -53,7 +57,7 @@ def test_double_free_raises():
 def test_readiness_same_domain_and_cross_domain():
     """A consumer issues once the value is visible in its own domain."""
     regfile = PhysicalRegisterFile()
-    phys = regfile.allocate(for_fp=False)
+    phys = pending_register(regfile)
 
     def forwarding(producer, consumer):
         return 1.5 if producer != consumer else 0.0
@@ -105,7 +109,7 @@ def test_rename_allocates_and_maps():
     assert instr.phys_sources == (2, 3)
     assert instr.phys_dest is not None and instr.phys_dest >= 32
     assert instr.prev_phys_dest == 1
-    assert rat.lookup(int_reg(1)) == instr.phys_dest
+    assert rat._map[int_reg(1)] == instr.phys_dest
     # a consumer renamed later reads the new mapping
     consumer = make_instr(dest=int_reg(4), sources=(int_reg(1),))
     rat.rename(consumer)
@@ -141,9 +145,9 @@ def test_checkpoint_restore_undoes_younger_renames():
     checkpoint = rat.take_checkpoint(branch.seq)
     younger = make_instr(dest=int_reg(1))
     rat.rename(younger)
-    assert rat.lookup(int_reg(1)) == younger.phys_dest
+    assert rat._map[int_reg(1)] == younger.phys_dest
     rat.restore(checkpoint)
-    assert rat.lookup(int_reg(1)) == older.phys_dest
+    assert rat._map[int_reg(1)] == older.phys_dest
     assert rat.restores == 1
 
 
@@ -153,7 +157,7 @@ def test_restore_discards_younger_checkpoints():
     first = rat.take_checkpoint(10)
     second = rat.take_checkpoint(20)
     rat.restore(first)
-    assert rat.live_checkpoints == 0
+    assert rat._checkpoints == []
     with pytest.raises(RenameError):
         rat.restore(second)
 
@@ -163,7 +167,7 @@ def test_release_checkpoint_is_idempotent():
     checkpoint = rat.take_checkpoint(1)
     rat.release_checkpoint(checkpoint)
     rat.release_checkpoint(checkpoint)  # no error
-    assert rat.live_checkpoints == 0
+    assert rat._checkpoints == []
 
 
 @settings(max_examples=30, deadline=None)
@@ -179,8 +183,8 @@ def test_property_rename_then_free_conserves_registers(dests):
         instr = make_instr(dest=int_reg(dest))
         assert rat.rename(instr)
         instrs.append(instr)
-    assert regfile.int_in_use == 32 + len(instrs)
+    assert regfile._int_in_use == 32 + len(instrs)
     # commit them all: free the previous mapping of each
     for instr in instrs:
         regfile.free(instr.prev_phys_dest)
-    assert regfile.int_in_use == 32
+    assert regfile._int_in_use == 32

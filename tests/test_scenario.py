@@ -9,10 +9,13 @@ import json
 from dataclasses import asdict, replace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.scenario import (Scenario, ScenarioResult, available_scenarios,
                                  get_scenario, register_scenario, run_scenario,
                                  sweep_scenarios)
+from repro.results.store import cache_key
 from tests.test_golden_regression import GOLDEN
 
 SMALL = 250
@@ -42,6 +45,27 @@ def test_scenario_validation():
         Scenario(name="x", num_instructions=0)
     with pytest.raises(ValueError):
         Scenario(name="x", base_period=0.0)
+    with pytest.raises(ValueError):
+        Scenario(name="x", base_period=10 ** 400)    # no float holds it
+    with pytest.raises(ValueError):
+        Scenario(name="x", controller_epoch=True)    # bool is not a number
+
+
+@given(st.sampled_from(available_scenarios()),
+       st.integers(min_value=1, max_value=10 ** 6),
+       st.integers(min_value=1, max_value=10 ** 6))
+def test_property_two_spellings_of_one_run_give_one_key(name, period, epoch):
+    """An integral period or epoch spelled as int or as float is one run:
+    one value, one canonical JSON, one cache key."""
+    registered = get_scenario(name)
+    as_int = replace(registered, base_period=period, controller_epoch=epoch)
+    as_float = replace(registered, base_period=float(period),
+                       controller_epoch=float(epoch))
+    assert type(as_int.base_period) is float
+    assert type(as_int.controller_epoch) is float
+    assert as_int == as_float
+    assert as_int.to_json() == as_float.to_json()
+    assert cache_key(as_int, "code") == cache_key(as_float, "code")
 
 
 # ------------------------------------------------------------- golden identity

@@ -20,6 +20,16 @@ def make_trace_instruction(index, pc, opclass=InstructionClass.INT_ALU,
                             taken=taken, target_pc=target)
 
 
+def queued(channel):
+    """The items waiting in a same-domain channel, oldest first."""
+    return [item for item, _ in channel._entries]
+
+
+def remaining(source):
+    """Correct-path instructions the fetch unit has not read yet."""
+    return len(source) - source._position
+
+
 def make_fetch_unit(instructions, fetch_width=4):
     source = ListTraceSource(instructions, name="unit-test")
     output = SyncQueue("fetch->decode", capacity=32)
@@ -39,16 +49,16 @@ def test_fetch_pushes_a_full_group_per_cycle():
     unit, output, _, _, activity = make_fetch_unit(instructions)
     # first access is an I-cache cold miss: the cycle stalls
     unit.clock_edge(0, 0.0)
-    assert output.occupancy == 0
+    assert len(output._entries) == 0
     assert unit.icache_stall_cycles >= 1
     # once the line is resident, a full group of 4 is fetched per cycle
     unit._busy_until = float("-inf")
     unit.clock_edge(1, 70.0)
-    assert output.occupancy == 4
-    fetched = output.items()
+    assert len(output._entries) == 4
+    fetched = queued(output)
     assert [i.trace.index for i in fetched] == [0, 1, 2, 3]
     assert all(i.fetch_time == 70.0 for i in fetched)
-    assert activity.total("icache") >= 1
+    assert activity.cell("icache")[0] >= 1
 
 
 def test_fetch_enters_wrong_path_mode_on_misprediction():
@@ -66,17 +76,17 @@ def test_fetch_enters_wrong_path_mode_on_misprediction():
         branch_unit.predictor.update(branch_pc, False, False)
     unit.memory.fetch_access(0x400000)  # pre-warm the line
     unit.clock_edge(0, 0.0)
-    fetched = output.items()
+    fetched = queued(output)
     branch = next(i for i in fetched if i.is_branch)
     assert branch.mispredicted
     assert unit.wrong_path_mode
     # subsequent fetch cycles produce wrong-path instructions
     unit.clock_edge(1, 1.0)
     assert unit.fetched_wrong_path > 0
-    wrong = [i for i in output.items() if i.wrong_path]
+    wrong = [i for i in queued(output) if i.wrong_path]
     assert wrong and all(i.trace.index == -1 for i in wrong)
     # the correct-path source did not advance past the branch's successor
-    assert unit.source.remaining == 1
+    assert remaining(unit.source) == 1
 
     # a redirect with a newer epoch ends wrong-path mode
     redirect.push(RedirectMessage(epoch=unit.epoch + 1, branch_seq=branch.seq,
@@ -102,7 +112,7 @@ def test_fetch_stops_at_predicted_taken_branch():
     unit.memory.fetch_access(0x400000)
     unit.clock_edge(0, 0.0)
     # the group ends with the correctly-predicted taken branch
-    assert output.occupancy == 2
+    assert len(output._entries) == 2
     assert not unit.wrong_path_mode
 
 
@@ -119,7 +129,7 @@ def test_fetch_stalls_when_output_channel_is_full():
                      activity=ActivityCounters(), fetch_width=4)
     unit.memory.fetch_access(0x400000)
     unit.clock_edge(0, 0.0)
-    assert output.occupancy == 2
+    assert len(output._entries) == 2
     unit.clock_edge(1, 1.0)
     assert unit.fetch_stall_cycles >= 1
-    assert source.remaining == 6
+    assert remaining(source) == 6

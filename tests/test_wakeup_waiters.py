@@ -16,6 +16,7 @@ was deleted.
 import pytest
 
 from repro.isa.instructions import InstructionClass
+from repro.isa.registers import fp_reg, int_reg
 from repro.isa.trace import TraceInstruction
 from repro.power.activity import ActivityCounters
 from repro.sim.channel import SyncQueue
@@ -24,6 +25,7 @@ from repro.uarch.execute import ExecutionUnit, FunctionalUnitPool
 from repro.uarch.instruction import DynamicInstruction
 from repro.uarch.issue_queue import IssueQueue
 from repro.uarch.regfile import PhysicalRegisterFile
+from repro.uarch.rename import RegisterAliasTable
 from test_golden_regression import assert_pinned
 
 
@@ -35,6 +37,14 @@ def make_instr(opclass=InstructionClass.INT_ALU, sources=()):
 
 def no_forwarding(producer, consumer):
     return 0.0
+
+
+def pending_register(regfile, fp=False):
+    """A register rename allocated for a new result (not produced yet)."""
+    producer = make_instr()
+    producer.trace.dest = fp_reg(1) if fp else int_reg(1)
+    assert RegisterAliasTable(regfile).rename(producer)
+    return producer.phys_dest
 
 
 # ------------------------------------------------- one cluster, driven by hand
@@ -87,7 +97,7 @@ def write_back(regfile, phys, now, domain="integer"):
 # ------------------------------------------------------------ queue mechanics
 def test_dispatch_links_waiters_and_writeback_wakes():
     unit, queue, regfile = make_unit()
-    pending = regfile.allocate(for_fp=False)
+    pending = pending_register(regfile)
     waiting = make_instr()
     waiting.phys_sources = (pending, 3)        # one pending, one arch-ready
     dispatch(unit, waiting)
@@ -127,7 +137,7 @@ def test_push_ready_keeps_age_order_and_invalidates_the_gate():
 
 def test_squashed_waiter_is_skipped_on_writeback():
     unit, queue, regfile = make_unit()
-    pending = regfile.allocate(for_fp=False)
+    pending = pending_register(regfile)
     older = make_instr()
     older.phys_sources = (pending,)
     wrong_path = make_instr()
@@ -157,7 +167,7 @@ def test_squash_drops_ready_list_entries():
 
 def test_freeing_a_register_clears_stale_waiters():
     regfile = PhysicalRegisterFile()
-    index = regfile.allocate(for_fp=False)
+    index = pending_register(regfile)
     leftover = make_instr()
     leftover.squashed = True
     regfile._registers[index].waiters.append(leftover)
@@ -170,7 +180,7 @@ def test_ready_gate_suppresses_passes_until_the_visibility_horizon():
         return 3.0
 
     unit, queue, regfile = make_unit(forwarding=fwd)
-    pending = regfile.allocate(for_fp=False)
+    pending = pending_register(regfile)
     instr = make_instr()
     instr.phys_sources = (pending,)
     dispatch(unit, instr)
@@ -191,7 +201,7 @@ def test_event_and_scan_make_identical_selections():
 
     def selection(now):
         unit, _, regfile = make_unit(issue_width=2, forwarding=fwd)
-        pending = regfile.allocate(for_fp=False)
+        pending = pending_register(regfile)
         blocked = make_instr()
         blocked.phys_sources = (pending,)
         awake = [make_instr() for _ in range(3)]
