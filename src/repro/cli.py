@@ -29,8 +29,10 @@ reloaded bit-exactly.
 
 Start-up: this module imports only the standard library, and each ``_cmd_*``
 handler imports the layers it runs -- ``repro --help`` never loads the
-simulator, and ``repro run`` without ``--cache`` never loads the sweep
-fabric or the results store.
+simulator, ``repro run`` without ``--cache`` never loads the sweep fabric
+or the results store, and ``repro serve`` answering hits never loads the
+process pool, the HTTP client stack or the experiment drivers (see
+:mod:`repro.serve`).
 """
 
 from __future__ import annotations

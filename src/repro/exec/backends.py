@@ -30,8 +30,7 @@ sweep code.
 from __future__ import annotations
 
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, wait
 from dataclasses import dataclass
 from typing import (TYPE_CHECKING, Callable, Dict, List, Optional, Sequence,
                     Tuple, Union)
@@ -46,6 +45,7 @@ from .config import ExecutionConfig
 from .faults import inject, set_role
 
 if TYPE_CHECKING:  # pragma: no cover - the import-time dependency must stay
+    from concurrent.futures.process import ProcessPoolExecutor
     from ..results.store import ResultsStore  # one-way: results -> exec
 
 
@@ -64,16 +64,20 @@ def timed_run_scenario(scenario: Scenario) -> Tuple[ScenarioResult, float]:
 
 # ------------------------------------------------------ failure classification
 #: Exception types that indicate the *fabric* failed, not the simulation.
-INFRASTRUCTURE_ERRORS = (OSError, BrokenProcessPool)
+#: ``BrokenExecutor`` is the base of ``BrokenProcessPool`` and comes from
+#: ``concurrent.futures`` without loading the process pool.
+INFRASTRUCTURE_ERRORS = (OSError, BrokenExecutor)
 
 
 def is_infrastructure_error(exc: BaseException) -> bool:
     """True when ``exc`` is an infrastructure failure worth retrying.
 
     Infrastructure failures -- ``OSError`` (filesystem hiccups, torn reads,
-    spawn failures) and a :class:`BrokenProcessPool` -- are transient shapes:
-    the same scenario may well succeed on the next attempt, so the fabric
-    retries them with backoff.  Everything else is a *deterministic*
+    spawn failures) and a broken executor
+    (:class:`~concurrent.futures.BrokenExecutor`, the base class of the dead
+    local pool's ``BrokenProcessPool``) -- are transient shapes: the same
+    scenario may well succeed on the next attempt, so the fabric retries
+    them with backoff.  Everything else is a *deterministic*
     simulation exception: retrying would fail identically, so those fail
     fast.
     """
@@ -229,6 +233,9 @@ class LocalPoolBackend(JobBackend):
         jobs = (self.config.jobs if self.config.jobs is not None
                 else default_jobs())
         workers = min(max(1, jobs), max(len(handles), 1))
+        # Imported here: a process that never starts a pool (a service
+        # answering hits, a serial sweep) never loads multiprocessing.
+        from concurrent.futures.process import ProcessPoolExecutor
         try:
             self._executor = ProcessPoolExecutor(
                 max_workers=workers, initializer=_start_pool_worker)
@@ -250,9 +257,10 @@ class LocalPoolBackend(JobBackend):
                 handle = self._futures.pop(future)
                 try:
                     outcome, seconds = future.result()
-                except (OSError, PermissionError, BrokenProcessPool):
-                    # The pool died mid-sweep -- an infrastructure failure:
-                    # rebuild it (with backoff) up to max_retries times before
+                except INFRASTRUCTURE_ERRORS:
+                    # The pool died mid-sweep (a ``BrokenProcessPool``, or
+                    # an ``OSError``) -- an infrastructure failure: rebuild
+                    # it (with backoff) up to max_retries times before
                     # degrading this job and every still-queued one to the
                     # in-process fallback.
                     pending = [handle] + list(self._futures.values())

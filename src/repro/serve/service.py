@@ -60,7 +60,6 @@ from typing import (Any, Dict, List, NamedTuple, Optional, Set, Tuple,
                     Union)
 from urllib.parse import parse_qs, urlsplit
 
-from ..core.experiments import design_space_scenarios
 from ..core.scenario import (DEFAULT_INSTRUCTIONS, Scenario, get_scenario,
                              scenario_result_json)
 from ..exec import ExecutionConfig
@@ -634,6 +633,7 @@ class ResultsService:
         request answers early (202) instead of stalling the connection.
         """
         from ..analysis.report import design_space_records, design_space_table
+        from ..core.experiments import design_space_scenarios
         grid = design_space_scenarios(**grid_fields)
         deadline = time.monotonic() + self.request_deadline
         outcomes = []

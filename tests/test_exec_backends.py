@@ -113,12 +113,12 @@ def test_all_backends_bit_identical_to_uncached_sweep(tmp_path):
 
 def test_local_backend_pool_failure_falls_back_in_process(store, monkeypatch):
     """Pool-infrastructure failure degrades to in-process execution."""
-    import repro.exec.backends as backends
+    import concurrent.futures.process as process  # where _start_pool looks
 
     def broken_pool(*args, **kwargs):
         raise OSError("no fork for you")
 
-    monkeypatch.setattr(backends, "ProcessPoolExecutor", broken_pool)
+    monkeypatch.setattr(process, "ProcessPoolExecutor", broken_pool)
     runs = resume_sweep(["base", "gals5"], store=store, jobs=2,
                         num_instructions=SMALL)
     assert [run.status for run in runs] == ["computed", "computed"]

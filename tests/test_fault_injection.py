@@ -11,6 +11,7 @@ bit-identically to a serial run.
 
 import json
 import time
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 
 import pytest
@@ -90,6 +91,8 @@ def test_unreadable_plan_injects_nothing(monkeypatch):
 
 def test_infrastructure_error_classification():
     assert is_infrastructure_error(OSError("disk on fire"))
+    # a dead local pool is retried, never recorded as a failed scenario
+    assert is_infrastructure_error(BrokenProcessPool())
     assert not is_infrastructure_error(ValueError("deterministic"))
     assert not is_infrastructure_error(KeyError("missing"))
 
